@@ -9,6 +9,7 @@ text reproduces the binary doubles exactly; CSV always uses '.' decimals,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -305,8 +306,12 @@ def _validate(args, parser):
             parser.error("bound needs V > 0 and a > 0")
 
 
+# built on the first main() call, not at import; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
     return args.func(args)

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the closed-form solvers so it
 can act as a cross-check.  States are carried as flat 8-vectors holding the
 four real components of (phi, dphi); right-i actions enter the derivative
-callbacks as exact 4x4 matrices, never approximated.
+callbacks as exact 4x4 matrices, never approximated.  The equations have
+constant coefficients, so RK4 runs as its one-step propagator: the fixed 8x8
+matrix that one classical step applies to the state.
 """
 
 from __future__ import annotations
@@ -49,24 +51,33 @@ def pack_state(phi: Quaternion, dphi: Quaternion) -> np.ndarray:
 def rk4_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
                   phi0: Quaternion, dphi0: Quaternion,
                   x0: float, x1: float, steps: int) -> Trajectory:
-    """Classical fixed-step RK4 on the 8-real state (phi, dphi)."""
+    """Classical fixed-step RK4 on the 8-real state (phi, dphi).
+
+    `rhs(x, y)` must be linear in y with constant coefficients and must map
+    the columns of an (8, m) array of states, as the callbacks made by
+    `qlinear_rhs` and `clinear_rhs` do.  One RK4 step is then a fixed 8x8
+    matrix: the four stages are applied once, through `rhs`, to the identity,
+    and the trajectory is y_{n+1} = P y_n.  Raises DivergenceError at the
+    first grid point whose state is not finite.
+    """
     if steps < 16:
         raise ValueError("need at least 16 steps")
     xs = np.linspace(x0, x1, steps + 1)
     h = (x1 - x0) / steps
+    eye = np.eye(8)
+    k1 = rhs(x0, eye)
+    k2 = rhs(x0 + 0.5 * h, eye + 0.5 * h * k1)
+    k3 = rhs(x0 + 0.5 * h, eye + 0.5 * h * k2)
+    k4 = rhs(x0 + h, eye + h * k3)
+    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     states = np.empty((steps + 1, 8))
-    y = pack_state(phi0, dphi0)
-    states[0] = y
-    for n in range(steps):
-        x = xs[n]
-        k1 = rhs(x, y)
-        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(x + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(float(xs[n + 1]))
-        states[n + 1] = y
+    states[0] = pack_state(phi0, dphi0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            np.matmul(step, states[n], out=states[n + 1])
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(float(xs[np.argmin(finite)]))
     return Trajectory(xs=xs, states=states)
 
 

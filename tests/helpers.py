@@ -130,3 +130,19 @@ def well_bound_energies(V, a, m=1.0, hbar=1.0):
             if abs(f(mid)) < 1e-4 * (1.0 + 2.0 * m * V / hbar ** 2):
                 roots.append(mid)
     return sorted(roots)
+
+
+def rk4_stage_loop(rhs, y0, x0, x1, steps):
+    """Classical RK4, one step of four stages at a time: (steps + 1, 8)."""
+    h = (x1 - x0) / steps
+    y = np.asarray(y0, dtype=float)
+    out = [y]
+    for n in range(steps):
+        x = x0 + n * h
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quatode
 from quatode.cli import main
 
 from helpers import step_reflection, well_bound_energies
@@ -210,3 +214,31 @@ def test_eig_diagonal_output(capsys):
     payload = json.loads(out)
     assert payload["form"] == "diagonal"
     assert [round(z[1], 9) for z in payload["eigenvalues"]] == [2.0, 4.0]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main() builds its parser once per process; later calls must not see
+    # anything left over from earlier ones, including a usage error
+    calls = [
+        ["bound", "--V", "10", "--a", "2", "--grid", "400"],
+        ["quad", "1", "2", "3"],
+        ["sweep", "barrier", "--param", "E", "--start", "0.5", "--stop", "3",
+         "--count", "5", "--V", "2", "--Wabs", "1", "--a", "0.8"],
+        ["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5",
+         "--phi0", "0,0,0,0", "--dphi0=-0.5,-0.5,-0.5,0", "--points", "0,0.5,1",
+         "--oracle", "--oracle-steps", "512"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quatode.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, out) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "quatode.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out)
+    assert [code for code, _ in in_process] == [0, 2, 0, 0]

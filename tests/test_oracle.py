@@ -6,7 +6,7 @@ import pytest
 from quatode import clode, hode, oracle
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
-from helpers import rand_quaternion
+from helpers import rand_quaternion, rk4_stage_loop
 
 
 def test_rk4_simple_oscillator():
@@ -58,6 +58,23 @@ def test_rk4_matches_worked_closed_forms():
     traj = oracle.rk4_integrate(oracle.clinear_rhs(zero, b_op), J, K,
                                 0.0, 1.0, 4096)
     assert (traj.phi(-1) - csol.value(1.0)).norm() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["qlinear", "clinear"])
+def test_rk4_propagator_matches_stage_loop(kind):
+    rng = np.random.default_rng(41 if kind == "qlinear" else 42)
+    for _ in range(10):
+        if kind == "qlinear":
+            rhs = oracle.qlinear_rhs(rand_quaternion(rng), rand_quaternion(rng))
+        else:
+            rhs = oracle.clinear_rhs(
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)),
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)))
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        traj = oracle.rk4_integrate(rhs, phi0, dphi0, 0.0, 1.0, 512)
+        ref = rk4_stage_loop(rhs, oracle.pack_state(phi0, dphi0), 0.0, 1.0, 512)
+        rel = np.linalg.norm(traj.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(rel) < 1e-12
 
 
 def test_residual_max_detects_perturbation():

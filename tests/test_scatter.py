@@ -249,6 +249,41 @@ def test_bound_states_empty_for_strong_w():
     assert got.energies == ()
 
 
+@pytest.mark.parametrize("W", [0.0, 1e-6, 1.3 * cmath.exp(0.7j)])
+def test_bound_interior_null_vectors_solve_coupling(W):
+    # interior of the well -V + jW: effective potential v - jw with v = -V, w = -W
+    V = 10.0
+    params = PhysicalParams(E=1.0, V=V, W=W, a=2.0)
+    es = np.linspace(-params.threshold, 0.0, 2001)[1:-1]
+    mat = scatter._bound_matrices(es, params)
+    v, w = -V, -complex(W)
+    sigma = np.sqrt((es * es - abs(w) ** 2).astype(complex))
+    for col, z2 in ((2, v - sigma), (3, v - sigma), (4, v + sigma), (5, v + sigma)):
+        u = mat[:, :2, col] / np.linalg.norm(mat[:, :2, col], axis=1, keepdims=True)
+        row1 = (z2 - (v - es)) * u[:, 0] - np.conj(w) * u[:, 1]
+        row2 = w * u[:, 0] + (z2 - (v + es)) * u[:, 1]
+        assert np.max(np.hypot(np.abs(row1), np.abs(row2))) < 1e-13
+
+
+def test_bound_stacked_matches_single_energy_systems():
+    params = PhysicalParams(E=1.0, V=6.0, W=0.7 - 0.9j, a=1.7)
+    es = np.linspace(-params.threshold, 0.0, 52)[1:-1]
+    stacked = np.linalg.svd(scatter._bound_matrices(es, params), compute_uv=False)[:, -1]
+    single = [np.linalg.svd(scatter._bound_matrices(es[n:n + 1], params),
+                            compute_uv=False)[0, -1] for n in range(es.size)]
+    assert np.max(np.abs(stacked - single)) < 1e-15
+
+
+def test_bound_states_ten_state_well_at_coarse_grid():
+    V, a = 36.76473671903387, 3.5392552744385
+    got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=400)
+    expected = well_bound_energies(V, a)
+    assert len(expected) == 10
+    assert len(got.energies) == len(expected)
+    for g, e in zip(got.energies, expected):
+        assert abs(g - e) < 1e-9
+
+
 def test_bound_states_need_well_geometry():
     with pytest.raises(ValueError):
         find_bound_states(PhysicalParams(E=1.0, V=-1.0, W=0.0, a=1.0))
