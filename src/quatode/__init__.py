@@ -5,12 +5,11 @@ from .quatcore import (
     J,
     K,
     ONE,
+    ExpSum,
     Quaternion,
     RightLinearScalarOp,
     SymplecticPair,
-    apply_right_linear,
     exp,
-    mul,
     rebase_sphere_exponential,
 )
 from .quadsolve import (
@@ -27,7 +26,6 @@ from .quadsolve import (
     solve_quaternion,
 )
 from .hode import (
-    BasisFunction,
     DegenerateBasisError,
     GeneralSolution,
     general_solution,
@@ -39,7 +37,6 @@ from .qmat2 import (
     EigenDecomposition,
     Matrix2CL,
     Matrix2H,
-    complex_counterpart,
     diagonalize,
     dieudonne,
     jordanize,
@@ -48,7 +45,6 @@ from .qmat2 import (
     spectral_decompose_antihermitian,
 )
 from .clode import (
-    CLBasisFunction,
     CLSolution,
     ModeNormalizationError,
     SchrodingerModes,
@@ -75,16 +71,15 @@ from . import oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisCoordinates", "BasisFunction", "BoundStateSet", "CLBasisFunction",
-    "CLSolution", "CaseTag", "DefectiveMatrixError", "DegenerateBasisError",
-    "EigenDecomposition", "GeneralSolution", "I", "J", "K", "Matrix2CL",
+    "BasisCoordinates", "BoundStateSet", "CLSolution", "CaseTag",
+    "DefectiveMatrixError", "DegenerateBasisError", "EigenDecomposition",
+    "ExpSum", "GeneralSolution", "I", "J", "K", "Matrix2CL",
     "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
     "QuadraticCoeffs", "Quaternion", "Regime", "RightLinearScalarOp",
     "RootKind", "RootSet", "ScatteringResult", "SchrodingerModes",
     "SymplecticPair", "TViolatingError", "UnsupportedStructureError",
-    "apply_right_linear", "classify", "complex_counterpart",
-    "cubic_resolvent", "diagonalize", "dieudonne", "exp",
-    "find_bound_states", "general_solution", "jordanize", "mul", "normalize",
+    "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
+    "find_bound_states", "general_solution", "jordanize", "normalize",
     "oracle", "probability_current", "rebase_sphere_exponential",
     "right_eigenpairs", "schrodinger_modes", "solve", "solve_barrier",
     "solve_clinear", "solve_clinear_ops", "solve_coeffs", "solve_ivp",

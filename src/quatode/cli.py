@@ -136,31 +136,28 @@ def _params_from(args, E=None, V=None, wabs=None, a=None) -> scatter.PhysicalPar
 
 
 def _scatter_row(kind: str, params: scatter.PhysicalParams) -> tuple[str, bool]:
+    head = [_fmt(v) for v in (params.E, params.V, abs(params.W),
+                              float(np.angle(params.W)) if abs(params.W) else 0.0,
+                              params.a)]
     try:
         if kind == "step":
             res = scatter.solve_step(params)
         else:
             res = scatter.solve_barrier(params)
         jres = scatter.current_residual(res.wave, params)
-        fields = [params.E, params.V, abs(params.W),
-                  float(np.angle(params.W)) if abs(params.W) else 0.0,
-                  params.a]
-        row = [_fmt(f) for f in fields]
-        row.append(res.regime.value)
+        row = head + [res.regime.value]
         row += [_fmt(v) for v in (
             res.R, res.T, res.r.real, res.r.imag,
             res.r_tilde.real, res.r_tilde.imag,
             res.t.real, res.t.imag,
             res.t_tilde.real, res.t_tilde.imag, jres)]
         return ",".join(row), False
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError):
-        nan = _fmt(math.nan)
-        row = [_fmt(v) for v in (params.E, params.V, abs(params.W),
-                                 float(np.angle(params.W)) if abs(params.W) else 0.0,
-                                 params.a)]
-        row.append("ERROR")
-        row += [nan] * 11
-        return ",".join(row), True
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        names = ("E", "V", "Wabs", "Warg", "a")
+        where = " ".join(f"{n}={v}" for n, v in zip(names, head))
+        cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"quatode {kind} {where}: {cause}", file=sys.stderr)
+        return ",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11), True
 
 
 def cmd_scatter(args) -> int:

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .qmat2 import Matrix2CL, lift, svec
-from .quatcore import Quaternion, RightLinearScalarOp
+from .qmat2 import _RANK_TOL, Matrix2CL, _nullspace, lift, svec
+from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 from .quatcore import exp as qexp
 
-_RANK_TOL = 1e-9
 _MERGE_TOL = 1e-6
 
 
@@ -42,67 +41,16 @@ class ModeNormalizationError(ZeroDivisionError):
     """The unit-complex-part mode gauge is singular: E + sqrt(E^2-|W|^2) = 0."""
 
 
-@dataclass(frozen=True)
-class CLBasisFunction:
-    """(u x + u_tilde) exp(z x) or u exp(z x), with exp right-applied.
+class CLSolution(ExpSum):
+    """Sum of u exp(z x) k and (u x + u~) exp(z x) k with right complex k.
 
-    Right-multiplying the attached coefficient by a complex scalar rescales
-    the function complex-linearly.
+    Right-multiplying by a complex scalar rescales it complex-linearly.
     """
 
-    u: Quaternion
-    z: complex
-    u_tilde: Optional[Quaternion] = None
-
-    def value(self, x: float) -> Quaternion:
-        e = Quaternion.from_complex(cmath.exp(self.z * x))
-        if self.u_tilde is None:
-            return self.u * e
-        return (self.u * x + self.u_tilde) * e
-
-    def derivative(self, x: float) -> Quaternion:
-        ez = Quaternion.from_complex(self.z * cmath.exp(self.z * x))
-        if self.u_tilde is None:
-            return self.u * ez
-        e = Quaternion.from_complex(cmath.exp(self.z * x))
-        return self.u * e + (self.u * x + self.u_tilde) * ez
-
-    def second(self, x: float) -> Quaternion:
-        ezz = Quaternion.from_complex(self.z * self.z * cmath.exp(self.z * x))
-        if self.u_tilde is None:
-            return self.u * ezz
-        ez = Quaternion.from_complex(self.z * cmath.exp(self.z * x))
-        return 2.0 * (self.u * ez) + (self.u * x + self.u_tilde) * ezz
-
-
-@dataclass(frozen=True)
-class CLSolution:
-    """Sum of basis functions with right complex coefficients."""
-
-    basis: tuple[CLBasisFunction, ...]
-    coefficients: tuple[complex, ...]
-
-    def value(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for f, k in zip(self.basis, self.coefficients):
-            out = out + f.value(x) * Quaternion.from_complex(k)
-        return out
-
-    def derivative(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for f, k in zip(self.basis, self.coefficients):
-            out = out + f.derivative(x) * Quaternion.from_complex(k)
-        return out
-
-    def second(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for f, k in zip(self.basis, self.coefficients):
-            out = out + f.second(x) * Quaternion.from_complex(k)
-        return out
+    __slots__ = ()
 
     def scaled(self, factor: complex) -> "CLSolution":
-        return replace(self, coefficients=tuple(
-            k * factor for k in self.coefficients))
+        return CLSolution((self * factor).terms)
 
 
 def _cluster(lams, tol):
@@ -115,12 +63,6 @@ def _cluster(lams, tol):
         else:
             clusters.append([z])
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
-
-
-def _nullspace(mat, tol):
-    _, s, vh = np.linalg.svd(mat)
-    dim = max(1, int(np.sum(s <= tol)))
-    return vh[-dim:].conj().T
 
 
 def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
@@ -137,7 +79,7 @@ def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSol
     lam = np.linalg.eigvals(c)
     clusters = _cluster(lam, _MERGE_TOL * scale)
     columns = []
-    basis_specs = []  # (z, vec, chain_vec_or_None)
+    specs = []  # (L, z, Lx) of the term on each column: (L + x Lx) exp(z x)
     deficient = 0
     for z, alg in clusters:
         spread = max(abs(w - z) for w in lam if abs(w - z) <= _MERGE_TOL * scale)
@@ -146,35 +88,24 @@ def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSol
         geo = min(ns.shape[1], alg)
         if geo == alg:
             for k in range(alg):
-                basis_specs.append((z, ns[:, k], None))
+                specs.append((lift(ns[:, k])[0], z, None))
+                columns.append(ns[:, k])
         elif alg == 2 and geo == 1:
             deficient += 1
             v = ns[:, 0]
             w, *_ = np.linalg.lstsq(c - z * np.eye(4), v, rcond=None)
             if np.linalg.norm((c - z * np.eye(4)) @ w - v) > 1e3 * rank_tol:
                 raise UnsupportedStructureError("broken Jordan chain")
-            basis_specs.append((z, v, w))
+            u = lift(v)[0]
+            specs += [(u, z, None), (lift(w)[0], z, u)]
+            columns += [v, w]
         else:
             raise UnsupportedStructureError(
                 f"eigenvalue {z}: algebraic {alg}, geometric {geo}")
     if deficient > 1:
         raise UnsupportedStructureError("more than one Jordan block")
-
-    basis = []
-    for z, v, w in basis_specs:
-        u = lift(v)[0]
-        if w is None:
-            basis.append(CLBasisFunction(u=u, z=z))
-            columns.append(v)
-        else:
-            basis.append(CLBasisFunction(u=u, z=z))
-            basis.append(CLBasisFunction(u=u, z=z, u_tilde=lift(w)[0]))
-            columns.append(v)
-            columns.append(w)
-    mat = np.column_stack(columns)
-    rhs = svec((phi0, dphi0))
-    coeff = np.linalg.solve(mat, rhs)
-    return CLSolution(basis=tuple(basis), coefficients=tuple(coeff))
+    coeff = np.linalg.solve(np.column_stack(columns), svec((phi0, dphi0)))
+    return CLSolution(exp_term(L, z, k, Lx) for (L, z, Lx), k in zip(specs, coeff))
 
 
 def solve_clinear_ops(a_op: RightLinearScalarOp, b_op: RightLinearScalarOp,
@@ -276,11 +207,7 @@ def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:
     else:
         raise TViolatingError(
             "W has both real and imaginary parts: T-violating potential")
-    basis = tuple(
-        CLBasisFunction(u=factor * f.u, z=f.z,
-                        u_tilde=None if f.u_tilde is None else factor * f.u_tilde)
-        for f in solution.basis)
-    return CLSolution(basis=basis, coefficients=solution.coefficients)
+    return CLSolution((factor * solution).terms)
 
 
 def stationary_phase(E: float, hbar: float, zeta0: Quaternion) -> Callable[[float], Quaternion]:

@@ -12,88 +12,43 @@ quatcore.rebase_sphere_exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import quadsolve, quatcore
-from .quatcore import Quaternion
+from .quatcore import ONE, ExpSum, Quaternion, exp_term
 
 
 class DegenerateBasisError(ValueError):
     """Initial conditions cannot be matched: basis matrix is singular."""
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """prefactor(x) * exp(exponent * x) with an optional affine prefactor.
+class GeneralSolution(ExpSum):
+    """Two one-term basis sums; the terms are basis[0] c1 + basis[1] c2.
 
-    prefactor is 1 when kappa is None, else (x + kappa).  The exponent already
-    includes any real shift coming from the original linear coefficient.
+    general_solution leaves the coefficients, and with them the terms, unset.
     """
 
-    exponent: Quaternion
-    kappa: Optional[Quaternion] = None
+    __slots__ = ("basis", "roots")
 
-    def value(self, x: float) -> Quaternion:
-        e = quatcore.exp(self.exponent * x)
-        if self.kappa is None:
-            return e
-        return (x + self.kappa) * e
-
-    def derivative(self, x: float) -> Quaternion:
-        e = quatcore.exp(self.exponent * x)
-        if self.kappa is None:
-            return self.exponent * e
-        return e + (x + self.kappa) * self.exponent * e
-
-    def second(self, x: float) -> Quaternion:
-        e = quatcore.exp(self.exponent * x)
-        q = self.exponent
-        if self.kappa is None:
-            return q * q * e
-        return 2.0 * (q * e) + (x + self.kappa) * q * q * e
-
-
-@dataclass(frozen=True)
-class GeneralSolution:
-    """Two-part basis with right-applied quaternionic coefficients."""
-
-    basis: tuple[BasisFunction, BasisFunction]
-    coefficients: Optional[tuple[Quaternion, Quaternion]] = None
-    roots: Optional[quadsolve.RootSet] = None
+    def __init__(self, basis: tuple[ExpSum, ExpSum],
+                 roots: Optional[quadsolve.RootSet] = None, terms=None):
+        super().__init__(terms)
+        self.basis = basis
+        self.roots = roots
 
     def with_coefficients(self, c1: Quaternion, c2: Quaternion) -> "GeneralSolution":
-        return replace(self, coefficients=(c1, c2))
-
-    def value(self, x: float) -> Quaternion:
-        self._require_coeffs()
-        c1, c2 = self.coefficients
-        return self.basis[0].value(x) * c1 + self.basis[1].value(x) * c2
-
-    def derivative(self, x: float) -> Quaternion:
-        self._require_coeffs()
-        c1, c2 = self.coefficients
-        return self.basis[0].derivative(x) * c1 + self.basis[1].derivative(x) * c2
-
-    def second(self, x: float) -> Quaternion:
-        self._require_coeffs()
-        c1, c2 = self.coefficients
-        return self.basis[0].second(x) * c1 + self.basis[1].second(x) * c2
-
-    def _require_coeffs(self):
-        if self.coefficients is None:
-            raise ValueError("coefficients not set; solve an IVP first")
+        combined = self.basis[0] * c1 + self.basis[1] * c2
+        return GeneralSolution(self.basis, self.roots, combined.terms)
 
 
 def general_solution(a: Quaternion, b: Quaternion) -> GeneralSolution:
     """Basis of the equation, coefficients left unset."""
     roots = quadsolve.solve_quaternion(a, b)
     if roots.kind is quadsolve.RootKind.SPHERE:
-        center = roots.center
-        basis = (BasisFunction(Quaternion(center, roots.alpha, 0.0, 0.0)),
-                 BasisFunction(Quaternion(center, -roots.alpha, 0.0, 0.0)))
+        terms = (exp_term(ONE, complex(roots.center, roots.alpha)),
+                 exp_term(ONE, complex(roots.center, -roots.alpha)))
     elif roots.kind is quadsolve.RootKind.REPEATED:
         q = roots.roots[0]
         a_vec = a.vector()
@@ -104,11 +59,11 @@ def general_solution(a: Quaternion, b: Quaternion) -> GeneralSolution:
         else:
             # second independent solution is plain x * exp(q x)
             kappa = quatcore.ZERO
-        basis = (BasisFunction(q), BasisFunction(q, kappa=kappa))
+        # (x + kappa) exp(q x)
+        terms = (exp_term(ONE, q), exp_term(kappa, q, Lx=ONE))
     else:
-        q1, q2 = roots.roots
-        basis = (BasisFunction(q1), BasisFunction(q2))
-    return GeneralSolution(basis=basis, roots=roots)
+        terms = tuple(exp_term(ONE, q) for q in roots.roots)
+    return GeneralSolution(tuple(ExpSum([t]) for t in terms), roots)
 
 
 def solve_ivp(a: Quaternion, b: Quaternion,
@@ -123,11 +78,6 @@ def solve_ivp(a: Quaternion, b: Quaternion,
     except ValueError as exc:
         raise DegenerateBasisError(str(exc)) from exc
     return sol.with_coefficients(c1, c2)
-
-
-def evaluate(sol: GeneralSolution, x: float) -> tuple[Quaternion, Quaternion]:
-    """Analytic (phi, phi') at x."""
-    return sol.value(x), sol.derivative(x)
 
 
 def residual(sol: GeneralSolution, a: Quaternion, b: Quaternion, x: float) -> float:

@@ -12,13 +12,13 @@ convention is pinned by the anti-hermitian worked example in the tests.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .quatcore import Quaternion, RightLinearScalarOp, solve_linear_system
+from .quatcore import (ExpSum, Quaternion, RightLinearScalarOp, exp_term,
+                       solve_linear_system)
 
 # rank decisions on the 4x4 counterpart
 _RANK_TOL = 1e-9
@@ -166,11 +166,6 @@ def _as_op(e) -> RightLinearScalarOp:
     return RightLinearScalarOp(_as_quaternion(e), Quaternion())
 
 
-def complex_counterpart(m) -> np.ndarray:
-    """Counterpart of either matrix flavor (4x4 complex)."""
-    return m.counterpart()
-
-
 def dieudonne(m: Matrix2H) -> float:
     """Non-negative determinant functional sqrt(det of the counterpart)."""
     d = np.linalg.det(m.counterpart())
@@ -301,63 +296,14 @@ def jordanize(m: Matrix2H) -> EigenDecomposition:
                               transform=j, transform_inv=j.inverse())
 
 
-@dataclass(frozen=True)
-class ExpTerm:
-    """(L + x Lx) * exp(z x) * R with quaternionic L, Lx, R and complex z."""
-
-    L: Quaternion
-    z: complex
-    R: Quaternion
-    Lx: Optional[Quaternion] = None
-
-    def value(self, x: float) -> Quaternion:
-        e = Quaternion.from_complex(cmath.exp(self.z * x))
-        lead = self.L if self.Lx is None else self.L + x * self.Lx
-        return lead * e * self.R
-
-    def derivative(self, x: float) -> Quaternion:
-        e = Quaternion.from_complex(cmath.exp(self.z * x))
-        ez = Quaternion.from_complex(self.z * cmath.exp(self.z * x))
-        lead = self.L if self.Lx is None else self.L + x * self.Lx
-        out = lead * ez * self.R
-        if self.Lx is not None:
-            out = out + self.Lx * e * self.R
-        return out
-
-    def second(self, x: float) -> Quaternion:
-        ezz = Quaternion.from_complex(self.z * self.z * cmath.exp(self.z * x))
-        lead = self.L if self.Lx is None else self.L + x * self.Lx
-        out = lead * ezz * self.R
-        if self.Lx is not None:
-            ez = Quaternion.from_complex(self.z * cmath.exp(self.z * x))
-            out = out + 2.0 * (self.Lx * ez * self.R)
-        return out
-
-
-@dataclass(frozen=True)
-class MatrixSolution:
+class MatrixSolution(ExpSum):
     """Closed-form ODE solution assembled from a similarity transform."""
 
-    terms: tuple[ExpTerm, ...]
-    decomposition: EigenDecomposition
+    __slots__ = ("decomposition",)
 
-    def value(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for t in self.terms:
-            out = out + t.value(x)
-        return out
-
-    def derivative(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for t in self.terms:
-            out = out + t.derivative(x)
-        return out
-
-    def second(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for t in self.terms:
-            out = out + t.second(x)
-        return out
+    def __init__(self, terms, decomposition: EigenDecomposition):
+        super().__init__(terms)
+        self.decomposition = decomposition
 
 
 def companion_matrix(a: Quaternion, b: Quaternion) -> Matrix2H:
@@ -376,36 +322,30 @@ def solve_ode_via_matrix(a: Quaternion, b: Quaternion,
     s, si = dec.transform, dec.transform_inv
     r1 = si[0, 0] * phi0 + si[0, 1] * dphi0
     r2 = si[1, 0] * phi0 + si[1, 1] * dphi0
+    # a Jordan form has z1 = z2 and the affine second term (s00 x + s01) e^{z x}
     z1, z2 = dec.eigenvalues
-    if dec.form == "diagonal":
-        terms = (ExpTerm(L=s[0, 0], z=z1, R=r1),
-                 ExpTerm(L=s[0, 1], z=z2, R=r2))
-    else:
-        terms = (ExpTerm(L=s[0, 0], z=z1, R=r1),
-                 ExpTerm(L=s[0, 1], z=z1, R=r2, Lx=s[0, 0]))
-    return MatrixSolution(terms=terms, decomposition=dec)
+    lx = None if dec.form == "diagonal" else s[0, 0]
+    terms = (exp_term(s[0, 0], z1, r1), exp_term(s[0, 1], z2, r2, Lx=lx))
+    return MatrixSolution(terms, dec)
 
 
-def hermitian_from_antihermitian(
-        lambdas, vecs) -> Matrix2H:
-    """H = sum Psi_r lambda_r Psi_r^dagger."""
+def _outer_sum(weights, vecs) -> Matrix2H:
+    """sum Psi_r w_r Psi_r^dagger."""
     total = Matrix2H([[0, 0], [0, 0]])
-    for lam, v in zip(lambdas, vecs):
-        outer = Matrix2H([[v[0] * lam * v[0].conjugate(), v[0] * lam * v[1].conjugate()],
-                          [v[1] * lam * v[0].conjugate(), v[1] * lam * v[1].conjugate()]])
-        total = total + outer
+    for w, v in zip(weights, vecs):
+        total = total + Matrix2H([[v[r] * w * v[c].conjugate() for c in range(2)]
+                                  for r in range(2)])
     return total
+
+
+def hermitian_from_antihermitian(lambdas, vecs) -> Matrix2H:
+    """H = sum Psi_r lambda_r Psi_r^dagger."""
+    return _outer_sum([Quaternion(lam) for lam in lambdas], vecs)
 
 
 def reconstruct_antihermitian(lambdas, vecs) -> Matrix2H:
     """A = sum Psi_r (lambda_r i) Psi_r^dagger."""
-    total = Matrix2H([[0, 0], [0, 0]])
-    for lam, v in zip(lambdas, vecs):
-        li = Quaternion(0.0, lam)
-        outer = Matrix2H([[v[0] * li * v[0].conjugate(), v[0] * li * v[1].conjugate()],
-                          [v[1] * li * v[0].conjugate(), v[1] * li * v[1].conjugate()]])
-        total = total + outer
-    return total
+    return _outer_sum([Quaternion(0.0, lam) for lam in lambdas], vecs)
 
 
 def spectral_decompose_antihermitian(a: Matrix2H):

@@ -5,13 +5,17 @@ Writing q = z1 + j*z2 with complex z1, z2 turns every right-complex-linear map
 on quaternions into a 2x2 complex matrix; all eigen machinery downstream is
 built on that bridge.  Multiplication is the Hamilton product and is
 non-commutative, so division is only provided through explicit inverses.
+Every closed-form solution in the package is an ExpSum, a sum of terms
+(L + x Lx) exp(q x) R.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,12 +68,6 @@ class Quaternion:
 
     def vector(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def to_complex(self) -> complex:
-        """Project onto the (1, i) plane; j/k parts must vanish."""
-        if max(abs(self.y), abs(self.z)) > 1e-12 * (1.0 + self.norm()):
-            raise ValueError(f"{self!r} has non-complex components")
-        return complex(self.w, self.x)
 
     # -- algebra ----------------------------------------------------------
 
@@ -192,11 +190,6 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p*q."""
-    return p * q
-
-
 def exp(q: Quaternion) -> Quaternion:
     """Quaternion exponential exp(w)(cos|v| + (v/|v|) sin|v|), v the imaginary part."""
     vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
@@ -210,8 +203,133 @@ def exp(q: Quaternion) -> Quaternion:
     return Quaternion(ew * math.cos(vn), f * q.x, f * q.y, f * q.z)
 
 
-def isclose(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> bool:
-    return (p - q).norm() <= tol
+def _hamilton(a: tuple, b: tuple) -> tuple:
+    """Hamilton product of 4-tuples whose components may be complex.
+
+    The complex unit of the components commutes with i, j and k, so complex
+    components make these biquaternions.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _components(q) -> tuple:
+    """(w, x, y, z) of a quaternion, or of a real or complex number."""
+    if isinstance(q, Quaternion):
+        return (q.w, q.x, q.y, q.z)
+    c = complex(q)
+    return (c.real, c.imag, 0.0, 0.0)
+
+
+class Term(NamedTuple):
+    """One term Re(e^{z x} (p + x px)) of an ExpSum.
+
+    p and px are biquaternions (complex 4-tuples), and Re takes the real part
+    of each component.  px is None when the term has no affine part.
+    """
+
+    z: complex
+    p: tuple
+    px: Optional[tuple]
+
+
+_AXIS_I = (1.0, -1j, 0.0, 0.0)    # 1 - I i
+
+
+def exp_term(L, q, R=ONE, Lx=None) -> Term:
+    """The term (L + x Lx) exp(q x) R; q is a quaternion or a complex a + b i.
+
+    With q = w + v and u = v/|v| (u = i when v = 0), u^2 = -1 gives
+    exp(q x) = Re(e^{zx}) + Im(e^{zx}) u for the complex z = w + i|v|.  So
+    with the complex unit I of the biquaternions, the term is
+    Re(e^{zx} (P + x Px)) with P = L (1 - I u) R and Px = Lx (1 - I u) R.
+    """
+    if isinstance(q, Quaternion):
+        vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+        z = complex(q.w, vn)
+        axis = ((1.0, -1j * q.x / vn, -1j * q.y / vn, -1j * q.z / vn)
+                if vn else _AXIS_I)
+    else:
+        z, axis = complex(q), _AXIS_I
+    right = _hamilton(axis, _components(R))
+    px = None if Lx is None else _hamilton(_components(Lx), right)
+    return Term(z, _hamilton(_components(L), right), px)
+
+
+class ExpSum:
+    """Sum of terms (L + x Lx) exp(q x) R: every closed-form solution here.
+
+    Each evaluation costs one cmath.exp and a few complex multiply-adds per
+    term.  terms is None while the right coefficients are not fixed yet
+    (hode.general_solution); evaluating such a sum raises ValueError.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = None if terms is None else tuple(terms)
+
+    def value(self, x: float) -> Quaternion:
+        return self._eval(x, 0)
+
+    def derivative(self, x: float) -> Quaternion:
+        return self._eval(x, 1)
+
+    def second(self, x: float) -> Quaternion:
+        return self._eval(x, 2)
+
+    def _eval(self, x: float, order: int) -> Quaternion:
+        # d^n/dx^n of e^{zx} (p + x px) is en p + dn px with en = z^n e^{zx}
+        # and dn = x en + n z^{n-1} e^{zx}
+        if self.terms is None:
+            raise ValueError("coefficients not set; solve an IVP first")
+        w = i = j = k = 0j
+        for z, p, px in self.terms:
+            e = cmath.exp(z * x)
+            if order == 0:
+                en, dn = e, x * e
+            elif order == 1:
+                en = z * e
+                dn = x * en + e
+            else:
+                ze = z * e
+                en = z * ze
+                dn = x * en + 2.0 * ze
+            w += en * p[0]
+            i += en * p[1]
+            j += en * p[2]
+            k += en * p[3]
+            if px is not None:
+                w += dn * px[0]
+                i += dn * px[1]
+                j += dn * px[2]
+                k += dn * px[3]
+        return Quaternion(w.real, i.real, j.real, k.real)
+
+    def _map(self, f) -> "ExpSum":
+        return ExpSum(Term(z, f(p), None if px is None else f(px))
+                      for z, p, px in self.terms)
+
+    def __mul__(self, c) -> "ExpSum":
+        """The sum times the constant quaternion c on the right."""
+        c = _components(c)
+        return self._map(lambda p: _hamilton(p, c))
+
+    def __rmul__(self, c) -> "ExpSum":
+        """The constant quaternion c times the sum, c on the left."""
+        c = _components(c)
+        return self._map(lambda p: _hamilton(c, p))
+
+    def __add__(self, other: "ExpSum") -> "ExpSum":
+        return ExpSum(self.terms + other.terms)
+
+    def max_rate(self) -> float:
+        """Largest |z| over the terms."""
+        return max((abs(t.z) for t in self.terms), default=0.0)
 
 
 def rebase_sphere_exponential(alpha_vec) -> tuple[Quaternion, Quaternion]:
@@ -268,11 +386,6 @@ class RightLinearScalarOp:
     def matrix4(self) -> np.ndarray:
         """4x4 real matrix of the action on (w, x, y, z)."""
         return self.A.left_matrix() + self.B.left_matrix() @ I.right_matrix()
-
-
-def apply_right_linear(op: RightLinearScalarOp, psi: Quaternion) -> Quaternion:
-    """Apply A psi + B psi i."""
-    return op(psi)
 
 
 def solve_linear_system(rows: list[list[Quaternion]], rhs: list[Quaternion],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clode import SchrodingerModes, schrodinger_modes
-from .quatcore import Quaternion, RightLinearScalarOp
+from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 
 log = logging.getLogger(__name__)
 
@@ -73,66 +73,19 @@ class PhysicalParams:
         return math.sqrt(2.0 * self.m * self.E)
 
 
-@dataclass(frozen=True)
-class Mode:
-    u: Quaternion
-    g: complex
-    coeff: complex = 1.0
+class Region(ExpSum):
+    """The wave on lo < x < hi, where the potential is V - jW."""
 
-    def value(self, x: float) -> Quaternion:
-        return self.u * Quaternion.from_complex(cmath.exp(self.g * x) * self.coeff)
+    __slots__ = ("lo", "hi", "V", "W")
 
-    def derivative(self, x: float) -> Quaternion:
-        return self.u * Quaternion.from_complex(
-            self.g * cmath.exp(self.g * x) * self.coeff)
-
-    def second(self, x: float) -> Quaternion:
-        return self.u * Quaternion.from_complex(
-            self.g * self.g * cmath.exp(self.g * x) * self.coeff)
-
-
-@dataclass(frozen=True)
-class Region:
-    lo: float
-    hi: float
-    modes: tuple[Mode, ...]
-    V: float
-    W: complex
-
-    def value(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for m in self.modes:
-            out = out + m.value(x)
-        return out
-
-    def derivative(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for m in self.modes:
-            out = out + m.derivative(x)
-        return out
-
-    def second(self, x: float) -> Quaternion:
-        out = Quaternion()
-        for m in self.modes:
-            out = out + m.second(x)
-        return out
+    def __init__(self, lo: float, hi: float, terms, V: float, W: complex):
+        super().__init__(terms)
+        self.lo, self.hi, self.V, self.W = lo, hi, V, W
 
 
 @dataclass(frozen=True)
 class PiecewiseWave:
     regions: tuple[Region, ...]
-
-    def region_at(self, x: float) -> Region:
-        for reg in self.regions:
-            if reg.lo <= x < reg.hi:
-                return reg
-        return self.regions[-1]
-
-    def value(self, x: float) -> Quaternion:
-        return self.region_at(x).value(x)
-
-    def derivative(self, x: float) -> Quaternion:
-        return self.region_at(x).derivative(x)
 
 
 @dataclass(frozen=True)
@@ -210,6 +163,13 @@ def _transmission_flux(modes: SchrodingerModes) -> float:
     return math.sqrt((sigma - modes.V) / modes.E) * (1.0 - wfrac2)
 
 
+def _incident_side(kin: float, r: complex, rt: complex) -> Region:
+    """Incident wave, reflected r and evanescent r~ j on x < 0."""
+    return Region(-math.inf, 0.0, (exp_term(_ONE, 1j * kin),
+                                   exp_term(_ONE, -1j * kin, r),
+                                   exp_term(_J, kin, rt)), V=0.0, W=0.0)
+
+
 def solve_step(params: PhysicalParams) -> ScatteringResult:
     """Match the quaternionic plane-wave basis across a potential step at 0.
 
@@ -238,10 +198,9 @@ def solve_step(params: PhysicalParams) -> ScatteringResult:
     big_t = _transmission_flux(modes) * abs(t) ** 2 \
         if regime is Regime.ABOVE_THRESHOLD else 0.0
     wave = PiecewiseWave(regions=(
-        Region(-math.inf, 0.0, (Mode(_ONE, 1j * kin), Mode(_ONE, -1j * kin, r),
-                                Mode(_J, kin, rt)), V=0.0, W=0.0),
-        Region(0.0, math.inf, (Mode(modes.u_minus, g_t, t),
-                               Mode(modes.u_plus, -gp, tt)),
+        _incident_side(kin, r, rt),
+        Region(0.0, math.inf, (exp_term(modes.u_minus, g_t, t),
+                               exp_term(modes.u_plus, -gp, tt)),
                V=params.V, W=params.W),
     ))
     return ScatteringResult(r=r, r_tilde=rt, t=t, t_tilde=tt,
@@ -281,11 +240,10 @@ def solve_barrier(params: PhysicalParams) -> ScatteringResult:
     if abs(big_r + big_t - 1.0) > 1e-6:
         raise UnitarityError(f"R + T = {big_r + big_t!r}: matching ill-conditioned")
     wave = PiecewiseWave(regions=(
-        Region(-math.inf, 0.0, (Mode(_ONE, 1j * kin), Mode(_ONE, -1j * kin, r),
-                                Mode(_J, kin, rt)), V=0.0, W=0.0),
-        Region(0.0, a, tuple(Mode(u, g, k) for (u, g), k in zip(inner, ks)),
+        _incident_side(kin, r, rt),
+        Region(0.0, a, (exp_term(u, g, k) for (u, g), k in zip(inner, ks)),
                V=params.V, W=params.W),
-        Region(a, math.inf, (Mode(_ONE, 1j * kin, t), Mode(_J, -kin, tt)),
+        Region(a, math.inf, (exp_term(_ONE, 1j * kin, t), exp_term(_J, -kin, tt)),
                V=0.0, W=0.0),
     ))
     return ScatteringResult(r=r, r_tilde=rt, t=t, t_tilde=tt,
@@ -310,8 +268,7 @@ def current_samples(wave: PiecewiseWave, params: PhysicalParams,
     """Probability current at a few interior points of every region."""
     out = []
     for reg in wave.regions:
-        rate = max((abs(m.g) for m in reg.modes), default=1.0)
-        step = 1.0 / (1.0 + rate)
+        step = 1.0 / (1.0 + reg.max_rate())
         if math.isinf(reg.lo):
             xs = [reg.hi - step * (k + 0.5) for k in range(per_region)]
         elif math.isinf(reg.hi):

@@ -85,6 +85,17 @@ def test_scatter_error_row_exit_code(capsys):
     assert "nan" in out
 
 
+def test_scatter_error_cause_on_stderr(capsys):
+    code = main(["scatter", "barrier", "--E", "1.5", "--V", "4", "--Wabs", "1",
+                 "--a", "400"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[1] == "1.5,4,1,0,400,ERROR" + ",nan" * 11
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "a=400" in lines[0] and "OverflowError" in lines[0]
+
+
 def test_sweep_step_below_threshold(capsys):
     code, out = run(capsys, "sweep", "step", "--param", "E", "--start", "0.1",
                     "--stop", "0.9", "--count", "5", "--V", "1.0")

@@ -101,7 +101,7 @@ def test_single_jordan_block_solution():
     rng = np.random.default_rng(63)
     phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
     sol = solve_clinear_ops(a_op, b_op, phi0, dphi0)
-    assert any(f.u_tilde is not None for f in sol.basis)
+    assert any(t.px is not None for t in sol.terms)  # the (u x + u~) term
     assert (sol.value(0.0) - phi0).norm() < 1e-12
     assert (sol.derivative(0.0) - dphi0).norm() < 1e-12
     traj = oracle.rk4_integrate(oracle.clinear_rhs(a_op, b_op),

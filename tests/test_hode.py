@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatode import hode, oracle, quadsolve
-from quatode.quatcore import I, J, K, ONE, Quaternion
+from quatode.quatcore import I, J, K, ONE, ExpSum, Quaternion, exp_term
 
 from helpers import (QI, QJ, QK, as_tuple, qadd, qdist, qexp_series,
                      qmul, qscale, rand_quaternion)
@@ -104,7 +104,7 @@ def test_golden_repeated_with_affine_prefactor():
         return qadd(part1, part2)
 
     sol = check_golden(a, b, Quaternion(), -(ONE + I + J) / 2, expected)
-    assert sol.basis[1].kappa is not None
+    assert sol.basis[1].terms[0].px is not None  # affine prefactor
 
 
 # -- basis structure ---------------------------------------------------------
@@ -113,24 +113,27 @@ def test_golden_repeated_with_affine_prefactor():
 def test_sphere_case_canonical_basis():
     alpha = 1.5
     sol = hode.general_solution(Quaternion(), Quaternion(alpha ** 2))
-    exps = sorted(as_tuple(b.exponent) for b in sol.basis)
+    # exp(q x) has derivative q at 0
+    exps = sorted(as_tuple(b.derivative(0.0)) for b in sol.basis)
     assert exps == [(0.0, -alpha, 0.0, 0.0), (0.0, alpha, 0.0, 0.0)]
 
 
 def test_zero_coefficients_basis_is_one_and_x():
     sol = hode.general_solution(Quaternion(), Quaternion())
     b1, b2 = sol.basis
-    assert b1.kappa is None and as_tuple(b1.exponent) == (0, 0, 0, 0)
-    assert b2.kappa is not None and b2.kappa.norm() == 0.0
+    # b1 = exp(0 x); b2 = (x + kappa) exp(0 x) with kappa = b2(0) = 0
+    assert b1.terms[0].px is None and as_tuple(b1.derivative(0.0)) == (0, 0, 0, 0)
+    assert b2.terms[0].px is not None and b2.value(0.0).norm() == 0.0
     got = sol.with_coefficients(ONE, Quaternion(2))
     assert (got.value(3.0) - Quaternion(7)).norm() < 1e-15
 
 
 def test_repeated_root_affine_kappa():
     sol = hode.general_solution(K - I, -J)
-    assert (sol.basis[0].exponent - I).norm() < 1e-12
-    kappa = sol.basis[1].kappa
-    assert kappa is not None
+    assert (sol.basis[0].derivative(0.0) - I).norm() < 1e-12  # exponent
+    # basis[1] = (x + kappa) exp(q x), so kappa = basis[1](0)
+    assert sol.basis[1].terms[0].px is not None
+    kappa = sol.basis[1].value(0.0)
     assert (kappa - (K - I) / 2).norm() < 1e-12
 
 
@@ -228,7 +231,7 @@ def test_evaluate_vs_rk4():
 
 
 def test_degenerate_basis_error(monkeypatch):
-    bf = hode.BasisFunction(exponent=Quaternion())
+    bf = ExpSum([exp_term(ONE, Quaternion())])
     fake = hode.GeneralSolution(basis=(bf, bf))
     monkeypatch.setattr(hode, "general_solution", lambda a, b: fake)
     with pytest.raises(hode.DegenerateBasisError):

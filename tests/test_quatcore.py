@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from quatode.quatcore import (
-    I, J, K, ONE, Quaternion, RightLinearScalarOp, SymplecticPair,
-    apply_right_linear, exp, mul, rebase_sphere_exponential,
-    solve_linear_system,
+    I, J, K, ONE, ExpSum, Quaternion, RightLinearScalarOp, SymplecticPair,
+    exp, exp_term, rebase_sphere_exponential, solve_linear_system,
 )
 
 from helpers import as_tuple, qdist, qexp_series, qmul, rand_quaternion
@@ -22,7 +21,7 @@ def test_defining_relations():
 
 
 def test_distributivity_example():
-    got = mul(Quaternion(1, 1, 0, 0), Quaternion(1, 0, 1, 0))
+    got = Quaternion(1, 1, 0, 0) * Quaternion(1, 0, 1, 0)
     assert as_tuple(got) == (1.0, 1.0, 1.0, 1.0)
 
 
@@ -127,16 +126,16 @@ def test_counterpart_acts_like_left_multiplication():
 
 
 def test_right_linear_op_identity_and_pure_right_i():
-    assert as_tuple(apply_right_linear(RightLinearScalarOp(ONE, Quaternion()), J)) \
+    assert as_tuple(RightLinearScalarOp(ONE, Quaternion())(J)) \
         == (0.0, 0.0, 1.0, 0.0)
-    got = apply_right_linear(RightLinearScalarOp(Quaternion(), ONE), J)
+    got = RightLinearScalarOp(Quaternion(), ONE)(J)
     assert (got + K).norm() == 0.0  # j i = -k
 
 
 def test_right_linear_op_mixed_example():
     # i(1+k) + j(1+k)i expanded by the product table: -1 + i - j - k
     op = RightLinearScalarOp(I, J)
-    got = apply_right_linear(op, ONE + K)
+    got = op(ONE + K)
     assert as_tuple(got) == (-1.0, 1.0, -1.0, -1.0)
 
 
@@ -230,3 +229,73 @@ def test_complex_embedding_arithmetic():
     q = Quaternion(0, 0, 1, 0)
     assert as_tuple(q * 1j) == (0.0, 0.0, 0.0, -1.0)   # j i = -k
     assert as_tuple(1j * q) == (0.0, 0.0, 0.0, 1.0)    # i j = k
+
+
+# -- ExpSum: sums of (L + x Lx) exp(q x) R -------------------------------------
+
+
+def _as_quaternion(q):
+    return q if isinstance(q, Quaternion) else Quaternion.from_complex(q)
+
+
+def _exp_sum(spec):
+    return ExpSum(exp_term(L, q, R, Lx) for L, Lx, q, R in spec)
+
+
+def _pieces(spec, x):
+    """Explicit products making up the value, derivative and second derivative."""
+    out = ([], [], [])
+    for L, Lx, q, R in spec:
+        q = _as_quaternion(q)
+        lead = L if Lx is None else L + x * Lx
+        e = exp(q * x)
+        out[0].append(lead * e * R)
+        out[1].append(lead * q * e * R)
+        out[2].append(lead * q * q * e * R)
+        if Lx is not None:
+            out[1].append(Lx * e * R)
+            out[2].append(2.0 * (Lx * q * e * R))
+    return out
+
+
+def _check_exp_sum(s, spec):
+    for x in (-0.7, 0.0, 0.4, 1.3):
+        got = (s.value(x), s.derivative(x), s.second(x))
+        for g, pieces in zip(got, _pieces(spec, x)):
+            want = sum(pieces, Quaternion())
+            assert (g - want).norm() <= 1e-13 * sum(p.norm() for p in pieces)
+
+
+def _exponents(rng):
+    """General, real, complex, complex-plane quaternion and -i-axis exponents."""
+    w, b = rng.standard_normal(2)
+    return (rand_quaternion(rng), Quaternion(w), complex(w, b),
+            Quaternion(w, abs(b)), Quaternion(w, -abs(b) - 0.1))
+
+
+def test_exp_sum_terms_match_explicit_products():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        for q in _exponents(rng):
+            L, Lx, R = (rand_quaternion(rng) for _ in range(3))
+            for spec in ([(L, None, q, R)], [(L, Lx, q, R)]):
+                _check_exp_sum(_exp_sum(spec), spec)
+
+
+def test_exp_sum_products_and_sums():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        qs = _exponents(rng)
+        L, Lx, R = (rand_quaternion(rng) for _ in range(3))
+        spec_s = [(rand_quaternion(rng), None, qs[0], rand_quaternion(rng)),
+                  (L, Lx, qs[4], R)]
+        spec_t = [(rand_quaternion(rng), rand_quaternion(rng), q, rand_quaternion(rng))
+                  for q in qs[1:4]]
+        s, t = _exp_sum(spec_s), _exp_sum(spec_t)
+        c = rand_quaternion(rng)
+        _check_exp_sum(c * s, [(c * L, None if Lx is None else c * Lx, q, R)
+                               for L, Lx, q, R in spec_s])
+        _check_exp_sum(s * c, [(L, Lx, q, R * c) for L, Lx, q, R in spec_s])
+        _check_exp_sum(s + t, spec_s + spec_t)
+        rates = [_as_quaternion(q).norm() for _, _, q, _ in spec_t]
+        assert abs(t.max_rate() - max(rates)) <= 1e-15 * max(rates)
