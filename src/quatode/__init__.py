@@ -57,15 +57,16 @@ from .clode import (
     time_reversal_map,
 )
 from .scatter import (
-    BoundStateSet,
     PhysicalParams,
     Regime,
     ScatteringResult,
-    find_bound_states,
+    ScatteringRows,
     probability_current,
     solve_barrier,
+    solve_rows,
     solve_step,
 )
+from .well import BoundStateSet, find_bound_states
 from . import oracle
 
 __version__ = "0.1.0"
@@ -76,14 +77,15 @@ __all__ = [
     "ExpSum", "GeneralSolution", "I", "J", "K", "Matrix2CL",
     "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
     "QuadraticCoeffs", "Quaternion", "Regime", "RightLinearScalarOp",
-    "RootKind", "RootSet", "ScatteringResult", "SchrodingerModes",
-    "SymplecticPair", "TViolatingError", "UnsupportedStructureError",
+    "RootKind", "RootSet", "ScatteringResult", "ScatteringRows",
+    "SchrodingerModes", "SymplecticPair", "TViolatingError",
+    "UnsupportedStructureError",
     "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
     "find_bound_states", "general_solution", "jordanize", "normalize",
     "oracle", "probability_current", "rebase_sphere_exponential",
     "right_eigenpairs", "schrodinger_modes", "solve", "solve_barrier",
     "solve_clinear", "solve_clinear_ops", "solve_coeffs", "solve_ivp",
-    "solve_ode_via_matrix", "solve_quaternion", "solve_step",
+    "solve_ode_via_matrix", "solve_quaternion", "solve_rows", "solve_step",
     "spectral_decompose_antihermitian", "stationary_phase",
     "time_reversal_map", "wronskian",
 ]

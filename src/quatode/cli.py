@@ -21,6 +21,8 @@ from .quatcore import Quaternion, RightLinearScalarOp
 
 _CSV_HEADER = ("E,V,Wabs,Warg,a,regime,R,T,r_re,r_im,rt_re,rt_im,"
                "t_re,t_im,tt_re,tt_im,current_residual")
+# rows per stacked solve in a sweep: bounds the working memory of a long sweep
+_SWEEP_BLOCK = 1024
 
 
 def _fmt(x: float) -> str:
@@ -97,9 +99,9 @@ def cmd_ode(args) -> int:
         for x in xs:
             if x == 0.0:
                 continue
-            traj = oracle.rk4_integrate(rhs, args.phi0, args.dphi0,
-                                        0.0, x, args.oracle_steps)
-            worst = max(worst, (traj.phi(-1) - sol.value(x)).norm())
+            end = oracle.rk4_endpoint(rhs, args.phi0, args.dphi0,
+                                      0.0, x, args.oracle_steps)
+            worst = max(worst, (Quaternion.from_array(end[:4]) - sol.value(x)).norm())
         payload["oracle_max_err"] = worst
     print(json.dumps(payload))
     return 0
@@ -124,63 +126,61 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _params_from(args, E=None, V=None, wabs=None, a=None) -> scatter.PhysicalParams:
+def _polar(wabs, warg: float):
+    return wabs * complex(math.cos(warg), math.sin(warg))
+
+
+def _params_from(args) -> scatter.PhysicalParams:
     # bound-state search scans E itself; any positive placeholder works there
-    E = getattr(args, "E", 1.0) if E is None else E
-    V = args.V if V is None else V
-    wabs = args.Wabs if wabs is None else wabs
-    a = getattr(args, "a", 0.0) if a is None else a
-    w = wabs * complex(math.cos(args.Warg), math.sin(args.Warg))
-    return scatter.PhysicalParams(E=E, V=V, W=w, a=a,
-                                  hbar=args.hbar, m=args.mass)
+    return scatter.PhysicalParams(E=1.0, V=args.V, W=_polar(args.Wabs, args.Warg),
+                                  a=args.a, hbar=args.hbar, m=args.mass)
 
 
-def _scatter_row(kind: str, params: scatter.PhysicalParams) -> tuple[str, bool]:
-    head = [_fmt(v) for v in (params.E, params.V, abs(params.W),
-                              float(np.angle(params.W)) if abs(params.W) else 0.0,
-                              params.a)]
-    try:
-        if kind == "step":
-            res = scatter.solve_step(params)
-        else:
-            res = scatter.solve_barrier(params)
-        jres = scatter.current_residual(res.wave, params)
-        row = head + [res.regime.value]
-        row += [_fmt(v) for v in (
-            res.R, res.T, res.r.real, res.r.imag,
-            res.r_tilde.real, res.r_tilde.imag,
-            res.t.real, res.t.imag,
-            res.t_tilde.real, res.t_tilde.imag, jres)]
-        return ",".join(row), False
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+def _scatter_rows(args, E, V, wabs, a) -> bool:
+    """Solve the rows in one stacked call and print their CSV lines.
+
+    A failed row prints as regime ERROR with nan numbers, and its cause goes
+    to stderr.  Returns whether a row failed.
+    """
+    W = _polar(np.asarray(wabs, dtype=float), args.Warg)
+    rows = scatter.solve_rows(args.kind, E, V, W, a, hbar=args.hbar, m=args.mass)
+    E, V, W, a = [np.broadcast_to(x, rows.E.shape) for x in (E, V, W, a)]
+    wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
+    heads = np.column_stack([E, V, wabs, np.where(wabs != 0.0, np.angle(W), 0.0), a])
+    numbers = np.column_stack([rows.R, rows.T, rows.r.real, rows.r.imag,
+                               rows.r_tilde.real, rows.r_tilde.imag,
+                               rows.t.real, rows.t.imag,
+                               rows.t_tilde.real, rows.t_tilde.imag,
+                               rows.current_spread])
+    lines = []
+    for head, values, regime, exc in zip(heads.tolist(), numbers.tolist(),
+                                         rows.regimes, rows.errors):
+        head = [_fmt(v) for v in head]
+        if exc is None:
+            lines.append(",".join(head + [regime.value] + [_fmt(v) for v in values]))
+            continue
         names = ("E", "V", "Wabs", "Warg", "a")
         where = " ".join(f"{n}={v}" for n, v in zip(names, head))
         cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"quatode {kind} {where}: {cause}", file=sys.stderr)
-        return ",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11), True
+        print(f"quatode {args.kind} {where}: {cause}", file=sys.stderr)
+        lines.append(",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11))
+    print("\n".join(lines))
+    return rows.errors.count(None) < len(rows.errors)
 
 
 def cmd_scatter(args) -> int:
-    params = _params_from(args)
     print(_CSV_HEADER)
-    row, failed = _scatter_row(args.kind, params)
-    print(row)
-    return 1 if failed else 0
+    return 1 if _scatter_rows(args, args.E, args.V, args.Wabs, args.a) else 0
 
 
 def cmd_sweep(args) -> int:
     values = np.linspace(args.start, args.stop, args.count)
     print(_CSV_HEADER)
     failed = False
-    for v in values:
-        v = float(v)
-        kwargs = {"E": None, "V": None, "wabs": None, "a": None}
-        key = {"E": "E", "V": "V", "Wabs": "wabs", "a": "a"}[args.param]
-        kwargs[key] = v
-        params = _params_from(args, **kwargs)
-        row, bad = _scatter_row(args.kind, params)
-        print(row)
-        failed = failed or bad
+    for lo in range(0, args.count, _SWEEP_BLOCK):
+        row = {"E": args.E, "V": args.V, "Wabs": args.Wabs, "a": args.a}
+        row[args.param] = values[lo:lo + _SWEEP_BLOCK]
+        failed |= _scatter_rows(args, row["E"], row["V"], row["Wabs"], row["a"])
     return 1 if failed else 0
 
 
@@ -275,7 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
+    if args.command in ("scatter", "sweep", "bound"):
+        for flag, value in (("--hbar", args.hbar), ("--mass", args.mass)):
+            if not value > 0.0:
+                parser.error(f"{flag} must be > 0")
+        if not args.Wabs >= 0.0:
+            parser.error("--Wabs must be >= 0 (arg W goes in --Warg)")
     if args.command == "sweep":
+        if args.param == "Wabs" and not args.start >= 0.0:
+            parser.error("a sweep of Wabs must start at >= 0")
         if args.count < 2:
             parser.error("--count must be >= 2")
         if not args.start < args.stop:

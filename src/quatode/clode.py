@@ -15,10 +15,9 @@ regime formula downstream follows from that single choice.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,29 +149,60 @@ class SchrodingerModes:
         return math.hypot(self.V, abs(self.W))
 
 
+class ModeArrays(NamedTuple):
+    """Stationary modes for arrays of (E, V, W), one row per entry.
+
+    sigma = sqrt(E^2 - |W|^2) and denom = E + sigma; z-+ = sqrt(V -+ sigma);
+    u_- = 1 + j wfrac and u_+ = wbar + j, with wfrac = W / denom and
+    wbar = conj(W) / denom.
+    """
+
+    sigma: np.ndarray
+    denom: np.ndarray
+    z_minus: np.ndarray
+    z_plus: np.ndarray
+    wfrac: np.ndarray
+    wbar: np.ndarray
+
+
+def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
+    """Exponents and mode components of the stationary equation, row by row.
+
+    E and V are real arrays and W a complex array of one shape.  All square
+    roots are principal.  Rows with E + sqrt(E^2 - |W|^2) = 0 come out
+    non-finite; schrodinger_modes turns that into ModeNormalizationError.
+    """
+    E = np.asarray(E, dtype=float)
+    V = np.asarray(V, dtype=float)
+    W = np.asarray(W, dtype=complex)
+    sigma = np.sqrt((E * E - np.hypot(W.real, W.imag) ** 2).astype(complex))
+    denom = E + sigma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wfrac, wbar = W / denom, np.conj(W) / denom
+    return ModeArrays(sigma, denom, np.sqrt(V - sigma), np.sqrt(V + sigma), wfrac, wbar)
+
+
 def schrodinger_modes(E: float, V: float, W: complex,
                       hbar: float = 1.0, m: float = 1.0) -> SchrodingerModes:
     """Exponents and modes of the constant-potential stationary equation.
 
     z-+ = sqrt(V -+ sqrt(E^2 - |W|^2)) with principal square roots;
     u_- = 1 + j W / (E + sqrt(E^2 - |W|^2)), u_+ = conj(W) / (...) + j.
+    One row of schrodinger_mode_arrays.
     """
     if hbar <= 0.0 or m <= 0.0:
         raise ValueError("hbar and m must be positive")
     W = complex(W)
-    sigma = cmath.sqrt(complex(E * E - abs(W) ** 2, 0.0))
-    denom = E + sigma
+    modes = schrodinger_mode_arrays(E, V, W)
+    sigma, denom = complex(modes.sigma), complex(modes.denom)
     if abs(denom) <= 1e-15 * (abs(E) + abs(sigma) + 1e-300):
         raise ModeNormalizationError(
             "E + sqrt(E^2 - |W|^2) = 0: mode gauge is singular")
-    wfrac = W / denom
-    z_minus = cmath.sqrt(V - sigma)
-    z_plus = cmath.sqrt(V + sigma)
-    u_minus = Quaternion(1.0) + Quaternion(0, 0, 1, 0) * Quaternion.from_complex(wfrac)
-    u_plus = Quaternion.from_complex(W.conjugate() / denom) + Quaternion(0, 0, 1, 0)
     return SchrodingerModes(E=E, V=V, W=W, hbar=hbar, m=m,
-                            z_minus=z_minus, z_plus=z_plus,
-                            u_minus=u_minus, u_plus=u_plus)
+                            z_minus=complex(modes.z_minus),
+                            z_plus=complex(modes.z_plus),
+                            u_minus=Quaternion.from_symplectic(1.0, modes.wfrac),
+                            u_plus=Quaternion.from_symplectic(modes.wbar, 1.0))
 
 
 def mode_quartic_residual(modes: SchrodingerModes, z: complex) -> float:

@@ -48,28 +48,36 @@ def pack_state(phi: Quaternion, dphi: Quaternion) -> np.ndarray:
     return np.concatenate([phi.to_array(), dphi.to_array()])
 
 
-def rk4_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
-                  phi0: Quaternion, dphi0: Quaternion,
-                  x0: float, x1: float, steps: int) -> Trajectory:
-    """Classical fixed-step RK4 on the 8-real state (phi, dphi).
+def rk4_step_matrix(rhs: Callable[[float, np.ndarray], np.ndarray],
+                    x0: float, h: float) -> np.ndarray:
+    """The 8x8 matrix P with P y = one classical RK4 step of size h from x0.
 
     `rhs(x, y)` must be linear in y with constant coefficients and must map
     the columns of an (8, m) array of states, as the callbacks made by
-    `qlinear_rhs` and `clinear_rhs` do.  One RK4 step is then a fixed 8x8
-    matrix: the four stages are applied once, through `rhs`, to the identity,
-    and the trajectory is y_{n+1} = P y_n.  Raises DivergenceError at the
-    first grid point whose state is not finite.
+    `qlinear_rhs` and `clinear_rhs` do; the four stages are then applied
+    once, through `rhs`, to the identity.
     """
-    if steps < 16:
-        raise ValueError("need at least 16 steps")
-    xs = np.linspace(x0, x1, steps + 1)
-    h = (x1 - x0) / steps
     eye = np.eye(8)
     k1 = rhs(x0, eye)
     k2 = rhs(x0 + 0.5 * h, eye + 0.5 * h * k1)
     k3 = rhs(x0 + 0.5 * h, eye + 0.5 * h * k2)
     k4 = rhs(x0 + h, eye + h * k3)
-    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
+                  phi0: Quaternion, dphi0: Quaternion,
+                  x0: float, x1: float, steps: int) -> Trajectory:
+    """Classical fixed-step RK4 on the 8-real state (phi, dphi).
+
+    The trajectory is y_{n+1} = P y_n with P = rk4_step_matrix(rhs, x0, h),
+    h = (x1 - x0) / steps.  Raises DivergenceError at the first grid point
+    whose state is not finite.
+    """
+    if steps < 16:
+        raise ValueError("need at least 16 steps")
+    xs = np.linspace(x0, x1, steps + 1)
+    step = rk4_step_matrix(rhs, x0, (x1 - x0) / steps)
     states = np.empty((steps + 1, 8))
     states[0] = pack_state(phi0, dphi0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,6 +87,25 @@ def rk4_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
     if not finite.all():
         raise DivergenceError(float(xs[np.argmin(finite)]))
     return Trajectory(xs=xs, states=states)
+
+
+def rk4_endpoint(rhs: Callable[[float, np.ndarray], np.ndarray],
+                 phi0: Quaternion, dphi0: Quaternion,
+                 x0: float, x1: float, steps: int) -> np.ndarray:
+    """The last state of rk4_integrate(...), as P^steps y0 by matrix powers.
+
+    Same step size and step matrix as rk4_integrate; only the rounding of
+    the product differs.  Raises DivergenceError(x1) if the state at x1 is
+    not finite.
+    """
+    if steps < 16:
+        raise ValueError("need at least 16 steps")
+    step = rk4_step_matrix(rhs, x0, (x1 - x0) / steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = np.linalg.matrix_power(step, steps) @ pack_state(phi0, dphi0)
+    if not np.isfinite(state).all():
+        raise DivergenceError(x1)
+    return state
 
 
 def qlinear_rhs(a: Quaternion, b: Quaternion) -> Callable[[float, np.ndarray], np.ndarray]:

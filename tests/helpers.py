@@ -7,6 +7,7 @@ under test.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -146,3 +147,49 @@ def rk4_stage_loop(rhs, y0, x0, x1, steps):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.array(out)
+
+
+def scattering_row(kind, E, V, W, a=0.0, hbar=1.0, m=1.0):
+    """(r, r~, t, t~, R, T) of one step or barrier row, matched on its own.
+
+    The per-row reference for scatter.solve_rows: every matching column is
+    built with cmath from the modes u- = 1 + j W/(E + sigma) and
+    u+ = conj(W)/(E + sigma) + j with sigma = sqrt(E^2 - |W|^2), and the 4x4
+    or 8x8 system is solved alone.  No boundary nudge: keep rows off
+    E = |W| and E = sqrt(V^2 + |W|^2).
+    """
+    W = complex(W)
+    sigma = cmath.sqrt(E * E - abs(W) ** 2)
+    wf, wb = W / (E + sigma), W.conjugate() / (E + sigma)
+    s = math.sqrt(2.0 * m) / hbar
+    gm, gp = s * cmath.sqrt(V - sigma), s * cmath.sqrt(V + sigma)
+    k = math.sqrt(2.0 * m * E) / hbar
+    above = E > math.hypot(V, abs(W))
+
+    def col(u1, u2, g, x, sign=1.0):
+        e = cmath.exp(g * x)
+        return [sign * u1 * e, sign * u2 * e, sign * g * u1 * e, sign * g * u2 * e]
+
+    if kind == "step":
+        mat = np.array([col(1, 0, -1j * k, 0), col(0, 1, k, 0),
+                        col(1, wf, gm if above else -gm, 0, -1),
+                        col(wb, 1, -gp, 0, -1)]).T
+        rhs = np.array(col(1, 0, 1j * k, 0, -1))
+    else:
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[:4, 0], mat[:4, 1] = col(1, 0, -1j * k, 0), col(0, 1, k, 0)
+        for n, (u1, u2, g) in enumerate(((1, wf, gm), (1, wf, -gm),
+                                         (wb, 1, gp), (wb, 1, -gp))):
+            mat[:4, 2 + n], mat[4:, 2 + n] = col(u1, u2, g, 0, -1), col(u1, u2, g, a)
+        mat[4:, 6], mat[4:, 7] = col(1, 0, 1j * k, a, -1), col(0, 1, -k, a, -1)
+        rhs = np.zeros(8, dtype=complex)
+        rhs[:4] = col(1, 0, 1j * k, 0, -1)
+    sol = np.linalg.solve(mat, rhs)
+    r, rt, t, tt = sol[0], sol[1], sol[-2], sol[-1]
+    if kind == "barrier":
+        big_t = abs(t) ** 2
+    elif above:
+        big_t = math.sqrt((sigma.real - V) / E) * (1.0 - abs(wf) ** 2) * abs(t) ** 2
+    else:
+        big_t = 0.0
+    return r, rt, t, tt, abs(r) ** 2, big_t

@@ -96,6 +96,88 @@ def test_scatter_error_cause_on_stderr(capsys):
     assert "a=400" in lines[0] and "OverflowError" in lines[0]
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["sweep", "barrier", "--param", "a", "--start", "200", "--stop", "240",
+      "--count", "5", "--E", "1.5", "--V", "4", "--Wabs", "1"], "OverflowError"),
+    (["sweep", "barrier", "--param", "E", "--start=-1", "--stop", "2",
+      "--count", "7", "--V", "2", "--Wabs", "0.8", "--a", "0.9"], "ValueError"),
+])
+def test_sweep_failing_rows_leave_good_rows(capsys, argv, bad):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    rows = captured.out.splitlines()[1:]
+    failed = [row for row in rows if ",ERROR," in row]
+    assert 0 < len(failed) < len(rows)
+    causes = captured.err.splitlines()
+    assert len(causes) == len(failed) and all(bad in line for line in causes)
+    for row in rows:
+        if ",ERROR," in row:
+            continue
+        E, V, wabs, _, a = row.split(",")[:5]
+        assert main(["scatter", "barrier", f"--E={E}", f"--V={V}", f"--Wabs={wabs}",
+                     f"--a={a}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
+
+
+def test_long_sweep_rows_match_single_rows(capsys):
+    # longer than one stacked block: rows must not depend on their block
+    code, out = run(capsys, "sweep", "barrier", "--param", "E", "--start", "0.3",
+                    "--stop", "6", "--count", "2500", "--V", "2", "--Wabs", "0.7",
+                    "--Warg", "0.4", "--a", "0.9")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2500
+    for n in (0, 1023, 1024, 2047, 2048, 2499):
+        E = rows[n].split(",")[0]
+        code, single = run(capsys, "scatter", "barrier", f"--E={E}", "--V", "2",
+                           "--Wabs", "0.7", "--Warg", "0.4", "--a", "0.9")
+        assert single.splitlines()[1] == rows[n]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--V", "10", "--a", "2", "--hbar", "0"],
+    ["scatter", "step", "--E", "1", "--V", "1", "--hbar=-1"],
+    ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
+     "--count", "3", "--V", "1", "--hbar", "nan"],
+])
+def test_nonpositive_hbar_is_usage_error(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "barrier", "--E", "1", "--V", "2", "--a", "1", "--mass", "0"],
+    ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
+     "--count", "3", "--V", "1", "--mass=-1"],
+    ["bound", "--V", "10", "--a", "2", "--mass", "0"],
+])
+def test_nonpositive_mass_is_usage_error(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "step", "--E", "1", "--V", "1", "--Wabs=-0.5"],
+    ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
+     "--count", "3", "--V", "1", "--Wabs=-0.5"],
+    ["bound", "--V", "10", "--a", "2", "--Wabs=-0.5"],
+])
+def test_negative_wabs_is_usage_error(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_negative_wabs_sweep_range_is_usage_error():
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "barrier", "--param", "Wabs", "--start=-1", "--stop", "1",
+              "--count", "3", "--E", "1", "--V", "2", "--a", "1"])
+    assert info.value.code == 2
+
+
 def test_sweep_step_below_threshold(capsys):
     code, out = run(capsys, "sweep", "step", "--param", "E", "--start", "0.1",
                     "--stop", "0.9", "--count", "5", "--V", "1.0")

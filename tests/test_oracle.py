@@ -77,6 +77,35 @@ def test_rk4_propagator_matches_stage_loop(kind):
         assert np.max(rel) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["qlinear", "clinear"])
+def test_rk4_endpoint_matches_trajectory(kind):
+    rng = np.random.default_rng(43 if kind == "qlinear" else 44)
+    for _ in range(10):
+        if kind == "qlinear":
+            rhs = oracle.qlinear_rhs(rand_quaternion(rng), rand_quaternion(rng))
+        else:
+            rhs = oracle.clinear_rhs(
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)),
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)))
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        x1 = rng.uniform(-1.5, 1.5)
+        end = oracle.rk4_endpoint(rhs, phi0, dphi0, 0.0, x1, 512)
+        ref = oracle.rk4_integrate(rhs, phi0, dphi0, 0.0, x1, 512).states[-1]
+        assert np.linalg.norm(end - ref) < 1e-12 * np.linalg.norm(ref)
+
+
+def test_rk4_endpoint_divergence_and_minimum_steps():
+    def blowup(x, y):
+        return 1e8 * y
+
+    with pytest.raises(oracle.DivergenceError) as info:
+        oracle.rk4_endpoint(blowup, ONE, ONE, 0.0, 1.0, 64)
+    assert info.value.x == 1.0
+    with pytest.raises(ValueError):
+        oracle.rk4_endpoint(oracle.qlinear_rhs(Quaternion(), ONE),
+                            ONE, Quaternion(), 0.0, 1.0, 8)
+
+
 def test_residual_max_detects_perturbation():
     a, b = K, J
     sol = hode.solve_ivp(a, b, I + K, ONE)

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from quatode import scatter
+from quatode import scatter, well
 from quatode.quatcore import Quaternion, RightLinearScalarOp
-from quatode.scatter import (PhysicalParams, Regime, current_residual,
-                             find_bound_states, probability_current,
-                             solve_barrier, solve_step, stationary_b_op)
+from quatode.scatter import (PhysicalParams, Regime, current_kernel,
+                             current_residual, current_samples, find_bound_states,
+                             probability_current, solve_barrier, solve_rows,
+                             solve_step, stationary_b_op)
 
-from helpers import barrier_transmission, step_reflection, well_bound_energies
+from helpers import (barrier_transmission, scattering_row, step_reflection,
+                     well_bound_energies)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -209,6 +211,115 @@ def test_barrier_ratio_invariance():
         assert abs(res0.T - res1.T) < 1e-10
 
 
+# -- stacked rows ---------------------------------------------------------------
+
+
+def seeded_rows(rng, kind, count):
+    """(E, V, W, a) in all three regimes and with W zero, real, imaginary and
+    complex; every E keeps 1 % away from |W| and from sqrt(V^2 + |W|^2)."""
+    rows = []
+    for n in range(count):
+        regime, phase = n % 3, (n // 3) % 4
+        wabs = 0.0 if phase == 0 else rng.uniform(0.3, 2.5)
+        W = wabs * [1.0, rng.choice((1.0, -1.0)), rng.choice((1j, -1j)),
+                    cmath.exp(1j * rng.uniform(0.3, 1.2))][phase]
+        V = rng.uniform(0.5, 4.0)
+        thr = math.hypot(V, wabs)
+        if regime == 0 or (regime == 2 and wabs == 0.0):
+            E = thr * rng.uniform(1.05, 3.0)
+        elif regime == 1:
+            E = rng.uniform(1.02 * wabs + 0.05, 0.98 * thr)
+        else:
+            E = wabs * rng.uniform(0.05, 0.97)
+        rows.append((E, V, W, rng.uniform(0.2, 3.0) if kind == "barrier" else 0.0))
+    return rows
+
+
+def close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("kind", ["step", "barrier"])
+def test_stacked_rows_match_single_solves(kind):
+    rows = seeded_rows(np.random.default_rng(80 if kind == "step" else 81), kind, 72)
+    E, V, W, a = (np.array(col) for col in zip(*rows))
+    got = solve_rows(kind, E, V, W, a)
+    assert got.errors == (None,) * len(rows)
+    assert {got.regimes[n] for n in range(len(rows))} == set(Regime)
+    single = solve_step if kind == "step" else solve_barrier
+    for n, (e, v, w, width) in enumerate(rows):
+        params = PhysicalParams(E=e, V=v, W=w, a=width)
+        res = single(params)
+        assert got.regimes[n] is res.regime
+        stacked = (got.r[n], got.r_tilde[n], got.t[n], got.t_tilde[n],
+                   got.R[n], got.T[n])
+        one = (res.r, res.r_tilde, res.t, res.t_tilde, res.R, res.T)
+        loop = scattering_row(kind, e, v, w, width)
+        for x, y, z in zip(stacked, one, loop):
+            assert close(x, y) and close(x, z)
+        scale = max(1.0, params.momentum / params.m)
+        assert got.current_spread[n] < 1e-10 * scale
+        wave_spread = current_residual(res.wave, params)
+        assert abs(got.current_spread[n] - wave_spread) < 1e-13 * scale
+
+
+def test_stacked_rows_keep_failures_per_row():
+    E = np.array([1.3, -1.0, 1.5, 1.5, 2.0])
+    a = np.array([1.1, 1.0, 400.0, 0.0, 0.9])
+    got = solve_rows("barrier", E, 2.0, 0.8, a)
+    assert [type(e).__name__ if e else None for e in got.errors] == \
+        [None, "ValueError", "OverflowError", "ValueError", None]
+    assert got.regimes[1] is None and math.isnan(got.R[2])
+    for n in (0, 4):
+        res = solve_barrier(PhysicalParams(E=E[n], V=2.0, W=0.8, a=a[n]))
+        assert (got.r[n], got.t[n], got.R[n], got.T[n]) == (res.r, res.t, res.R, res.T)
+
+
+def test_singular_row_is_found_row_by_row(monkeypatch):
+    # stand-in for an exactly singular system: numpy refuses the row with E = 2.2
+    E = np.array([1.3, 2.2, 0.7])
+    ref = solve_rows("barrier", E, 2.0, 0.8, 1.1)
+    real_solve = np.linalg.solve
+
+    def solve(mat, rhs):
+        slope = rhs[..., 2, 0] if rhs.ndim == 3 else rhs[2]
+        if np.any(slope == -1j * math.sqrt(4.4)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = solve_rows("barrier", E, 2.0, 0.8, 1.1)
+    assert got.errors[0] is None and got.errors[2] is None
+    assert isinstance(got.errors[1], scatter.DegenerateConfigurationError)
+    assert math.isnan(got.R[1]) and got.regimes[1] is None
+    for n in (0, 2):
+        for name in ("r", "r_tilde", "t", "t_tilde", "R", "T", "current_spread"):
+            assert close(getattr(got, name)[n], getattr(ref, name)[n], 1e-15)
+
+
+def test_current_kernel_matches_quaternion_reference():
+    rng = np.random.default_rng(82)
+    params = PhysicalParams(E=1.0, V=0.0, hbar=0.7, m=1.9)
+    for _ in range(200):
+        psi = Quaternion(*rng.standard_normal(4))
+        dpsi = Quaternion(*rng.standard_normal(4))
+        got = current_kernel(*psi.symplectic(), *dpsi.symplectic(),
+                             params.hbar, params.m)
+        scale = params.hbar / params.m * psi.norm() * dpsi.norm()
+        assert abs(got - probability_current(psi, dpsi, params)) <= 1e-14 * scale
+    params = PhysicalParams(E=2.0, V=1.1, W=0.8 + 0.5j, a=1.4)
+    wave = solve_barrier(params).wave
+    samples = current_samples(wave, params)
+    assert len(samples) == 9
+    for reg in wave.regions:
+        for x, j in samples:
+            if not reg.lo <= x <= reg.hi:
+                continue
+            psi, dpsi = reg.value(x), reg.derivative(x)
+            scale = params.hbar / params.m * psi.norm() * dpsi.norm()
+            assert abs(j - probability_current(psi, dpsi, params)) <= 1e-14 * scale
+
+
 # -- bound states ----------------------------------------------------------------
 
 
@@ -255,7 +366,7 @@ def test_bound_interior_null_vectors_solve_coupling(W):
     V = 10.0
     params = PhysicalParams(E=1.0, V=V, W=W, a=2.0)
     es = np.linspace(-params.threshold, 0.0, 2001)[1:-1]
-    mat = scatter._bound_matrices(es, params)
+    mat = well._bound_matrices(es, params)
     v, w = -V, -complex(W)
     sigma = np.sqrt((es * es - abs(w) ** 2).astype(complex))
     for col, z2 in ((2, v - sigma), (3, v - sigma), (4, v + sigma), (5, v + sigma)):
@@ -268,8 +379,8 @@ def test_bound_interior_null_vectors_solve_coupling(W):
 def test_bound_stacked_matches_single_energy_systems():
     params = PhysicalParams(E=1.0, V=6.0, W=0.7 - 0.9j, a=1.7)
     es = np.linspace(-params.threshold, 0.0, 52)[1:-1]
-    stacked = np.linalg.svd(scatter._bound_matrices(es, params), compute_uv=False)[:, -1]
-    single = [np.linalg.svd(scatter._bound_matrices(es[n:n + 1], params),
+    stacked = np.linalg.svd(well._bound_matrices(es, params), compute_uv=False)[:, -1]
+    single = [np.linalg.svd(well._bound_matrices(es[n:n + 1], params),
                             compute_uv=False)[0, -1] for n in range(es.size)]
     assert np.max(np.abs(stacked - single)) < 1e-15
 
