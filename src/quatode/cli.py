@@ -306,9 +306,11 @@ def _validate(args, parser):
                 args.b_op = _op_arg(args.b_raw)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"--a/--b: {exc} (kind {args.kind!r} takes {n})")
+        if args.oracle_steps < 16:
+            parser.error("--oracle-steps must be >= 16")
     if args.command == "bound":
-        if args.V <= 0.0 or args.a <= 0.0:
-            parser.error("bound needs V > 0 and a > 0")
+        if args.V <= 0.0 or args.a <= 0.0 or args.grid < 3:
+            parser.error("bound needs V > 0, a > 0 and --grid >= 3")
 
 
 # built on the first main() call, not at import; parsing leaves it unchanged

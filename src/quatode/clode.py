@@ -9,8 +9,8 @@ with constant potential V - jW is the worked special case: its exponents
 solve a real-coefficient quartic and the two mode quaternions u-+ are pinned
 to the gauge with unit complex part.
 
-Branch convention: all complex square roots are principal; every scattering
-regime formula downstream follows from that single choice.
+Branch convention: sigma = sqrt(E^2 - |W|^2) takes the sign of E, keeping the
+gauge finite at E != 0; all other complex square roots are principal.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class TViolatingError(ValueError):
 
 
 class ModeNormalizationError(ZeroDivisionError):
-    """The unit-complex-part mode gauge is singular: E + sqrt(E^2-|W|^2) = 0."""
+    """The unit-complex-part mode gauge is singular: E = 0 and W = 0."""
 
 
 class CLSolution(ExpSum):
@@ -152,9 +152,9 @@ class SchrodingerModes:
 class ModeArrays(NamedTuple):
     """Stationary modes for arrays of (E, V, W), one row per entry.
 
-    sigma = sqrt(E^2 - |W|^2) and denom = E + sigma; z-+ = sqrt(V -+ sigma);
-    u_- = 1 + j wfrac and u_+ = wbar + j, with wfrac = W / denom and
-    wbar = conj(W) / denom.
+    sigma = +-sqrt(E^2 - |W|^2) with the sign of E, denom = E + sigma and
+    z-+ = sqrt(V -+ sigma); u_- = 1 + j wfrac and u_+ = wbar + j, with
+    wfrac = W / denom and wbar = conj(W) / denom.
     """
 
     sigma: np.ndarray
@@ -168,14 +168,15 @@ class ModeArrays(NamedTuple):
 def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
     """Exponents and mode components of the stationary equation, row by row.
 
-    E and V are real arrays and W a complex array of one shape.  All square
-    roots are principal.  Rows with E + sqrt(E^2 - |W|^2) = 0 come out
+    E, V (real) and W (complex) broadcast together.  sigma has the sign of
+    E, the other roots are principal.  Rows with E = 0 = W come out
     non-finite; schrodinger_modes turns that into ModeNormalizationError.
     """
     E = np.asarray(E, dtype=float)
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=complex)
-    sigma = np.sqrt((E * E - np.hypot(W.real, W.imag) ** 2).astype(complex))
+    sigma = (np.sqrt(E * E - np.hypot(W.real, W.imag) ** 2, dtype=complex)
+             * np.where(E < 0.0, -1.0, 1.0))
     denom = E + sigma
     with np.errstate(divide="ignore", invalid="ignore"):
         wfrac, wbar = W / denom, np.conj(W) / denom
@@ -186,8 +187,8 @@ def schrodinger_modes(E: float, V: float, W: complex,
                       hbar: float = 1.0, m: float = 1.0) -> SchrodingerModes:
     """Exponents and modes of the constant-potential stationary equation.
 
-    z-+ = sqrt(V -+ sqrt(E^2 - |W|^2)) with principal square roots;
-    u_- = 1 + j W / (E + sqrt(E^2 - |W|^2)), u_+ = conj(W) / (...) + j.
+    z-+ = sqrt(V -+ sigma) with sigma = +-sqrt(E^2 - |W|^2) of the sign of E;
+    u_- = 1 + j W / (E + sigma), u_+ = conj(W) / (E + sigma) + j.
     One row of schrodinger_mode_arrays.
     """
     if hbar <= 0.0 or m <= 0.0:
@@ -197,7 +198,7 @@ def schrodinger_modes(E: float, V: float, W: complex,
     sigma, denom = complex(modes.sigma), complex(modes.denom)
     if abs(denom) <= 1e-15 * (abs(E) + abs(sigma) + 1e-300):
         raise ModeNormalizationError(
-            "E + sqrt(E^2 - |W|^2) = 0: mode gauge is singular")
+            "E = 0 and W = 0: mode gauge is singular")
     return SchrodingerModes(E=E, V=V, W=W, hbar=hbar, m=m,
                             z_minus=complex(modes.z_minus),
                             z_plus=complex(modes.z_plus),

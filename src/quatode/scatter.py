@@ -5,9 +5,9 @@ Wavefunctions are sums of modes u * exp(g x) * k with a quaternion u, a
 complex spatial rate g, and a complex coefficient k; matching the value and
 slope of the wavefunction at each discontinuity turns into an ordinary
 complex linear system through the symplectic split (one quaternionic
-equation = two complex equations).  Step and barrier are solved for many
-rows at once: solve_rows stacks the matching systems of all rows and solves
-them in one call, and solve_step / solve_barrier are its one-row case.
+equation = two complex equations).  One engine, _matching, builds these
+systems for step, barrier and well alike; solve_rows solves the systems of
+many rows in one call and solve_step / solve_barrier are its one-row case.
 
 Transmission and reflection come from the conserved probability current
 J = (hbar/2m) [(dPsi/dx)~ i Psi - Psi~ i dPsi/dx] = (hbar/m) <dPsi/dx, i Psi>,
@@ -103,38 +103,87 @@ class ScatteringResult:
     params: PhysicalParams
 
 
-# The unknown amplitudes, each multiplying a mode (u1 + j u2) exp(g x), by
-# region from left to right; the incident exp(i k x) belongs to the first
-# region.  step: (r, r~) | (t, t~); barrier: (r, r~) | (k1..k4) | (t, t~).
-_REGION_COLUMNS = {"step": ((0, 1), (2, 3)),
-                   "barrier": ((0, 1), (2, 3, 4, 5), (6, 7))}
 _REGIMES = (Regime.ABOVE_THRESHOLD, Regime.EVANESCENT, Regime.SUBW)
+_REGIONS = {"step": 2, "barrier": 3}    # 0 | V - jW and 0 | V - jW | 0
 
 
-def _edge_entries(regions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edge, unknown, sign) of every block of a matching system.
+@dataclass(frozen=True)
+class _Layout:
+    """Where the mode table's columns enter a matching system (see _layout)."""
 
-    At the edge between regions k and k+1 the value and slope of both sides
-    agree: the modes of region k enter with +1, those of region k+1 with -1.
+    columns: np.ndarray  # (3, terms) columns of g, u1, u2 of each term
+    mask: np.ndarray     # (regions, terms): which terms make up each region
+    entries: np.ndarray  # (3, entries) columns of each (edge, term) entry
+    sign: np.ndarray     # (entries,) +1 left of the edge, -1 right of it
+    flat: np.ndarray     # (4 entries,) places of value and slope in the system
+    at0: int             # entries at the first edge, x = 0; they come first
+    later: np.ndarray    # (entries - at0,) column in x of each later edge
+
+
+def _layout(regions: int) -> _Layout:
+    """The layout of 0 | V - jW (two regions) or 0 | V - jW | 0 (three).
+
+    Term 0 is the incident wave, region 0's rightward u-; term 1 + c is the
+    unknown c: the leftward u-, u+ of region 0, u- exp(+-g- x), u+ exp(+-g+ x)
+    of each inner region (g-+ the principal rates), the rightward u-, u+ of
+    the last region.  The mode table holds the rightward, leftward, principal
+    and negated principal rates (blocks 0..3), each as z-, z+ (root 0, 1) of
+    the free medium and the potential (medium 0, 1), then wbar, wfrac, 1.
     """
-    edge, col, sign = zip(*[(k, c, s) for k in range(len(regions) - 1)
-                            for cols, s in ((regions[k], 1.0), (regions[k + 1], -1.0))
-                            for c in cols])
-    return np.array(edge), np.array(col), np.array(sign)
+    last = regions - 1
+    region, block, root = np.array(
+        [(0, 0, 0), (0, 1, 0), (0, 1, 1)]
+        + [(k, b, r) for k in range(1, last) for r in (0, 1) for b in (2, 3)]
+        + [(last, 0, 0), (last, 0, 1)]).T
+    med = np.array((0, 1, 0))[region]       # a third region is free again
+    columns = np.array([4 * block + 2 * root + med, np.where(root == 0, 20, 16 + med),
+                        np.where(root == 0, 18 + med, 20)])
+    term, edge = np.array([(t, e) for e in range(last)
+                           for t in range(region.size) if region[t] in (e, e + 1)]).T
+    row = 4 * edge + np.arange(4)[:, None]
+    return _Layout(columns=columns, mask=region == np.arange(regions)[:, None],
+                   entries=columns[:, term], sign=1.0 - 2.0 * (region[term] > edge),
+                   flat=(row * region.size + term).ravel(),
+                   at0=int(np.sum(edge == 0)), later=edge[edge > 0] - 1)
 
 
-def _region_terms(regions) -> np.ndarray:
-    """(regions, 1 + unknowns) mask of the terms of each region's wave; term 0
-    is the incident wave and term 1 + c the unknown c."""
-    mask = np.zeros((len(regions), 1 + sum(map(len, regions))), dtype=bool)
-    mask[0, 0] = True
-    for k, cols in enumerate(regions):
-        mask[k, [1 + c for c in cols]] = True
-    return mask
+_LAYOUTS = {regions: _layout(regions) for regions in set(_REGIONS.values())}
 
 
-_EDGE_ENTRIES = {kind: _edge_entries(r) for kind, r in _REGION_COLUMNS.items()}
-_REGION_TERMS = {kind: _region_terms(r) for kind, r in _REGION_COLUMNS.items()}
+def _matching(E, V, W, x, hbar: float, m: float):
+    """The matching systems of piecewise-constant potentials V - jW.
+
+    E is an (n,) array; V and W are (n, 2) tables of the free medium (zeros)
+    and the potential, x the (n, regions - 2) edges after the first, at 0; a
+    table of one row holds for every energy.  Returns the modes (ModeArrays
+    over the table), the layout, the mode table (table[:, layout.columns]
+    holds g, u1, u2 of every term) and the (n, 4 edges, terms) systems of
+    value and slope in symplectic coordinates at each edge, mat @ (1, c) = 0
+    for the unknowns c.  Exponentials may overflow to inf.
+    """
+    modes = schrodinger_mode_arrays(E[:, None], V, W)
+    n = modes.sigma.shape[0]
+    layout = _LAYOUTS[2 + x.shape[1]]
+    z = np.concatenate([modes.z_minus, modes.z_plus], 1) * (math.sqrt(2.0 * m) / hbar)
+    # the free medium: exactly sqrt(-+2 m E) / hbar, each part divided as a real
+    k = np.sqrt(np.multiply.outer(2.0 * m * E, (-1.0, 1.0)), dtype=complex)
+    z[:, ::2] = (k.view(float) / hbar).view(complex)
+    # the rightward member of +-g decays (Re g < 0) or moves (Re g = 0, Im g > 0)
+    # to the right; numpy orders complex numbers by real, then imaginary part
+    left = -z
+    right = np.conj(z) < 0.0
+    table = np.concatenate([np.where(right, z, left), np.where(right, left, z), z,
+                            left, modes.wbar, modes.wfrac, np.ones((n, 1))], axis=1)
+    gu = table[:, layout.entries]
+    g, u = gu[:, :1], gu[:, 1:] * layout.sign
+    values = np.concatenate([u, g * u], axis=1)     # (n, 4, entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        later = slice(layout.at0, None)
+        values[:, :, later] *= np.exp(g[:, :, later] * x[:, None, layout.later])
+    rows, terms = 4 * x.shape[1] + 4, layout.mask.shape[1]
+    mat = np.zeros((n, rows, terms), dtype=complex)
+    mat.reshape(n, rows * terms)[:, layout.flat] = values.reshape(n, layout.flat.size)
+    return modes, layout, table, mat
 
 
 @dataclass(frozen=True)
@@ -147,7 +196,8 @@ class ScatteringRows:
     and amplitudes, of shape (n, unknowns), give each unknown's mode
     (u1 + j u2) exp(g x) and amplitude, so the wave of a row can be rebuilt;
     the unknowns are (r, r~, t, t~) for the step and (r, r~, k1..k4, t, t~)
-    for the barrier.
+    for the barrier, where k1..k4 multiply u- exp(+-g- x), u+ exp(+-g+ x)
+    inside it, g-+ the principal rates.
     """
 
     kind: str
@@ -187,14 +237,6 @@ def _nudge_off_threshold(E: np.ndarray, threshold: np.ndarray,
     return out
 
 
-def _mode_values(u1, u2, g, x) -> np.ndarray:
-    """Value and slope of the modes (u1 + j u2) exp(g x) in symplectic
-    coordinates: (n, 4, modes) from (n, modes) arrays."""
-    e = np.exp(g * x)
-    gu1, gu2 = g * u1, g * u2
-    return np.stack([u1 * e, u2 * e, gu1 * e, gu2 * e], axis=1)
-
-
 def _sample_xs(lo: np.ndarray, hi: np.ndarray, rate: np.ndarray,
                per_region: int) -> np.ndarray:
     """per_region points inside each row's (lo, hi): shape (n, per_region).
@@ -222,23 +264,23 @@ def current_kernel(psi1, psi2, dpsi1, dpsi2, hbar: float = 1.0, m: float = 1.0):
     return hbar / m * (np.imag(dpsi1 * np.conj(psi1)) - np.imag(dpsi2 * np.conj(psi2)))
 
 
-def _current_spread(kind: str, kin, u1, u2, g, amp, bounds, hbar: float, m: float,
+def _current_spread(mask, terms, amp, bounds, hbar: float, m: float,
                     per_region: int = 3) -> np.ndarray:
-    """max - min of the current at the points current_samples picks, row by row."""
-    mask = _REGION_TERMS[kind]
-    one = np.ones((kin.size, 1))
-    rates = np.hstack([1j * kin[:, None], g])
-    coef = np.stack([np.hstack([one, u1 * amp]), np.hstack([0.0 * one, u2 * amp])],
-                    axis=1)
-    size = np.hypot(rates.real, rates.imag)
+    """max - min of the current at the points current_samples picks, row by row.
+
+    mask is the (regions, terms) mask of each region's terms, terms the
+    (n, 3, terms) g, u1, u2 of _matching and amp the (n, terms) amplitudes.
+    """
+    g = terms[:, 0]
+    coef = terms[:, 1:] * amp[:, None, :]
+    size = np.hypot(g.real, g.imag)
     widest = np.where(mask, size[:, None, :], 0.0).max(axis=2)
     xs = np.stack([_sample_xs(bounds[k], bounds[k + 1], widest[:, k], per_region)
                    for k in range(len(mask))], axis=1)
     # e[n, region, term, sample]; terms outside a region are zero there
-    e = np.where(mask[:, :, None],
-                 np.exp(rates[:, None, :, None] * xs[:, :, None, :]), 0.0)
+    e = np.where(mask[:, :, None], np.exp(g[:, None, :, None] * xs[:, :, None, :]), 0.0)
     psi = np.einsum("nct,nrts->ncrs", coef, e)
-    dpsi = np.einsum("nct,nrts->ncrs", coef, rates[:, None, :, None] * e)
+    dpsi = np.einsum("nct,nrts->ncrs", coef, g[:, None, :, None] * e)
     j = current_kernel(psi[:, 0], psi[:, 1], dpsi[:, 0], dpsi[:, 1], hbar, m)
     return j.max(axis=(1, 2)) - j.min(axis=(1, 2))
 
@@ -247,22 +289,21 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
                m: float = 1.0) -> ScatteringRows:
     """Step or barrier scattering for arrays of E, V, W and a, in one pass.
 
-    Incident wave exp(i p x / hbar) from the left.  The step at 0 has the
-    unknowns r, r~ (reflected, and evanescent on j) and t, t~ (on the
-    propagating or least-decaying mode and on the decaying one).  The
-    barrier on (0, a) has r, r~, four interior amplitudes, and t, t~ on
-    exp(i k x) and j exp(-k x).  Matching value and slope at each edge gives
-    one (n, 4, 4) or (n, 8, 8) complex system, solved by one stacked
-    np.linalg.solve; if one system is singular the rows are solved one at a
-    time to find it.  current_spread is max - min of the probability current
-    at the points current_samples picks.
+    Incident wave exp(i p x / hbar) from the left on the regions 0 | V - jW
+    (step at 0) or 0 | V - jW | 0 (barrier on (0, a)).  The unknowns are r,
+    r~ (reflected, and evanescent on j), the barrier's four interior
+    amplitudes, and t, t~ on the last region's rightward modes u- and u+.
+    _matching gives one (n, 4, 4) or (n, 8, 8) complex system, solved by
+    one stacked np.linalg.solve; if one system is singular the rows are
+    solved one at a time to find it.  current_spread is max - min of the
+    probability current at the points current_samples picks.
 
     Errors are per row: ValueError for E <= 0, a <= 0 (barrier) or a
     non-finite input; OverflowError when the matching system is not finite
     (a thick barrier); DegenerateConfigurationError for a singular system;
     UnitarityError when |R + T - 1| > 1e-6 on a barrier.
     """
-    if kind not in _REGION_COLUMNS:
+    if kind not in _REGIONS:
         raise ValueError(f"unknown scattering geometry {kind!r}")
     if not (hbar > 0.0 and m > 0.0):
         raise ValueError("hbar and m must be positive")
@@ -292,49 +333,30 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     threshold = np.hypot(V, wabs)
     E = _nudge_off_threshold(E, threshold, wabs)
     above = E > threshold
-    modes = schrodinger_mode_arrays(E, V, W)
-    kin = np.sqrt(2.0 * m * E) / hbar
-    s = math.sqrt(2.0 * m) / hbar
-    gm, gp = s * modes.z_minus, s * modes.z_plus
-    one, zero, inf = np.ones(n), np.zeros(n), np.full(n, np.inf)
-    wf, wb = modes.wfrac, modes.wbar
-    if barrier:
-        cols = [(one, zero, -1j * kin), (zero, one, kin),
-                (one, wf, gm), (one, wf, -gm), (wb, one, gp), (wb, one, -gp),
-                (one, zero, 1j * kin), (zero, one, -kin)]
-        bounds = (-inf, zero, a, inf)
-    else:
-        cols = [(one, zero, -1j * kin), (zero, one, kin),
-                (one, wf, np.where(above, gm, -gm)), (wb, one, -gp)]
-        bounds = (-inf, zero, inf)
-    u1, u2, g = [np.stack(c, axis=1).astype(complex) for c in zip(*cols)]
-
-    edge, col, sign = _EDGE_ENTRIES[kind]
-    edges = len(bounds) - 2
-    size = 4 * edges
-    mat = np.zeros((n, edges, 4, size), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        at = np.stack(bounds[1:-1], axis=1)[:, edge]
-        mat[:, edge, :, col] = (_mode_values(u1[:, col], u2[:, col], g[:, col], at)
-                                * sign).transpose(2, 0, 1)
-    mat = mat.reshape(n, size, size)
-    rhs = np.zeros((n, size), dtype=complex)
-    rhs[:, 0], rhs[:, 2] = -1.0, -1j * kin     # the incident exp(i k x) at 0
+    pot_v, pot_w = np.zeros((n, 2)), np.zeros((n, 2), dtype=complex)
+    pot_v[:, 1], pot_w[:, 1] = V, W
+    x = a[:, None] if barrier else np.empty((n, 0))
+    modes, layout, table, mat = _matching(E, pot_v, pot_w, x, hbar, m)
+    terms = table[:, layout.columns]
+    # 0 - v, not -v: zeros stay +0, so a W = 0 row prints r~ as 0, not -0
+    rhs, mat = 0.0 - mat[:, :, 0], mat[:, :, 1:]
     overflow = ~invalid & ~np.isfinite(mat).all(axis=(1, 2))
     for i in np.flatnonzero(overflow).tolist():
         errors[i] = OverflowError("matching system is not finite: its modes overflow")
 
-    sol = np.full((n, size), complex(math.nan, math.nan))
+    # amplitudes of every term: the incident wave has amplitude 1
+    amp = np.full((n, terms.shape[2]), complex(math.nan, math.nan))
+    amp[:, 0] = 1.0
     good = np.flatnonzero(~invalid & ~overflow)
     try:
-        sol[good] = np.linalg.solve(mat[good], rhs[good, :, None])[..., 0]
+        amp[good, 1:] = np.linalg.solve(mat[good], rhs[good, :, None])[..., 0]
     except np.linalg.LinAlgError:
         for i in good.tolist():
             try:
-                sol[i] = np.linalg.solve(mat[i], rhs[i])
+                amp[i, 1:] = np.linalg.solve(mat[i], rhs[i])
             except np.linalg.LinAlgError as exc:
                 errors[i] = DegenerateConfigurationError(str(exc))
-    r, rt, t, tt = sol[:, 0], sol[:, 1], sol[:, -2], sol[:, -1]
+    r, rt, t, tt = amp[:, 1], amp[:, 2], amp[:, -2], amp[:, -1]
     big_r, big_t = np.abs(r) ** 2, np.abs(t) ** 2
     if barrier:
         for i in np.flatnonzero(~(np.abs(big_r + big_t - 1.0) <= 1e-6)).tolist():
@@ -344,35 +366,37 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     else:
         # current per |t|^2 of the propagating transmitted mode over p/m
         with np.errstate(invalid="ignore"):
-            flux = np.sqrt((modes.sigma.real - V) / E) * (1.0 - np.abs(wf) ** 2)
+            flux = (np.sqrt((modes.sigma[:, 1].real - V) / E)
+                    * (1.0 - np.abs(modes.wfrac[:, 1]) ** 2))
         big_t = np.where(above, flux * big_t, 0.0)
+    inf = np.full(n, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = _current_spread(kind, kin, u1, u2, g, sol, bounds, hbar, m)
+        spread = _current_spread(layout.mask, terms, amp,
+                                 (-inf, np.zeros(n), *x.T, inf), hbar, m)
 
     failed = np.array([err is not None for err in errors])
     r, rt, t, tt, big_r, big_t, spread = [np.where(failed, math.nan, x) for x in
                                           (r, rt, t, tt, big_r, big_t, spread)]
     codes = np.where(above, 0, np.where(E < wabs, 2, 1)).tolist()
     return ScatteringRows(
-        kind=kind, E=E, kin=kin, r=r, r_tilde=rt, t=t, t_tilde=tt, R=big_r, T=big_t,
+        kind=kind, E=E, kin=terms[:, 0, 0].imag, r=r, r_tilde=rt, t=t, t_tilde=tt,
+        R=big_r, T=big_t,
         regimes=tuple([None if err else _REGIMES[c] for err, c in zip(errors, codes)]),
-        current_spread=spread, errors=tuple(errors),
-        u1=u1, u2=u2, g=g, amplitudes=sol)
+        current_spread=spread, errors=tuple(errors), g=terms[:, 0, 1:],
+        u1=terms[:, 1, 1:], u2=terms[:, 2, 1:], amplitudes=amp[:, 1:])
 
 
 def _wave(rows: ScatteringRows, params: PhysicalParams) -> PiecewiseWave:
     """The wave of the single row of `rows` as ExpSum regions."""
-    if rows.kind == "barrier":
-        bounds = (-math.inf, 0.0, params.a, math.inf)
-        potentials = ((0.0, 0.0), (params.V, params.W), (0.0, 0.0))
-    else:
-        bounds = (-math.inf, 0.0, math.inf)
-        potentials = ((0.0, 0.0), (params.V, params.W))
+    layout = _LAYOUTS[_REGIONS[rows.kind]]
+    edges = (0.0, params.a)[:len(layout.mask) - 1]
+    bounds = (-math.inf, *edges, math.inf)
+    potentials = ((0.0, 0.0), (params.V, params.W), (0.0, 0.0))
     regions = []
-    for k, cols in enumerate(_REGION_COLUMNS[rows.kind]):
+    for k, mask in enumerate(layout.mask):
         terms = [exp_term(Quaternion.from_symplectic(rows.u1[0, c], rows.u2[0, c]),
                           complex(rows.g[0, c]), complex(rows.amplitudes[0, c]))
-                 for c in cols]
+                 for c in np.flatnonzero(mask[1:]).tolist()]
         if k == 0:
             terms.insert(0, exp_term(_ONE, 1j * float(rows.kin[0])))
         regions.append(Region(bounds[k], bounds[k + 1], terms, *potentials[k]))

@@ -2,10 +2,11 @@
 
 A bound state is an energy in (-sqrt(V^2 + |W|^2), 0) at which the
 homogeneous 8x8 matching system of the four decaying exterior modes and the
-four interior modes is singular.  find_bound_states scans the smallest
-singular value of that system over a grid of energies, in stacked SVDs, and
-refines all local minima together by golden section.  The scattering module
-re-exports find_bound_states and BoundStateSet.
+four interior modes is singular: scatter's barrier system at E < 0, without
+its incident wave.  find_bound_states scans the smallest singular value of
+that system over a grid of energies, in stacked SVDs, and refines all local
+minima together by golden section.  The scattering module re-exports
+find_bound_states and BoundStateSet.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scatter import PhysicalParams, Regime
+from .scatter import PhysicalParams, Regime, _matching
 
 
 @dataclass(frozen=True)
@@ -28,54 +29,25 @@ class BoundStateSet:
 
 _SCAN_BLOCK = 64    # energies per stacked SVD; bounds the scan's working memory
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# column signs in the rows at 0, and from column 2 on in the rows at a
-_SIGN_AT_0 = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 0.0, 0.0])
-_SIGN_AT_A = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
 
 def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Homogeneous matching systems for the well -V + jW on (0, a): (n, 8, 8).
 
-    One system per energy, with unit-norm columns: the exterior modes c1, c4
-    decaying to the left, the interior modes u- exp(+-g- x) and
-    u+ exp(+-g+ x), and the exterior modes d2, d3 decaying to the right.
-    Rows hold value and slope in symplectic coordinates at 0, then at a.
-    Each interior u spans the null space of the singular coupling
-    [[p, q], [r, s]], which is (-q, p) or (s, -r); the one of larger norm
-    stays finite as W -> 0.  It is then brought to unit norm with a real
-    largest symplectic component.
+    The barrier system of scatter._matching at E < 0 on 0 | -V + jW | 0,
+    without its right-hand side and with unit-norm columns: the two modes
+    decaying to the left, the four interior ones, the two decaying to the
+    right; rows hold value and slope in symplectic coordinates at 0, at a.
     """
     es = np.asarray(es, dtype=float)
-    n = es.size
-    v, w = -params.V, -params.W
-    kappa = np.sqrt(2.0 * params.m * np.abs(es)) / params.hbar
-    sigma = np.sqrt((es * es - abs(w) ** 2).astype(complex))
-    z2 = np.stack([v - sigma, v + sigma], axis=-1)
-    p, s = z2 - (v - es)[:, None], z2 - (v + es)[:, None]
-    first = np.abs(p) >= np.abs(s)      # |(-q, p)| >= |(s, -r)|
-    zu = np.where(first, np.conj(w), s)
-    zt = np.where(first, p, -w)
-    big = np.where(np.abs(zu) >= np.abs(zt), zu, zt)
-    gauge = np.conj(big) / (np.abs(big) * np.sqrt(np.abs(zu) ** 2 + np.abs(zt) ** 2))
-    g = math.sqrt(2.0 * params.m) / params.hbar * np.sqrt(z2)
-    # each column is (u1 + j u2) exp(rate x)
-    u1 = np.zeros((n, 8), dtype=complex)
-    u2 = np.zeros((n, 8), dtype=complex)
-    u1[:, [0, 6]] = 1.0
-    u2[:, [1, 7]] = 1.0
-    u1[:, 2:6] = np.repeat(zu * gauge, 2, axis=1)
-    u2[:, 2:6] = np.repeat(zt * gauge, 2, axis=1)
-    rate = np.stack([kappa, -1j * kappa, g[:, 0], -g[:, 0], g[:, 1], -g[:, 1],
-                     -kappa, 1j * kappa], axis=-1)
-    unit = np.stack([u1, u2, rate * u1, rate * u2], axis=1)
-    at_a = np.zeros((n, 8), dtype=complex)
+    mat = np.ascontiguousarray(_matching(
+        es, np.array([[0.0, -params.V]]), np.array([[0.0, -params.W]]),
+        np.array([[params.a]]), params.hbar, params.m)[3][:, :, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        at_a[:, 2:] = np.exp(rate[:, 2:] * params.a) * _SIGN_AT_A
-        mat = np.concatenate([unit * _SIGN_AT_0, unit * at_a[:, None, :]], axis=1)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if not np.all(np.isfinite(norms)):
         raise OverflowError("well matching system overflows at this width")
-    return mat / norms
+    return np.divide(mat, norms, out=mat)
 
 
 def _smallest_singular_values(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -120,8 +92,8 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     section; energies whose refined minimum is below `accept` are returned
     in ascending order.
     """
-    if params.V <= 0.0 or params.a <= 0.0:
-        raise ValueError("well needs V > 0 and a > 0")
+    if params.V <= 0.0 or params.a <= 0.0 or grid < 3:
+        raise ValueError("well needs V > 0 and a > 0, and the scan grid >= 3")
     vmax = params.threshold
     margin = 1e-6 * vmax
     es = np.linspace(-vmax + margin, -margin, grid)

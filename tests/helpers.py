@@ -193,3 +193,36 @@ def scattering_row(kind, E, V, W, a=0.0, hbar=1.0, m=1.0):
     else:
         big_t = 0.0
     return r, rt, t, tt, abs(r) ** 2, big_t
+
+
+def well_matrix(E, V, W, a, hbar=1.0, m=1.0):
+    """The 8x8 matching system of the well -V + jW on (0, a) at one E < 0.
+
+    The per-energy reference for well._bound_matrices, built with cmath.
+    Columns, each scaled to unit norm: (1, 0) exp(kappa x) and
+    j exp(-i kappa x) decaying to the left; the interior modes
+    u exp(+-g x), where u spans the null space of the singular coupling
+    [[p, q], [r, s]] of z^2 = v -+ sqrt(E^2 - |w|^2) (v = -V, w = -W) and is
+    (-q, p) or (s, -r), whichever is longer; (1, 0) exp(-kappa x) and
+    j exp(i kappa x) decaying to the right.  Rows hold value and slope in
+    symplectic coordinates at 0, then at a.
+    """
+    v, w = -V, -complex(W)
+    kappa = math.sqrt(2.0 * m * abs(E)) / hbar
+    sigma = cmath.sqrt(E * E - abs(w) ** 2)
+    scale = math.sqrt(2.0 * m) / hbar
+
+    def col(u1, u2, g, at0, ata):
+        head = [at0 * u1, at0 * u2, at0 * g * u1, at0 * g * u2]
+        e = ata * cmath.exp(g * a)
+        return head + [e * u1, e * u2, e * g * u1, e * g * u2]
+
+    cols = [col(1, 0, kappa, 1, 0), col(0, 1, -1j * kappa, 1, 0)]
+    for z2 in (v - sigma, v + sigma):
+        p, q, r, s = z2 - (v - E), -w.conjugate(), w, z2 - (v + E)
+        u = (-q, p) if abs(p) >= abs(s) else (s, -r)
+        g = scale * cmath.sqrt(z2)
+        cols += [col(*u, g, -1, 1), col(*u, -g, -1, 1)]
+    cols += [col(1, 0, -kappa, 0, -1), col(0, 1, 1j * kappa, 0, -1)]
+    mat = np.array(cols, dtype=complex).T
+    return mat / np.linalg.norm(mat, axis=0)

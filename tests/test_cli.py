@@ -253,6 +253,21 @@ def test_bound_validation():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["-1", "1", "2"])
+def test_bound_grid_below_three_is_usage_error(grid):
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--V", "10", "--a", "2", f"--grid={grid}"])
+    assert info.value.code == 2
+
+
+def test_oracle_steps_below_sixteen_is_usage_error():
+    with pytest.raises(SystemExit) as info:
+        main(["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5",
+              "--phi0", "0,0,0,0", "--dphi0", "1,0,0,0", "--points", "0,0.5",
+              "--oracle", "--oracle-steps", "8"])
+    assert info.value.code == 2
+
+
 def test_ode_quaternionic_with_oracle(capsys):
     code, out = run(capsys, "ode", "h", "--a", "0,1,0,0",
                     "--b", "0.25,0.5,0,0.5", "--phi0", "0,0,0,0",

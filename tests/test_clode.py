@@ -184,9 +184,30 @@ def test_fourth_order_factorization():
                 assert (lhs - E * E * f).norm() < 1e-10 * (1.0 + lhs.norm())
 
 
+def test_modes_negative_energy():
+    rng = np.random.default_rng(68)
+    for w in (0.0, 1e-6, 1.3 * cmath.exp(0.7j)):
+        for _ in range(100):
+            E = -rng.uniform(0.1, 5.0)
+            V = rng.uniform(-2.0, 3.0)
+            m = schrodinger_modes(E=E, V=V, W=w)
+            for z in (m.z_minus, m.z_plus, -m.z_minus, -m.z_plus):
+                assert clode.mode_quartic_residual(m, z) < 1e-11 * (1 + abs(z) ** 4)
+            assert clode.mode_equation_residual(m, m.u_minus, m.z_minus) < 1e-12 * (
+                1.0 + m.u_minus.norm() * (1 + abs(m.z_minus) ** 2))
+            assert clode.mode_equation_residual(m, m.u_plus, m.z_plus) < 1e-12 * (
+                1.0 + m.u_plus.norm() * (1 + abs(m.z_plus) ** 2))
+    # E > 0 keeps the principal root, bit for bit
+    E = rng.uniform(0.0, 5.0, 300)
+    W = rng.standard_normal(300) * 2.0 + 1j * rng.standard_normal(300)
+    sigma = clode.schrodinger_mode_arrays(E, rng.uniform(-2.0, 3.0, 300), W).sigma
+    principal = [cmath.sqrt(e * e - abs(w) ** 2) for e, w in zip(E.tolist(), W.tolist())]
+    assert np.array_equal(sigma.view(np.uint64), np.array(principal).view(np.uint64))
+
+
 def test_mode_gauge_singularity():
     with pytest.raises(ModeNormalizationError):
-        schrodinger_modes(E=-1.0, V=0.5, W=0.0)
+        schrodinger_modes(E=0.0, V=0.5, W=0.0)
 
 
 def test_modes_validate_constants():

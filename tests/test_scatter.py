@@ -12,7 +12,7 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              solve_step, stationary_b_op)
 
 from helpers import (barrier_transmission, scattering_row, step_reflection,
-                     well_bound_energies)
+                     well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -275,6 +275,13 @@ def test_stacked_rows_keep_failures_per_row():
         assert (got.r[n], got.t[n], got.R[n], got.T[n]) == (res.r, res.t, res.R, res.T)
 
 
+@pytest.mark.parametrize("kind", ["step", "barrier"])
+def test_stacked_rows_take_empty_arrays(kind):
+    got = solve_rows(kind, np.array([]), 2.0, 0.8, 1.1)
+    assert got.errors == () and got.R.shape == (0,)
+    assert got.amplitudes.shape == (0, 4 if kind == "step" else 8)
+
+
 def test_singular_row_is_found_row_by_row(monkeypatch):
     # stand-in for an exactly singular system: numpy refuses the row with E = 2.2
     E = np.array([1.3, 2.2, 0.7])
@@ -368,12 +375,25 @@ def test_bound_interior_null_vectors_solve_coupling(W):
     es = np.linspace(-params.threshold, 0.0, 2001)[1:-1]
     mat = well._bound_matrices(es, params)
     v, w = -V, -complex(W)
-    sigma = np.sqrt((es * es - abs(w) ** 2).astype(complex))
-    for col, z2 in ((2, v - sigma), (3, v - sigma), (4, v + sigma), (5, v + sigma)):
+    for col in (2, 3, 4, 5):
+        # the column is (u1, u2, g u1, g u2) exp(g x) at x = 0: its own rate g
         u = mat[:, :2, col] / np.linalg.norm(mat[:, :2, col], axis=1, keepdims=True)
+        g = np.sum(np.conj(mat[:, :2, col]) * mat[:, 2:4, col], axis=1) \
+            / np.sum(np.abs(mat[:, :2, col]) ** 2, axis=1)
+        z2 = g * g / 2.0        # the spatial rate is sqrt(2 m) / hbar z
         row1 = (z2 - (v - es)) * u[:, 0] - np.conj(w) * u[:, 1]
         row2 = w * u[:, 0] + (z2 - (v + es)) * u[:, 1]
         assert np.max(np.hypot(np.abs(row1), np.abs(row2))) < 1e-13
+
+
+@pytest.mark.parametrize("W", [0.0, 1e-6, 1.3 * cmath.exp(0.7j)])
+def test_bound_matrices_match_hand_built_reference(W):
+    params = PhysicalParams(E=1.0, V=10.0, W=W, a=2.0)
+    es = np.linspace(-params.threshold, 0.0, 402)[1:-1]
+    got = np.linalg.svd(well._bound_matrices(es, params), compute_uv=False)[:, -1]
+    want = [np.linalg.svd(well_matrix(e, params.V, params.W, params.a),
+                          compute_uv=False)[-1] for e in es.tolist()]
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_bound_stacked_matches_single_energy_systems():
@@ -400,6 +420,11 @@ def test_bound_states_need_well_geometry():
         find_bound_states(PhysicalParams(E=1.0, V=-1.0, W=0.0, a=1.0))
     with pytest.raises(ValueError):
         find_bound_states(PhysicalParams(E=1.0, V=1.0, W=0.0, a=0.0))
+
+
+def test_bound_states_need_three_scan_energies():
+    with pytest.raises(ValueError):
+        find_bound_states(PhysicalParams(E=1.0, V=1.0, W=0.0, a=1.0), grid=2)
 
 
 def test_params_validation():
