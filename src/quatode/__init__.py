@@ -8,7 +8,6 @@ from .quatcore import (
     ExpSum,
     Quaternion,
     RightLinearScalarOp,
-    SymplecticPair,
     exp,
     rebase_sphere_exponential,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
     "QuadraticCoeffs", "Quaternion", "Regime", "RightLinearScalarOp",
     "RootKind", "RootSet", "ScatteringResult", "ScatteringRows",
-    "SchrodingerModes", "SymplecticPair", "TViolatingError",
+    "SchrodingerModes", "TViolatingError",
     "UnsupportedStructureError",
     "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
     "find_bound_states", "general_solution", "jordanize", "normalize",

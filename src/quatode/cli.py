@@ -3,7 +3,7 @@
 All numeric output is printed with 17 significant digits so that parsing the
 text reproduces the binary doubles exactly; CSV always uses '.' decimals,
 ',' separators and '\n' line ends.  Exit codes: 0 success, 1 solver failure
-(reported inline as regime=ERROR rows), 2 usage errors.
+(an ERROR row, or one stderr line naming the exception), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -29,8 +29,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite(text: str) -> float:
+    """A finite float; argparse reports anything else as a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _reals(text: str, count: int) -> list[float]:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     if len(parts) != count:
         raise argparse.ArgumentTypeError(f"expected {count} comma-separated reals")
     return parts
@@ -46,7 +57,7 @@ def _op_arg(text: str) -> RightLinearScalarOp:
 
 
 def _points_arg(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    return [_finite(p) for p in text.split(",")]
 
 
 def cmd_quad(args) -> int:
@@ -200,14 +211,14 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _add_physical_flags(sub, with_a: bool, e_flag: bool = True):
+def _add_physical_flags(sub, with_a: bool, e_flag: bool = True, number=float):
     if e_flag:
-        sub.add_argument("--E", type=float, required=True, help="energy > 0")
-    sub.add_argument("--V", type=float, required=True, help="potential height/depth")
-    sub.add_argument("--Wabs", type=float, default=0.0, help="|W| of the j-part")
-    sub.add_argument("--Warg", type=float, default=0.0, help="arg W in radians")
+        sub.add_argument("--E", type=number, required=True, help="energy > 0")
+    sub.add_argument("--V", type=number, required=True, help="potential height/depth")
+    sub.add_argument("--Wabs", type=number, default=0.0, help="|W| of the j-part")
+    sub.add_argument("--Warg", type=number, default=0.0, help="arg W in radians")
     if with_a:
-        sub.add_argument("--a", type=float, required=True, help="width > 0")
+        sub.add_argument("--a", type=number, required=True, help="width > 0")
     sub.add_argument("--hbar", type=float, default=1.0)
     sub.add_argument("--mass", type=float, default=1.0)
 
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_quad = subs.add_parser("quad", help="solve q^2 + a q + b = 0")
-    p_quad.add_argument("values", type=float, nargs=8,
+    p_quad.add_argument("values", type=_finite, nargs=8,
                         metavar="C", help="a0 a1 a2 a3 b0 b1 b2 b3")
     p_quad.set_defaults(func=cmd_quad)
 
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ode.set_defaults(func=cmd_ode)
 
     p_eig = subs.add_parser("eig", help="right eigenpairs of a 2x2 quaternionic matrix")
-    p_eig.add_argument("values", type=float, nargs=16, metavar="M",
+    p_eig.add_argument("values", type=_finite, nargs=16, metavar="M",
                        help="row-major entries, 4 reals each")
     p_eig.set_defaults(func=cmd_eig)
 
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_bd = subs.add_parser("bound", help="bound states of the rectangular well")
-    _add_physical_flags(p_bd, with_a=True, e_flag=False)
+    _add_physical_flags(p_bd, with_a=True, e_flag=False, number=_finite)
     p_bd.add_argument("--grid", type=int, default=2000)
     p_bd.set_defaults(func=cmd_bound)
 
@@ -321,7 +332,12 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ArithmeticError, ValueError) as exc:
+        cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"quatode {args.command}: {cause}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -206,21 +206,6 @@ def schrodinger_modes(E: float, V: float, W: complex,
                             u_plus=Quaternion.from_symplectic(modes.wbar, 1.0))
 
 
-def mode_quartic_residual(modes: SchrodingerModes, z: complex) -> float:
-    """|z^4 - 2 V z^2 + V^2 + |W|^2 - E^2| for a claimed exponent z."""
-    v, w2, e = modes.V, abs(modes.W) ** 2, modes.E
-    return abs(z ** 4 - 2.0 * v * z ** 2 + v * v + w2 - e * e)
-
-
-def mode_equation_residual(modes: SchrodingerModes, u: Quaternion, z: complex) -> float:
-    """|u z^2 - (V - jW) u - i E u i| for a claimed mode pair (u, z)."""
-    i = Quaternion(0, 1, 0, 0)
-    pot = Quaternion(modes.V) - Quaternion(0, 0, 1, 0) * Quaternion.from_complex(modes.W)
-    r = (u * Quaternion.from_complex(z * z) - pot * u
-         - modes.E * (i * u * i))
-    return r.norm()
-
-
 def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:
     """Left-multiply by j (real W) or k (imaginary W) to reverse time.
 

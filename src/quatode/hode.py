@@ -11,12 +11,12 @@ quatcore.rebase_sphere_exponential.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import quadsolve, quatcore
+from .qmat2 import Matrix2H, dieudonne
 from .quatcore import ONE, ExpSum, Quaternion, exp_term
 
 
@@ -74,7 +74,7 @@ def solve_ivp(a: Quaternion, b: Quaternion,
     rows = [[b1.value(0.0), b2.value(0.0)],
             [b1.derivative(0.0), b2.derivative(0.0)]]
     try:
-        c1, c2 = quatcore.solve_linear_system(rows, [phi0, dphi0])
+        c1, c2 = Matrix2H(rows).solve((phi0, dphi0))
     except ValueError as exc:
         raise DegenerateBasisError(str(exc)) from exc
     return sol.with_coefficients(c1, c2)
@@ -89,54 +89,6 @@ def wronskian(phi1: Quaternion, phi2: Quaternion,
               dphi1: Quaternion, dphi2: Quaternion) -> float:
     """Non-negative Dieudonne/Study determinant of [[phi1, phi2], [dphi1, dphi2]].
 
-    Uses the Schur-type factorization |phi1| |dphi2 - dphi1 phi1^-1 phi2|,
-    falling back to the equivalent factorizations led by the other entries
-    when the leading factor vanishes.
+    qmat2.dieudonne; equals |phi1| |dphi2 - dphi1 phi1^-1 phi2| when phi1 != 0.
     """
-    forms = (
-        (phi1, lambda: dphi2 - dphi1 * phi1.inverse() * phi2),
-        (phi2, lambda: dphi1 - dphi2 * phi2.inverse() * phi1),
-        (dphi1, lambda: phi2 - phi1 * dphi1.inverse() * dphi2),
-        (dphi2, lambda: phi1 - phi2 * dphi2.inverse() * dphi1),
-    )
-    scale = max(phi1.norm(), phi2.norm(), dphi1.norm(), dphi2.norm())
-    if scale == 0.0:
-        return 0.0
-    for lead, schur in forms:
-        if lead.norm() > 1e-14 * scale:
-            return lead.norm() * schur().norm()
-    return 0.0
-
-
-def wronskian_all_forms(phi1, phi2, dphi1, dphi2) -> list[float]:
-    """All four factorizations; they agree whenever every entry is invertible."""
-    return [
-        phi1.norm() * (dphi2 - dphi1 * phi1.inverse() * phi2).norm(),
-        phi2.norm() * (dphi1 - dphi2 * phi2.inverse() * phi1).norm(),
-        dphi1.norm() * (phi2 - phi1 * dphi1.inverse() * dphi2).norm(),
-        dphi2.norm() * (phi1 - phi2 * dphi2.inverse() * dphi1).norm(),
-    ]
-
-
-def repeated_root_cancellation(a: Quaternion, b: Quaternion) -> float:
-    """Norm of 2q + a + [b, h.a/|a|^2] at the repeated characteristic root.
-
-    This combination is what multiplies exp(q x) when the affine-prefactor
-    solution is substituted into the equation; it must vanish identically.
-    """
-    a_vec = a.vector()
-    an2 = float(a_vec @ a_vec)
-    if an2 == 0.0:
-        raise ValueError("needs a nonzero linear coefficient vector")
-    cross = np.cross(a_vec, b.vector())
-    p = Quaternion.from_vector(cross / an2 - a_vec / 2.0)
-    q = p - a.w / 2.0
-    kappa = Quaternion.from_vector(a_vec / an2)
-    comm = b * kappa - kappa * b
-    return (2.0 * q + a + comm).norm()
-
-
-def exponential_wronskian(p1: Quaternion, p2: Quaternion,
-                          q1: Quaternion, q2: Quaternion, x: float) -> float:
-    """Closed form |p1 - p2| |exp(q1 x)| |exp(q2 x)| for an exponential basis."""
-    return (p1 - p2).norm() * math.exp(q1.w * x) * math.exp(q2.w * x)
+    return dieudonne(Matrix2H([[phi1, phi2], [dphi1, dphi2]]))

@@ -17,13 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quatcore import (ExpSum, Quaternion, RightLinearScalarOp, exp_term,
-                       solve_linear_system)
+from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 
 # rank decisions on the 4x4 counterpart
 _RANK_TOL = 1e-9
 # numerical threshold deciding quaternionic linear independence
 _INDEP_TOL = 1e-10
+# a linear system is singular when dieudonne(M) <= _SINGULAR_TOL |M|^2
+_SINGULAR_TOL = 1e-12
 
 
 class DefectiveMatrixError(ValueError):
@@ -96,18 +97,26 @@ class Matrix2H:
 
     def counterpart(self) -> np.ndarray:
         """4x4 complex matrix in the svec coordinates."""
-        m1 = np.empty((2, 2), dtype=complex)
-        m2 = np.empty((2, 2), dtype=complex)
-        for r in range(2):
-            for c in range(2):
-                m1[r, c], m2[r, c] = self.m[r][c].symplectic()
-        return np.block([[m1, -np.conj(m2)], [m2, np.conj(m1)]])
+        return _counterpart([[e.counterpart() for e in row] for row in self.m])
+
+    def solve(self, rhs) -> tuple[Quaternion, Quaternion]:
+        """The 2-vector c with M c = rhs, by one complex solve on the counterpart.
+
+        Raises ValueError when dieudonne(M) <= 1e-12 |M|^2.
+        """
+        return lift(np.linalg.solve(self._regular_counterpart(), svec(rhs)))
 
     def inverse(self) -> "Matrix2H":
-        cols = []
-        for rhs in ((Quaternion(1), Quaternion()), (Quaternion(), Quaternion(1))):
-            cols.append(solve_linear_system([list(r) for r in self.m], list(rhs)))
-        return Matrix2H.from_columns(cols[0], cols[1])
+        """M^-1, read back from the inverse of the counterpart."""
+        ci = np.linalg.inv(self._regular_counterpart())
+        return Matrix2H.from_columns(lift(ci[:, 0]), lift(ci[:, 1]))
+
+    def _regular_counterpart(self) -> np.ndarray:
+        c = self.counterpart()
+        d = np.linalg.det(c).real
+        if np.sqrt(max(d, 0.0)) <= _SINGULAR_TOL * self.norm() ** 2:
+            raise ValueError("singular quaternionic system")
+        return c
 
     def __repr__(self):
         return f"Matrix2H({self.m!r})"
@@ -125,34 +134,27 @@ class Matrix2CL:
     def companion(cls, a_op: RightLinearScalarOp, b_op: RightLinearScalarOp
                   ) -> "Matrix2CL":
         """Matrix form [[0, 1], [-b, -a]] of phi'' + a(phi') + b(phi) = 0."""
-        zero = RightLinearScalarOp(Quaternion(), Quaternion())
-        one = RightLinearScalarOp(Quaternion(1), Quaternion())
-        neg_b = RightLinearScalarOp(-b_op.A, -b_op.B)
-        neg_a = RightLinearScalarOp(-a_op.A, -a_op.B)
-        return cls([[zero, one], [neg_b, neg_a]])
+        return cls([[0, 1], [RightLinearScalarOp(-b_op.A, -b_op.B),
+                             RightLinearScalarOp(-a_op.A, -a_op.B)]])
 
     def matvec(self, v) -> tuple[Quaternion, Quaternion]:
         return (self.m[0][0](v[0]) + self.m[0][1](v[1]),
                 self.m[1][0](v[0]) + self.m[1][1](v[1]))
 
     def counterpart(self) -> np.ndarray:
-        a1 = np.empty((2, 2), dtype=complex)
-        a2 = np.empty((2, 2), dtype=complex)
-        b1 = np.empty((2, 2), dtype=complex)
-        b2 = np.empty((2, 2), dtype=complex)
-        for r in range(2):
-            for c in range(2):
-                op = self.m[r][c]
-                a1[r, c], a2[r, c] = op.A.symplectic()
-                b1[r, c], b2[r, c] = op.B.symplectic()
-        # right multiplication by i is the scalar i on both symplectic slots
-        return np.block([
-            [a1 + 1j * b1, -(np.conj(a2) + 1j * np.conj(b2))],
-            [a2 + 1j * b2, np.conj(a1) + 1j * np.conj(b1)],
-        ])
+        return _counterpart([[op.counterpart() for op in row] for row in self.m])
 
     def __repr__(self):
         return f"Matrix2CL({self.m!r})"
+
+
+def _counterpart(blocks) -> np.ndarray:
+    """4x4 matrix in svec coordinates from the 2x2 counterparts of the entries."""
+    c = np.empty((4, 4), dtype=complex)
+    for r in range(2):
+        for k in range(2):
+            c[r::2, k::2] = blocks[r][k]
+    return c
 
 
 def _as_quaternion(e) -> Quaternion:
@@ -338,16 +340,6 @@ def _outer_sum(weights, vecs) -> Matrix2H:
     return total
 
 
-def hermitian_from_antihermitian(lambdas, vecs) -> Matrix2H:
-    """H = sum Psi_r lambda_r Psi_r^dagger."""
-    return _outer_sum([Quaternion(lam) for lam in lambdas], vecs)
-
-
-def reconstruct_antihermitian(lambdas, vecs) -> Matrix2H:
-    """A = sum Psi_r (lambda_r i) Psi_r^dagger."""
-    return _outer_sum([Quaternion(0.0, lam) for lam in lambdas], vecs)
-
-
 def spectral_decompose_antihermitian(a: Matrix2H):
     """Real eigenvalues, orthonormal eigenvectors, and hermitian H for A = -A^dagger.
 
@@ -376,5 +368,6 @@ def spectral_decompose_antihermitian(a: Matrix2H):
     n2 = np.sqrt(v2[0].norm2() + v2[1].norm2())
     v2 = (v2[0] / n2, v2[1] / n2)
     vecs = [v1, v2]
-    h = hermitian_from_antihermitian(lambdas, vecs)
+    # H = sum Psi_r lambda_r Psi_r^dagger
+    h = _outer_sum([Quaternion(lam) for lam in lambdas], vecs)
     return lambdas, vecs, h

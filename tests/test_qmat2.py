@@ -8,7 +8,7 @@ from quatode.qmat2 import (DefectiveMatrixError, Matrix2CL, Matrix2H,
                            dieudonne, lift, svec)
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
-from helpers import rand_quaternion
+from helpers import rand_quaternion, reconstruct_antihermitian
 
 
 def rand_matrix(rng, scale=1.0):
@@ -281,7 +281,7 @@ def test_spectral_decomposition_worked_example():
     assert lam == [2.0, 4.0] or (abs(lam[0] - 2) < 1e-12 and abs(lam[1] - 4) < 1e-12)
     expected_h = Matrix2H([[3, K], [-K, 3]])
     assert (h - expected_h).norm() < 1e-12
-    rebuilt = qmat2.reconstruct_antihermitian(lam, vecs)
+    rebuilt = reconstruct_antihermitian(lam, vecs)
     assert (rebuilt - S1).norm() < 1e-11
 
 
@@ -299,7 +299,7 @@ def test_spectral_decomposition_random_reconstruction():
         a = m - m.dagger()   # anti-hermitian
         a = Matrix2H([[e / 2 for e in row] for row in a.m])
         lam, vecs, h = qmat2.spectral_decompose_antihermitian(a)
-        rebuilt = qmat2.reconstruct_antihermitian(lam, vecs)
+        rebuilt = reconstruct_antihermitian(lam, vecs)
         assert (rebuilt - a).norm() < 1e-11 * (1.0 + a.norm())
         for z, v in zip(lam, vecs):
             hv = h.matvec(v)
@@ -317,6 +317,26 @@ def test_h_with_right_i_reproduces_eigenvalue_equation():
 def test_spectral_decomposition_rejects_non_antihermitian():
     with pytest.raises(ValueError):
         qmat2.spectral_decompose_antihermitian(Matrix2H([[1, 0], [0, 1]]))
+
+
+def test_inverse_roundtrip_random():
+    rng = np.random.default_rng(51)
+    ident = Matrix2H.identity()
+    for _ in range(100):
+        m = rand_matrix(rng)
+        if dieudonne(m) < 0.1:
+            continue
+        assert (m @ m.inverse() - ident).norm() < 1e-10
+        assert (m.inverse() @ m - ident).norm() < 1e-10
+
+
+def test_inverse_of_singular_matrix_raises():
+    # second row = first row times K from the left: quaternionically dependent
+    m = Matrix2H([[ONE, I], [K, K * I]])
+    with pytest.raises(ValueError, match="singular"):
+        m.inverse()
+    with pytest.raises(ValueError, match="singular"):
+        Matrix2H([[0, 0], [0, 0]]).inverse()
 
 
 def test_dieudonne_multiplicative():

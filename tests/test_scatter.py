@@ -9,10 +9,10 @@ from quatode.quatcore import Quaternion, RightLinearScalarOp
 from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              current_residual, current_samples, find_bound_states,
                              probability_current, solve_barrier, solve_rows,
-                             solve_step, stationary_b_op)
+                             solve_step)
 
-from helpers import (barrier_transmission, scattering_row, step_reflection,
-                     well_bound_energies, well_matrix)
+from helpers import (barrier_transmission, scattering_row, stationary_b_op,
+                     step_reflection, well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
