@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qmat2 import _RANK_TOL, Matrix2CL, _nullspace, lift, svec
+from .qmat2 import _RANK_TOL, Matrix2CL, _nullspaces, lift, svec
 from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 from .quatcore import exp as qexp
 
@@ -77,13 +77,14 @@ def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSol
     scale = 1.0 + np.linalg.norm(c)
     lam = np.linalg.eigvals(c)
     clusters = _cluster(lam, _MERGE_TOL * scale)
+    tols = [max(_RANK_TOL * scale, 2.0 * max(abs(w - z) for w in lam
+                                             if abs(w - z) <= _MERGE_TOL * scale))
+            for z, _ in clusters]
     columns = []
     specs = []  # (L, z, Lx) of the term on each column: (L + x Lx) exp(z x)
     deficient = 0
-    for z, alg in clusters:
-        spread = max(abs(w - z) for w in lam if abs(w - z) <= _MERGE_TOL * scale)
-        rank_tol = max(_RANK_TOL * scale, 2.0 * spread)
-        ns = _nullspace(c - z * np.eye(4), rank_tol)
+    for (z, alg), rank_tol, ns in zip(
+            clusters, tols, _nullspaces(c, [z for z, _ in clusters], tols)):
         geo = min(ns.shape[1], alg)
         if geo == alg:
             for k in range(alg):

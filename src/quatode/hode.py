@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from . import quadsolve, quatcore
 from .qmat2 import Matrix2H, dieudonne
 from .quatcore import ONE, ExpSum, Quaternion, exp_term
@@ -51,11 +49,9 @@ def general_solution(a: Quaternion, b: Quaternion) -> GeneralSolution:
                  exp_term(ONE, complex(roots.center, -roots.alpha)))
     elif roots.kind is quadsolve.RootKind.REPEATED:
         q = roots.roots[0]
-        a_vec = a.vector()
-        b_vec = b.vector()
-        an2 = float(a_vec @ a_vec)
-        if an2 > 0.0 and np.linalg.norm(np.cross(a_vec, b_vec)) > 0.0:
-            kappa = Quaternion.from_vector(a_vec / an2)
+        an2 = a.x * a.x + a.y * a.y + a.z * a.z
+        if an2 > 0.0 and any(quadsolve._cross((a.x, a.y, a.z), (b.x, b.y, b.z))):
+            kappa = Quaternion(0.0, a.x / an2, a.y / an2, a.z / an2)
         else:
             # second independent solution is plain x * exp(q x)
             kappa = quatcore.ZERO

@@ -97,7 +97,7 @@ class Matrix2H:
 
     def counterpart(self) -> np.ndarray:
         """4x4 complex matrix in the svec coordinates."""
-        return _counterpart([[e.counterpart() for e in row] for row in self.m])
+        return _counterpart([[e._counterpart_rows() for e in row] for row in self.m])
 
     def solve(self, rhs) -> tuple[Quaternion, Quaternion]:
         """The 2-vector c with M c = rhs, by one complex solve on the counterpart.
@@ -108,13 +108,11 @@ class Matrix2H:
 
     def inverse(self) -> "Matrix2H":
         """M^-1, read back from the inverse of the counterpart."""
-        ci = np.linalg.inv(self._regular_counterpart())
-        return Matrix2H.from_columns(lift(ci[:, 0]), lift(ci[:, 1]))
+        return _lift_inverse(self._regular_counterpart())
 
     def _regular_counterpart(self) -> np.ndarray:
         c = self.counterpart()
-        d = np.linalg.det(c).real
-        if np.sqrt(max(d, 0.0)) <= _SINGULAR_TOL * self.norm() ** 2:
+        if _root_det(c) <= _SINGULAR_TOL * self.norm() ** 2:
             raise ValueError("singular quaternionic system")
         return c
 
@@ -142,19 +140,22 @@ class Matrix2CL:
                 self.m[1][0](v[0]) + self.m[1][1](v[1]))
 
     def counterpart(self) -> np.ndarray:
-        return _counterpart([[op.counterpart() for op in row] for row in self.m])
+        return _counterpart([[op._counterpart_rows() for op in row] for row in self.m])
 
     def __repr__(self):
         return f"Matrix2CL({self.m!r})"
 
 
 def _counterpart(blocks) -> np.ndarray:
-    """4x4 matrix in svec coordinates from the 2x2 counterparts of the entries."""
-    c = np.empty((4, 4), dtype=complex)
-    for r in range(2):
-        for k in range(2):
-            c[r::2, k::2] = blocks[r][k]
-    return c
+    """4x4 matrix in svec coordinates: blocks[r][k] holds the rows of entry
+    (r, k)'s 2x2 counterpart, whose element (i, j) goes to (r + 2 i, k + 2 j)."""
+    return np.array([[b0[i][0], b1[i][0], b0[i][1], b1[i][1]]
+                     for i in range(2) for b0, b1 in blocks])
+
+
+def _lift_inverse(c: np.ndarray) -> "Matrix2H":
+    ci = np.linalg.inv(c)
+    return Matrix2H.from_columns(lift(ci[:, 0]), lift(ci[:, 1]))
 
 
 def _as_quaternion(e) -> Quaternion:
@@ -170,8 +171,11 @@ def _as_op(e) -> RightLinearScalarOp:
 
 def dieudonne(m: Matrix2H) -> float:
     """Non-negative determinant functional sqrt(det of the counterpart)."""
-    d = np.linalg.det(m.counterpart())
-    return float(np.sqrt(max(d.real, 0.0)))
+    return _root_det(m.counterpart())
+
+
+def _root_det(c: np.ndarray) -> float:
+    return float(np.sqrt(max(np.linalg.det(c).real, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -186,13 +190,13 @@ class EigenDecomposition:
     transform_inv: Optional[Matrix2H] = None
 
 
-def _nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal nullspace basis (columns), smallest singular directions."""
-    u, s, vh = np.linalg.svd(mat)
-    dim = int(np.sum(s <= tol))
-    if dim == 0:
-        dim = 1  # eigenvalue known only to roundoff: keep the best direction
-    return vh[-dim:].conj().T
+def _nullspaces(c: np.ndarray, zs, tols) -> list[np.ndarray]:
+    """Orthonormal nullspace bases (columns) of c - z I for each z and its
+    rank tolerance, from one stacked SVD; smallest singular directions."""
+    _, s, vh = np.linalg.svd(c - np.multiply.outer(zs, np.eye(4)))
+    # an eigenvalue known only to roundoff keeps its best direction
+    return [v[-max(1, int(np.sum(sv <= tol))):].conj().T
+            for sv, v, tol in zip(s, vh, tols)]
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -234,16 +238,14 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
     lam = np.linalg.eigvals(c)
     z1, z2 = _canonical_pairs(lam)
     if abs(z1 - z2) > merge_tol:
-        vecs = []
-        for z in (z1, z2):
-            ns = _nullspace(c - z * np.eye(4), tol)
-            vecs.append(lift(_normalize_phase(ns[:, 0])))
-        return EigenDecomposition((z1, z2), tuple(vecs), form="diagonal")
+        vecs = tuple(lift(_normalize_phase(ns[:, 0]))
+                     for ns in _nullspaces(c, (z1, z2), (tol, tol)))
+        return EigenDecomposition((z1, z2), vecs, form="diagonal")
     # double canonical eigenvalue; the mean is eps-accurate even though the
     # individual values are not
     z = complex((z1.real + z2.real) / 2.0, (z1.imag + z2.imag) / 2.0)
     rank_tol = max(tol, 2.0 * abs(z1 - z2))
-    ns = _nullspace(c - z * np.eye(4), rank_tol)
+    ns, = _nullspaces(c, (z,), (rank_tol,))
     needed = 4 if abs(z.imag) <= merge_tol else 2  # real z pairs with itself
     if ns.shape[1] >= needed:
         cands = [lift(_normalize_phase(ns[:, k])) for k in range(ns.shape[1])]
@@ -262,11 +264,13 @@ def diagonalize(m: Matrix2H) -> EigenDecomposition:
     if dec.defective:
         raise DefectiveMatrixError("defective matrix: use jordanize")
     s = Matrix2H.from_columns(dec.eigenvectors[0], dec.eigenvectors[1])
-    if dieudonne(s) <= _INDEP_TOL * max(1.0, m.norm()) ** 2:
+    cs = s.counterpart()
+    if _root_det(cs) <= _INDEP_TOL * max(1.0, m.norm()) ** 2:
         raise DefectiveMatrixError("eigenvectors quaternionically dependent")
+    # the check above is stricter than inverse()'s: s has unit columns
     return EigenDecomposition(dec.eigenvalues, dec.eigenvectors,
                               form="diagonal", transform=s,
-                              transform_inv=s.inverse())
+                              transform_inv=_lift_inverse(cs))
 
 
 def jordanize(m: Matrix2H) -> EigenDecomposition:

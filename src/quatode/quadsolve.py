@@ -44,12 +44,22 @@ class RootKind(enum.Enum):
     REAL_PAIR = "real_pair"
 
 
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 @dataclass(frozen=True)
 class QuadraticCoeffs:
     """Original coefficients plus the reduced-equation quantities.
 
     The reduced unknown is p = q + a0/2, satisfying
-    p**2 + (h.a_vec) p + c0 + h.c_vec = 0.
+    p**2 + (h.a_vec) p + c0 + h.c_vec = 0.  OverflowError when c0, |a_vec|^2
+    or |c_vec|^2 is not finite.
     """
 
     a0: float
@@ -61,27 +71,28 @@ class QuadraticCoeffs:
     d0: float = field(init=False)
     d_vec: np.ndarray = field(init=False)
     delta: float = field(init=False)
+    # a_vec, c_vec and d_vec as float 3-tuples, which the solver computes on
+    _a: tuple = field(init=False, repr=False, compare=False)
+    _c: tuple = field(init=False, repr=False, compare=False)
+    _d: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a_vec, dtype=float)
-        b = np.asarray(self.b_vec, dtype=float)
-        object.__setattr__(self, "a_vec", a)
-        object.__setattr__(self, "b_vec", b)
-        object.__setattr__(self, "c0", self.b0 - self.a0 ** 2 / 4.0)
-        c = b - (self.a0 / 2.0) * a
-        object.__setattr__(self, "c_vec", c)
-        an2 = float(a @ a)
+        a, b = tuple(map(float, self.a_vec)), tuple(map(float, self.b_vec))
+        c0 = self.b0 - self.a0 ** 2 / 4.0
+        c = tuple(y - self.a0 / 2.0 * x for x, y in zip(a, b))
+        an2, cn2 = _dot(a, a), _dot(c, c)
+        if not math.isfinite(c0 + an2 + cn2):
+            raise OverflowError("reduced coefficients overflow")
+        d0, d, delta = math.nan, (math.nan,) * 3, math.nan
         if an2 > 0.0:
-            d0 = float(a @ c) / an2
-            object.__setattr__(self, "d0", d0)
-            object.__setattr__(self, "d_vec", c - d0 * a)
-            cn2 = float(c @ c)
-            object.__setattr__(
-                self, "delta", 0.25 + (self.c0 - cn2 / an2) / an2)
-        else:
-            object.__setattr__(self, "d0", math.nan)
-            object.__setattr__(self, "d_vec", np.full(3, math.nan))
-            object.__setattr__(self, "delta", math.nan)
+            d0 = _dot(a, c) / an2
+            d = tuple(y - d0 * x for x, y in zip(a, c))
+            delta = 0.25 + (c0 - cn2 / an2) / an2
+        for name, value in (("a_vec", np.array(a)), ("b_vec", np.array(b)),
+                            ("c_vec", np.array(c)), ("d_vec", np.array(d)),
+                            ("c0", c0), ("d0", d0), ("delta", delta),
+                            ("_a", a), ("_c", c), ("_d", d)):
+            object.__setattr__(self, name, value)
 
     @property
     def shift(self) -> float:
@@ -89,7 +100,7 @@ class QuadraticCoeffs:
         return self.a0 / 2.0
 
     def a_quaternion(self) -> Quaternion:
-        return Quaternion(self.a0, *self.a_vec)
+        return Quaternion(self.a0, *self._a)
 
     def b_quaternion(self) -> Quaternion:
         return Quaternion(self.b0, *self.b_vec)
@@ -101,23 +112,24 @@ class BasisCoordinates:
 
     u is the linear-coefficient vector; v is either the orthogonal constant
     vector itself or its component orthogonal to u, depending on the case.
+    Both are float 3-tuples.
     """
 
     p0: float
     x: float
     y: float
     z: float
-    u: np.ndarray
-    v: np.ndarray
+    u: tuple
+    v: tuple
 
     def to_quaternion(self) -> Quaternion:
-        vec = self.x * self.u + self.y * self.v + self.z * np.cross(self.u, self.v)
-        return Quaternion(self.p0, *vec)
+        return Quaternion(self.p0, *(self.x * u + self.y * v + self.z * w for u, v, w
+                                     in zip(self.u, self.v, _cross(self.u, self.v))))
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots of the original (unshifted) quadratic."""
+    """Roots of the original (unshifted) quadratic; OverflowError unless finite."""
 
     kind: RootKind
     case: CaseTag
@@ -125,6 +137,11 @@ class RootSet:
     alpha: float = 0.0           # sphere radius (imaginary norm)
     center: float = 0.0          # real part of every sphere root
     coordinates: tuple[BasisCoordinates, ...] = ()
+
+    def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (v for q in self.roots for v in (q.w, q.x, q.y, q.z)))):
+            raise OverflowError("a root overflows")
 
     def sphere_samples(self, count: int = 16) -> list[Quaternion]:
         """Deterministic sample of sphere roots center + h.(alpha * axis)."""
@@ -136,8 +153,8 @@ class RootSet:
             ct = 1.0 - 2.0 * (n + 0.5) / count
             st = math.sqrt(max(0.0, 1.0 - ct * ct))
             ph = golden * n
-            axis = np.array([st * math.cos(ph), st * math.sin(ph), ct])
-            out.append(Quaternion(self.center, *(self.alpha * axis)))
+            out.append(Quaternion(self.center, self.alpha * (st * math.cos(ph)),
+                                  self.alpha * (st * math.sin(ph)), self.alpha * ct))
         return out
 
     def all_roots(self) -> list[Quaternion]:
@@ -148,14 +165,12 @@ class RootSet:
 
 def normalize(a0: float, a_vec, b0: float, b_vec) -> QuadraticCoeffs:
     """Record coefficients and the reduced-equation data."""
-    return QuadraticCoeffs(float(a0), np.asarray(a_vec, dtype=float),
-                           float(b0), np.asarray(b_vec, dtype=float))
+    return QuadraticCoeffs(float(a0), a_vec, float(b0), b_vec)
 
 
 def classify(c: QuadraticCoeffs) -> CaseTag:
     """Decide which closed-form branch applies to the reduced equation."""
-    an = float(np.linalg.norm(c.a_vec))
-    cn = float(np.linalg.norm(c.c_vec))
+    an, cn = math.hypot(*c._a), math.hypot(*c._c)
     scale = max(an, cn, math.sqrt(abs(c.c0)), 1e-300)
     if an <= _CLASSIFY_EPS * scale and cn <= _CLASSIFY_EPS * scale:
         return CaseTag.BOTH_ZERO
@@ -163,8 +178,8 @@ def classify(c: QuadraticCoeffs) -> CaseTag:
         return CaseTag.A_ZERO
     if cn <= _CLASSIFY_EPS * scale:
         return CaseTag.C_ZERO
-    cross = float(np.linalg.norm(np.cross(c.a_vec, c.c_vec)))
-    dot = float(c.a_vec @ c.c_vec)
+    cross = math.hypot(*_cross(c._a, c._c))
+    dot = _dot(c._a, c._c)
     if cross <= _CLASSIFY_EPS * an * cn:
         return CaseTag.PARALLEL
     if abs(dot) <= _CLASSIFY_EPS * an * cn:
@@ -182,47 +197,66 @@ def residual(c: QuadraticCoeffs, q: Quaternion) -> float:
 def cubic_resolvent(c: QuadraticCoeffs) -> float:
     """Unique positive root w = p0**2 of the generic-case resolvent cubic.
 
-    Solved through companion-matrix eigenvalues plus one Newton polish; by
+    Closed form (trigonometric with three real roots, else Cardano) for the
+    root largest in modulus; Vieta's relations, which do not cancel, for the
+    positive root when that is another; then one Newton polish.  By
     Descartes' rule the cubic has exactly one positive real root, so failing
     to find one signals a misclassified input.
     """
-    an2 = float(c.a_vec @ c.a_vec)
-    dn2 = float(c.d_vec @ c.d_vec)
+    an2, dn2 = _dot(c._a, c._a), _dot(c._d, c._d)
     c0, d0 = c.c0, c.d0
-    coeffs = np.array([
-        16.0,
-        8.0 * (an2 + 2.0 * c0),
-        4.0 * (an2 * (c0 - d0 * d0) + an2 * an2 / 4.0 - dn2),
-        -d0 * d0 * an2 * an2,
-    ])
-    # scaled companion matrix; numpy's eig balances internally
-    m = np.zeros((3, 3))
-    m[0, :] = -coeffs[1:] / coeffs[0]
-    m[1, 0] = 1.0
-    m[2, 1] = 1.0
-    ws = np.linalg.eigvals(m)
-    real_pos = [w.real for w in ws
-                if w.real > 0.0 and abs(w.imag) <= 1e-8 * max(1.0, abs(w))]
-    if not real_pos:
+    # monic: w^3 + k2 w^2 + k1 w + k0
+    k2 = (an2 + 2.0 * c0) / 2.0
+    k1 = (an2 * (c0 - d0 * d0) + an2 * an2 / 4.0 - dn2) / 4.0
+    k0 = -d0 * d0 * an2 * an2 / 16.0
+    if not math.isfinite(k2 + k1 + k0):
+        raise OverflowError("resolvent coefficients overflow")
+    # w = sigma x with sigma a power of two near the roots' size keeps the
+    # sixth powers in disc finite; x = t - s gives t^3 + p t + q
+    sigma = 2.0 ** math.frexp(max(abs(k2), math.sqrt(abs(k1)), abs(k0) ** (1 / 3)))[1]
+    k2, k1, k0 = k2 / sigma, k1 / sigma / sigma, k0 / sigma / sigma / sigma
+    s = k2 / 3.0
+    p = k1 - k2 * s
+    q = s * (2.0 * s * s - k1) + k0
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc < 0.0:
+        # roots m cos((phi - 2 pi n) / 3) - s: n = 0 largest, n = 2 lowest
+        m = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+        top = m * math.cos(phi / 3.0) - s
+        low = m * math.cos((phi - 4.0 * math.pi) / 3.0) - s
+        w = top if abs(top) >= abs(low) else low
+    else:
+        # one real root u + v - s, and a pair of squared modulus mod2
+        u = -math.copysign((abs(q) / 2.0 + math.sqrt(disc)) ** (1.0 / 3.0), q)
+        v = -p / (3.0 * u) if u else 0.0
+        w = u + v - s
+        mod2 = (-(u + v) / 2.0 - s) ** 2 + 0.75 * (u - v) ** 2
+        if w * w < mod2:
+            w = -k0 / mod2          # the real root is the small one: Vieta
+    if w < 0.0:
+        # the positive root solves x^2 + beta x + gamma, the cubic over x - w
+        beta, gamma = k2 + w, -k0 / w
+        root = math.sqrt(max(0.0, beta * beta - 4.0 * gamma))
+        w = -2.0 * gamma / (beta + root) if beta > 0.0 else (root - beta) / 2.0
+    if not w > 0.0:
         raise ArithmeticError(
             "no positive real resolvent root: inconsistent classification")
-    w = max(real_pos)
-    # one Newton step to polish against eigenvalue roundoff
-    poly = np.polynomial.Polynomial(coeffs[::-1])
-    dw = poly.deriv()(w)
+    # one Newton step to polish against the roundoff of the closed form
+    dw = k1 + w * (2.0 * k2 + 3.0 * w)
     if dw != 0.0:
-        w -= poly(w) / dw
+        w -= (k0 + w * (k1 + w * (k2 + w))) / dw
     if w <= 0.0:
         raise ArithmeticError("resolvent root polished to non-positive value")
-    return float(w)
+    return w * sigma
 
 
 def _complex_pair_to_rootset(c: QuadraticCoeffs, case: CaseTag,
-                             unit: np.ndarray, z1: complex, z2: complex) -> RootSet:
+                             unit: tuple, z1: complex, z2: complex) -> RootSet:
     """Lift complex roots along the imaginary unit h.unit and undo the shift."""
 
     def lift(z: complex) -> Quaternion:
-        return Quaternion(z.real - c.shift, *(z.imag * unit))
+        return Quaternion(z.real - c.shift, *(z.imag * u for u in unit))
 
     if abs(z1 - z2) <= 1e-14 * max(1.0, abs(z1), abs(z2)):
         return RootSet(kind=RootKind.REPEATED, case=case, roots=(lift(z1),))
@@ -232,7 +266,7 @@ def _complex_pair_to_rootset(c: QuadraticCoeffs, case: CaseTag,
 
 def _root_key(q: Quaternion):
     # deterministic output: real part, then imaginary norm, descending
-    return (q.w, np.linalg.norm(q.vector()))
+    return (q.w, math.hypot(q.x, q.y, q.z))
 
 
 def _order_roots(roots) -> tuple[Quaternion, ...]:
@@ -246,19 +280,17 @@ def _order_with_coords(pairs) -> tuple[tuple[Quaternion, ...],
 
 
 def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
-    an2 = float(c.a_vec @ c.a_vec)
-    cn2 = float(c.c_vec @ c.c_vec)
+    an2, cn2 = _dot(c._a, c._a), _dot(c._c, c._c)
     scale = 1.0 + c.c0 ** 2 + an2 ** 2 + cn2
     if abs(c.delta) <= _DELTA_EPS * scale:
-        coord = BasisCoordinates(0.0, -0.5, 0.0, 1.0 / an2,
-                                 c.a_vec, c.c_vec)
+        coord = BasisCoordinates(0.0, -0.5, 0.0, 1.0 / an2, c._a, c._c)
         root = coord.to_quaternion() - c.shift
         return RootSet(kind=RootKind.REPEATED, case=CaseTag.ORTHOGONAL,
                        roots=(root,), coordinates=(coord,))
     if c.delta > 0.0:
         s = math.sqrt(c.delta)
         coords = tuple(BasisCoordinates(0.0, -0.5 + sgn * s, 0.0, 1.0 / an2,
-                                        c.a_vec, c.c_vec)
+                                        c._a, c._c)
                        for sgn in (+1.0, -1.0))
     else:
         rad = 2.0 * (math.sqrt(c.c0 ** 2 + cn2) - c.c0) - an2
@@ -271,7 +303,7 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
             BasisCoordinates(sgn * p0, -0.5,
                              -2.0 * sgn * p0 / (4.0 * p0 * p0 + an2),
                              1.0 / (4.0 * p0 * p0 + an2),
-                             c.a_vec, c.c_vec)
+                             c._a, c._c)
             for sgn in (+1.0, -1.0))
     roots, coords = _order_with_coords(
         [(k.to_quaternion() - c.shift, k) for k in coords])
@@ -280,7 +312,7 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
 
 
 def _generic_roots(c: QuadraticCoeffs) -> RootSet:
-    an2 = float(c.a_vec @ c.a_vec)
+    an2 = _dot(c._a, c._a)
     w = cubic_resolvent(c)
     coords = []
     for sgn in (+1.0, -1.0):
@@ -290,7 +322,7 @@ def _generic_roots(c: QuadraticCoeffs) -> RootSet:
             -(p0 + c.d0) / (2.0 * p0),
             -2.0 * p0 / (4.0 * p0 * p0 + an2),
             1.0 / (4.0 * p0 * p0 + an2),
-            c.a_vec, c.d_vec))
+            c._a, c._d))
     roots, coords = _order_with_coords(
         [(k.to_quaternion() - c.shift, k) for k in coords])
     return RootSet(kind=RootKind.DISTINCT, case=CaseTag.GENERIC,
@@ -312,20 +344,19 @@ def solve(c: QuadraticCoeffs) -> RootSet:
         return RootSet(kind=RootKind.REPEATED, case=case,
                        roots=(Quaternion(-c.shift),))
     if case is CaseTag.A_ZERO:
-        cn = float(np.linalg.norm(c.c_vec))
-        unit = c.c_vec / cn
+        cn = math.hypot(*c._c)
         # p**2 = -(c0 + i|c|) in the complex plane of h.unit
         s = cmath.sqrt(complex(-c.c0, -cn))
-        return _complex_pair_to_rootset(c, case, unit, s, -s)
-    an = float(np.linalg.norm(c.a_vec))
-    unit = c.a_vec / an
+        return _complex_pair_to_rootset(c, case, tuple(x / cn for x in c._c), s, -s)
+    an = math.hypot(*c._a)
+    unit = tuple(x / an for x in c._a)
     if case is CaseTag.C_ZERO:
         disc = cmath.sqrt(complex(-an * an - 4.0 * c.c0, 0.0))
         z1 = (-1j * an + disc) / 2.0
         z2 = (-1j * an - disc) / 2.0
         return _complex_pair_to_rootset(c, case, unit, z1, z2)
     if case is CaseTag.PARALLEL:
-        alpha = float(c.a_vec @ c.c_vec) / an
+        alpha = _dot(c._a, c._c) / an
         disc = cmath.sqrt(complex(-an * an - 4.0 * c.c0, -4.0 * alpha))
         z1 = (-1j * an + disc) / 2.0
         z2 = (-1j * an - disc) / 2.0
@@ -341,4 +372,4 @@ def solve_coeffs(a0: float, a_vec, b0: float, b_vec) -> RootSet:
 
 def solve_quaternion(a: Quaternion, b: Quaternion) -> RootSet:
     """Roots of q**2 + a q + b = 0 with quaternionic a, b."""
-    return solve_coeffs(a.w, a.vector(), b.w, b.vector())
+    return solve_coeffs(a.w, (a.x, a.y, a.z), b.w, (b.x, b.y, b.z))

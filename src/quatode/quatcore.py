@@ -169,8 +169,11 @@ class Quaternion:
 
     def counterpart(self) -> np.ndarray:
         """2x2 complex matrix of the right-complex-linear map p -> self * p."""
+        return np.array(self._counterpart_rows())
+
+    def _counterpart_rows(self) -> tuple:
         z1, z2 = self.symplectic()
-        return np.array([[z1, -np.conj(z2)], [z2, np.conj(z1)]])
+        return ((z1, -z2.conjugate()), (z2, z1.conjugate()))
 
 
 def _coerce(value):
@@ -364,8 +367,12 @@ class RightLinearScalarOp:
         return self.A * psi + self.B * psi * I
 
     def counterpart(self) -> np.ndarray:
+        return np.array(self._counterpart_rows())
+
+    def _counterpart_rows(self) -> tuple:
         # right multiplication by i is the scalar i on both symplectic slots
-        return self.A.counterpart() + 1j * self.B.counterpart()
+        return tuple(tuple(x + 1j * y for x, y in zip(ra, rb)) for ra, rb in
+                     zip(self.A._counterpart_rows(), self.B._counterpart_rows()))
 
     def matrix4(self) -> np.ndarray:
         """4x4 real matrix of the action on (w, x, y, z)."""

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from quatode.clode import SchrodingerModes
+from quatode.quadsolve import QuadraticCoeffs
 from quatode.qmat2 import Matrix2H, _outer_sum
 from quatode.quatcore import Quaternion, RightLinearScalarOp
 
@@ -303,3 +304,62 @@ def stationary_b_op(V: float, W: complex, E: float,
 def reconstruct_antihermitian(lambdas, vecs) -> Matrix2H:
     """A = sum Psi_r (lambda_r i) Psi_r^dagger."""
     return _outer_sum([Quaternion(0.0, lam) for lam in lambdas], vecs)
+
+
+# the closed-form solvers' earlier numpy implementations ----------------------
+
+
+def companion_cubic_resolvent(c: QuadraticCoeffs) -> float:
+    """Unique positive root w = p0**2 of the generic-case resolvent cubic.
+
+    Solved through companion-matrix eigenvalues plus one Newton polish; by
+    Descartes' rule the cubic has exactly one positive real root, so failing
+    to find one signals a misclassified input.
+    """
+    an2 = float(c.a_vec @ c.a_vec)
+    dn2 = float(c.d_vec @ c.d_vec)
+    c0, d0 = c.c0, c.d0
+    coeffs = np.array([
+        16.0,
+        8.0 * (an2 + 2.0 * c0),
+        4.0 * (an2 * (c0 - d0 * d0) + an2 * an2 / 4.0 - dn2),
+        -d0 * d0 * an2 * an2,
+    ])
+    # scaled companion matrix; numpy's eig balances internally
+    m = np.zeros((3, 3))
+    m[0, :] = -coeffs[1:] / coeffs[0]
+    m[1, 0] = 1.0
+    m[2, 1] = 1.0
+    ws = np.linalg.eigvals(m)
+    real_pos = [w.real for w in ws
+                if w.real > 0.0 and abs(w.imag) <= 1e-8 * max(1.0, abs(w))]
+    if not real_pos:
+        raise ArithmeticError(
+            "no positive real resolvent root: inconsistent classification")
+    w = max(real_pos)
+    # one Newton step to polish against eigenvalue roundoff
+    poly = np.polynomial.Polynomial(coeffs[::-1])
+    dw = poly.deriv()(w)
+    if dw != 0.0:
+        w -= poly(w) / dw
+    if w <= 0.0:
+        raise ArithmeticError("resolvent root polished to non-positive value")
+    return float(w)
+
+
+def per_entry_counterpart(m) -> np.ndarray:
+    """4x4 counterpart of a Matrix2H or Matrix2CL: one 2x2 array per entry,
+    numpy sums, strided slice assignment."""
+
+    def block(e):
+        if isinstance(e, RightLinearScalarOp):
+            # right multiplication by i is the scalar i on both symplectic slots
+            return block(e.A) + 1j * block(e.B)
+        z1, z2 = e.symplectic()
+        return np.array([[z1, -np.conj(z2)], [z2, np.conj(z1)]])
+
+    c = np.empty((4, 4), dtype=complex)
+    for r in range(2):
+        for k in range(2):
+            c[r::2, k::2] = block(m.m[r][k])
+    return c

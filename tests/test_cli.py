@@ -332,7 +332,12 @@ def test_non_finite_number_is_usage_error(capsys, argv):
      "quatode ode: OverflowError: "),
     (["bound", "--V", "10", "--Wabs", "10", "--a", "500"],
      "quatode bound: OverflowError: "),
-], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well"])
+    (["quad", "0", "1e200", "0", "0", "0", "1e200", "1", "0"],
+     "quatode quad: OverflowError: "),
+    (["quad", "1e308", "0", "0", "0", "1e308", "0", "0", "0"],
+     "quatode quad: OverflowError: "),
+], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well",
+        "quad-vector-overflow", "quad-shift-overflow"])
 def test_solver_error_is_one_stderr_line(capsys, argv, cause):
     code = main(argv)
     out, err = capsys.readouterr()

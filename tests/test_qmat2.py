@@ -8,7 +8,8 @@ from quatode.qmat2 import (DefectiveMatrixError, Matrix2CL, Matrix2H,
                            dieudonne, lift, svec)
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
-from helpers import rand_quaternion, reconstruct_antihermitian
+from helpers import (per_entry_counterpart, rand_quaternion,
+                     reconstruct_antihermitian)
 
 
 def rand_matrix(rng, scale=1.0):
@@ -82,6 +83,20 @@ def test_cl_counterpart_complex_linearity():
         rhs = (base[0] * zq, base[1] * zq)
         assert vec_close(lhs, rhs, tol=1e-10 * (1 + base[0].norm() + base[1].norm()))
         assert np.max(np.abs(m.counterpart() @ svec(v) - svec(base))) < 1e-12
+
+
+
+def test_counterparts_bit_identical_to_per_entry_assembly():
+    # one np.array over complex entries, against one 2x2 array per entry
+    rng = np.random.default_rng(44)
+    for n in range(200):
+        h = rand_matrix(rng, scale=10.0 ** rng.uniform(-3, 3))
+        ops = [[RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng))
+                for _ in range(2)] for _ in range(2)]
+        if n % 4 == 0:      # exact zeros and ones, as in Matrix2CL.companion
+            ops[0] = [0, 1]
+        for m in (h, Matrix2CL(ops)):
+            assert m.counterpart().tobytes() == per_entry_counterpart(m).tobytes()
 
 
 # -- right eigenpairs --------------------------------------------------------

@@ -8,7 +8,7 @@ from quatode.oracle import companion_roots
 from quatode.quadsolve import CaseTag, RootKind
 from quatode.quatcore import Quaternion
 
-from helpers import as_tuple
+from helpers import as_tuple, companion_cubic_resolvent
 
 S2 = math.sqrt(2.0)
 
@@ -165,6 +165,77 @@ def test_cubic_resolvent_matches_companion_oracle():
                if abs(r.imag) < 1e-8 and r.real > 0]
         assert len(pos) == 1
         assert abs(quadsolve.cubic_resolvent(c) - pos[0]) < 1e-12 * max(1.0, pos[0])
+
+
+def _resolvent_inputs(rng):
+    """Generic reduced equations p^2 + a p + c0 + c = 0 in three families."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    for family in ("ratio", "d0", "switch"):
+        count = 0
+        while count < 700:
+            u = unit(rng.standard_normal(3))
+            w = unit(np.cross(u, rng.standard_normal(3)))
+            an = 10.0 ** rng.uniform(-2, 2)
+            if family == "ratio":        # |c| / |a| over 1e-4 .. 1e4
+                cn = an * 10.0 ** rng.uniform(-4, 4)
+                ang = rng.uniform(0.05, math.pi - 0.05)
+                c_vec = cn * (math.cos(ang) * u + math.sin(ang) * w)
+                c0 = rng.standard_normal() * max(an, cn) ** 2 * 10.0 ** rng.uniform(-2, 1)
+            elif family == "d0":         # d0 = a.c / |a|^2 down to 1e-8
+                d0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8, -1)
+                c_vec = d0 * an * u + an * 10.0 ** rng.uniform(-1, 1) * w
+                c0 = 3.0 * rng.standard_normal() * an * an
+            else:
+                # one root far larger than the other two: the discriminant of
+                # the depressed cubic is roundoff around 0, so the
+                # trigonometric and Cardano forms both occur
+                cn = an * 10.0 ** rng.uniform(3, 5)
+                ang = rng.uniform(0.05, math.pi - 0.05)
+                c_vec = cn * (math.cos(ang) * u + math.sin(ang) * w)
+                c0 = -rng.uniform(0.5, 10.0) * cn * cn
+            a0 = rng.uniform(-2, 2)
+            c = quadsolve.normalize(a0, an * u, c0 + a0 * a0 / 4,
+                                    c_vec + a0 / 2 * an * u)
+            if quadsolve.classify(c) is CaseTag.GENERIC:
+                count += 1
+                yield family, c
+
+
+def _depressed_discriminant(c):
+    an2, dn2 = c.a_vec @ c.a_vec, c.d_vec @ c.d_vec
+    k2 = (an2 + 2.0 * c.c0) / 2.0
+    k1 = (an2 * (c.c0 - c.d0 ** 2) + an2 ** 2 / 4.0 - dn2) / 4.0
+    k0 = -c.d0 ** 2 * an2 ** 2 / 16.0
+    p, q = k1 - k2 ** 2 / 3.0, 2.0 * k2 ** 3 / 27.0 - k2 * k1 / 3.0 + k0
+    return (q / 2.0) ** 2 + (p / 3.0) ** 3
+
+
+def test_cubic_resolvent_matches_companion_matrix_reference():
+    # the closed forms against the companion-matrix eigenvalues they replaced
+    signs = set()
+    for family, c in _resolvent_inputs(np.random.default_rng(25)):
+        ref = companion_cubic_resolvent(c)
+        assert abs(quadsolve.cubic_resolvent(c) - ref) <= 1e-13 * ref, family
+        if family == "switch":
+            signs.add(_depressed_discriminant(c) >= 0.0)
+    assert signs == {False, True}
+
+
+def test_scalar_path_calls_no_numpy_vector_routines(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("numpy routine called on the scalar path")
+
+    for owner, name in ((np, "cross"), (np.linalg, "eigvals"), (np.linalg, "norm")):
+        monkeypatch.setattr(owner, name, banned)
+    for a, b, case in (([0, 1, 0, 0], [1, 1, 0, 1], CaseTag.GENERIC),
+                       ([0, 1, 0, 0], [1, 0, 0, 1], CaseTag.ORTHOGONAL),
+                       ([0.5, 1, 0, 0], [1, 2, 0, 0], CaseTag.PARALLEL),
+                       ([0, 0, 0, 0], [1, 0, 0, 0], CaseTag.BOTH_ZERO)):
+        rs = quadsolve.solve_coeffs(a[0], a[1:], b[0], b[1:])
+        assert rs.case is case
+        assert rs.all_roots()
 
 
 def test_cubic_resolvent_degenerates_with_d0():
