@@ -21,6 +21,8 @@ from .quatcore import Quaternion, RightLinearScalarOp
 
 _CSV_HEADER = ("E,V,Wabs,Warg,a,regime,R,T,r_re,r_im,rt_re,rt_im,"
                "t_re,t_im,tt_re,tt_im,current_residual")
+# a solved row: "%.17g" prints the same text as _fmt
+_CSV_ROW = ",".join(["%.17g"] * 5 + ["%s"] + ["%.17g"] * 11)
 # rows per stacked solve in a sweep: bounds the working memory of a long sweep
 _SWEEP_BLOCK = 1024
 
@@ -148,35 +150,35 @@ def _params_from(args) -> scatter.PhysicalParams:
 
 
 def _scatter_rows(args, E, V, wabs, a) -> bool:
-    """Solve the rows in one stacked call and print their CSV lines.
-
-    A failed row prints as regime ERROR with nan numbers, and its cause goes
-    to stderr.  Returns whether a row failed.
-    """
+    """Solve the rows in one stacked call, print their CSV lines; True if one failed."""
     W = _polar(np.asarray(wabs, dtype=float), args.Warg)
     rows = scatter.solve_rows(args.kind, E, V, W, a, hbar=args.hbar, m=args.mass)
-    E, V, W, a = [np.broadcast_to(x, rows.E.shape) for x in (E, V, W, a)]
+    print("\n".join(_csv_lines(args.kind, rows, E, V, W, a)))
+    return rows.errors.count(None) < len(rows.errors)
+
+
+def _csv_lines(kind: str, rows: scatter.ScatteringRows, E, V, W, a) -> list[str]:
+    """CSV lines of solved rows, one % format each; a failed row prints as
+    regime ERROR with nan numbers, and its cause goes to stderr."""
+    table = np.empty((len(rows.errors), 16))
     wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
-    heads = np.column_stack([E, V, wabs, np.where(wabs != 0.0, np.angle(W), 0.0), a])
-    numbers = np.column_stack([rows.R, rows.T, rows.r.real, rows.r.imag,
-                               rows.r_tilde.real, rows.r_tilde.imag,
-                               rows.t.real, rows.t.imag,
-                               rows.t_tilde.real, rows.t_tilde.imag,
-                               rows.current_spread])
+    table[:, 0], table[:, 1], table[:, 2], table[:, 4] = E, V, wabs, a
+    table[:, 3] = np.where(wabs != 0.0, np.angle(W), 0.0)
+    table[:, 5], table[:, 6], table[:, 15] = rows.R, rows.T, rows.current_spread
+    np.stack([rows.r, rows.r_tilde, rows.t, rows.t_tilde], axis=1,
+             out=table[:, 7:15].view(complex))
     lines = []
-    for head, values, regime, exc in zip(heads.tolist(), numbers.tolist(),
-                                         rows.regimes, rows.errors):
-        head = [_fmt(v) for v in head]
+    for values, regime, exc in zip(table.tolist(), rows.regimes, rows.errors):
         if exc is None:
-            lines.append(",".join(head + [regime.value] + [_fmt(v) for v in values]))
+            lines.append(_CSV_ROW % (*values[:5], regime.value, *values[5:]))
             continue
+        head = [_fmt(v) for v in values[:5]]
         names = ("E", "V", "Wabs", "Warg", "a")
         where = " ".join(f"{n}={v}" for n, v in zip(names, head))
         cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        print(f"quatode {args.kind} {where}: {cause}", file=sys.stderr)
+        print(f"quatode {kind} {where}: {cause}", file=sys.stderr)
         lines.append(",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11))
-    print("\n".join(lines))
-    return rows.errors.count(None) < len(rows.errors)
+    return lines
 
 
 def cmd_scatter(args) -> int:

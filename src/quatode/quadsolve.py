@@ -171,12 +171,13 @@ def normalize(a0: float, a_vec, b0: float, b_vec) -> QuadraticCoeffs:
 def classify(c: QuadraticCoeffs) -> CaseTag:
     """Decide which closed-form branch applies to the reduced equation."""
     an, cn = math.hypot(*c._a), math.hypot(*c._c)
-    scale = max(an, cn, math.sqrt(abs(c.c0)), 1e-300)
-    if an <= _CLASSIFY_EPS * scale and cn <= _CLASSIFY_EPS * scale:
+    # the roots' scale: |a| scales like it, |c| and c0 like its square
+    s = max(an, math.sqrt(cn), math.sqrt(abs(c.c0)), 1e-300)
+    if an <= _CLASSIFY_EPS * s and cn <= _CLASSIFY_EPS * s * s:
         return CaseTag.BOTH_ZERO
-    if an <= _CLASSIFY_EPS * scale:
+    if an <= _CLASSIFY_EPS * s:
         return CaseTag.A_ZERO
-    if cn <= _CLASSIFY_EPS * scale:
+    if cn <= _CLASSIFY_EPS * s * s:
         return CaseTag.C_ZERO
     cross = math.hypot(*_cross(c._a, c._c))
     dot = _dot(c._a, c._c)

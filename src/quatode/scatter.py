@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,25 +99,34 @@ class ScatteringResult:
     R: float
     T: float
     regime: Regime
-    wave: PiecewiseWave
     params: PhysicalParams
+    _rows: ScatteringRows = field(repr=False, compare=False)
+
+    @cached_property
+    def wave(self) -> PiecewiseWave:    # built from the row on first access
+        return _wave(self._rows, self.params)
 
 
 _REGIMES = (Regime.ABOVE_THRESHOLD, Regime.EVANESCENT, Regime.SUBW)
 _REGIONS = {"step": 2, "barrier": 3}    # 0 | V - jW and 0 | V - jW | 0
+_SAMPLES = 3    # current samples per region
 
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where the mode table's columns enter a matching system (see _layout)."""
+    """Where terms enter a matching system and the current check (see _layout)."""
 
     columns: np.ndarray  # (3, terms) columns of g, u1, u2 of each term
-    mask: np.ndarray     # (regions, terms): which terms make up each region
+    region: np.ndarray   # (terms,) the region of each term, ascending
     entries: np.ndarray  # (3, entries) columns of each (edge, term) entry
     sign: np.ndarray     # (entries,) +1 left of the edge, -1 right of it
     flat: np.ndarray     # (4 entries,) places of value and slope in the system
     at0: int             # entries at the first edge, x = 0; they come first
     later: np.ndarray    # (entries - at0,) column in x of each later edge
+    first: np.ndarray    # (regions,) the first term of each region
+    cell: np.ndarray     # (terms,) place of each term in a (regions, terms) table
+    steps: np.ndarray    # (regions, samples), parts (regions, 1): current samples at
+    parts: np.ndarray    # lo + reach * steps / parts, steps < 0 on the left half-line
 
 
 def _layout(regions: int) -> _Layout:
@@ -128,6 +138,7 @@ def _layout(regions: int) -> _Layout:
     the last region.  The mode table holds the rightward, leftward, principal
     and negated principal rates (blocks 0..3), each as z-, z+ (root 0, 1) of
     the free medium and the potential (medium 0, 1), then wbar, wfrac, 1.
+    The current check samples each region where _sample_xs does (_current_spread).
     """
     last = regions - 1
     region, block, root = np.array(
@@ -140,10 +151,16 @@ def _layout(regions: int) -> _Layout:
     term, edge = np.array([(t, e) for e in range(last)
                            for t in range(region.size) if region[t] in (e, e + 1)]).T
     row = 4 * edge + np.arange(4)[:, None]
-    return _Layout(columns=columns, mask=region == np.arange(regions)[:, None],
+    k, n = np.arange(regions), np.arange(_SAMPLES)
+    inner = ((k > 0) & (k < last))[:, None]
+    return _Layout(columns=columns, region=region,
                    entries=columns[:, term], sign=1.0 - 2.0 * (region[term] > edge),
                    flat=(row * region.size + term).ravel(),
-                   at0=int(np.sum(edge == 0)), later=edge[edge > 0] - 1)
+                   at0=int(np.sum(edge == 0)), later=edge[edge > 0] - 1,
+                   first=np.searchsorted(region, k),
+                   cell=region * region.size + np.arange(region.size),
+                   steps=np.where(inner, n + 1.0, np.sign(k - 0.5)[:, None] * (n + 0.5)),
+                   parts=np.where(inner, _SAMPLES + 1.0, 1.0))
 
 
 _LAYOUTS = {regions: _layout(regions) for regions in set(_REGIONS.values())}
@@ -179,7 +196,7 @@ def _matching(E, V, W, x, hbar: float, m: float):
     with np.errstate(over="ignore", invalid="ignore"):
         later = slice(layout.at0, None)
         values[:, :, later] *= np.exp(g[:, :, later] * x[:, None, layout.later])
-    rows, terms = 4 * x.shape[1] + 4, layout.mask.shape[1]
+    rows, terms = 4 * x.shape[1] + 4, layout.region.size
     mat = np.zeros((n, rows, terms), dtype=complex)
     mat.reshape(n, rows * terms)[:, layout.flat] = values.reshape(n, layout.flat.size)
     return modes, layout, table, mat
@@ -263,21 +280,26 @@ def current_kernel(psi1, psi2, dpsi1, dpsi2, hbar: float = 1.0, m: float = 1.0):
     return hbar / m * (np.imag(dpsi1 * np.conj(psi1)) - np.imag(dpsi2 * np.conj(psi2)))
 
 
-def _current_spread(mask, terms, amp, bounds, hbar: float, m: float,
-                    per_region: int = 3) -> np.ndarray:
+def _current_spread(layout: _Layout, terms, amp, x, hbar: float, m: float) -> np.ndarray:
     """max - min of the current at the points current_samples picks, row by row.
 
-    mask is the (regions, terms) mask of each region's terms, terms the
-    (n, 3, terms) g, u1, u2 of _matching and amp the (n, terms) amplitudes.
+    terms is the (n, 3, terms) g, u1, u2 of _matching, amp the (n, terms)
+    amplitudes and x the (n, regions - 2) edges after the one at 0.  Each
+    term is evaluated at its own region's samples only, in one exp.
     """
+    n, regions, size = len(amp), len(layout.first), layout.region.size
     g = terms[:, 0]
     coef = terms[:, 1:] * amp[:, None, :]
-    size = np.hypot(g.real, g.imag)
-    widest = np.where(mask, size[:, None, :], 0.0).max(axis=2)
-    xs = np.stack([_sample_xs(bounds[k], bounds[k + 1], widest[:, k], per_region)
-                   for k in range(len(mask))], axis=1)
+    widest = np.maximum.reduceat(np.hypot(g.real, g.imag), layout.first, axis=1)
+    # a half-line reaches 1 / (1 + rate) from its edge, an inner region hi - lo
+    lo = np.concatenate([np.zeros((n, 2)), x], axis=1)
+    step = 1.0 / (1.0 + widest)
+    reach = np.concatenate([step[:, :1], lo[:, 2:] - lo[:, 1:-1], step[:, -1:]], axis=1)
+    xs = lo[:, :, None] + reach[:, :, None] * layout.steps / layout.parts
     # e[n, region, term, sample]; terms outside a region are zero there
-    e = np.where(mask[:, :, None], np.exp(g[:, None, :, None] * xs[:, :, None, :]), 0.0)
+    e = np.zeros((n, regions, size, _SAMPLES), dtype=complex)
+    e.reshape(n, regions * size, _SAMPLES)[:, layout.cell] = np.exp(
+        g[:, :, None] * xs[:, layout.region])
     psi = np.einsum("nct,nrts->ncrs", coef, e)
     dpsi = np.einsum("nct,nrts->ncrs", coef, g[:, None, :, None] * e)
     j = current_kernel(psi[:, 0], psi[:, 1], dpsi[:, 0], dpsi[:, 1], hbar, m)
@@ -309,10 +331,10 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     barrier = kind == "barrier"
     E, V, W, a = [np.asarray(x, dtype=t) for x, t in
                   ((E, float), (V, float), (W, complex), (a, float))]
-    shape = np.broadcast_shapes(E.shape, V.shape, W.shape, a.shape, (1,))
+    shape = np.broadcast(E, V, W, a).shape or (1,)
     if len(shape) != 1:
         raise ValueError("solve_rows takes scalars and 1-D arrays")
-    E, V, W, a = [np.broadcast_to(x, shape) for x in (E, V, W, a)]
+    E, V, W, a = [np.full(shape, x) for x in (E, V, W, a)]
     n = E.size
     bad_e = ~(E > 0.0)
     bad_a = ~(a > 0.0) & barrier
@@ -320,13 +342,14 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
               & (np.isfinite(a) | (not barrier)))
     invalid = bad_e | bad_a | ~finite
     errors = [None] * n
-    for i in np.flatnonzero(invalid).tolist():
-        errors[i] = ValueError("scattering needs E > 0" if bad_e[i] else
-                               "barrier needs a > 0" if bad_a[i] else
-                               "E, V, W and a must be finite")
-    # invalid rows are solved on harmless stand-in values, then discarded
-    E, V = np.where(invalid, 1.0, E), np.where(invalid, 0.0, V)
-    W, a = np.where(invalid, 0.0, W), np.where(invalid, 1.0, a)
+    if invalid.any():
+        for i in np.flatnonzero(invalid).tolist():
+            errors[i] = ValueError("scattering needs E > 0" if bad_e[i] else
+                                   "barrier needs a > 0" if bad_a[i] else
+                                   "E, V, W and a must be finite")
+        # invalid rows are solved on harmless stand-in values, then discarded
+        E, V = np.where(invalid, 1.0, E), np.where(invalid, 0.0, V)
+        W, a = np.where(invalid, 0.0, W), np.where(invalid, 1.0, a)
 
     wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
     threshold = np.hypot(V, wabs)
@@ -346,11 +369,12 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     # amplitudes of every term: the incident wave has amplitude 1
     amp = np.full((n, terms.shape[2]), complex(math.nan, math.nan))
     amp[:, 0] = 1.0
-    good = np.flatnonzero(~invalid & ~overflow)
+    good = ~invalid & ~overflow
+    pick = slice(None) if good.all() else np.flatnonzero(good)    # no copy if clean
     try:
-        amp[good, 1:] = np.linalg.solve(mat[good], rhs[good, :, None])[..., 0]
+        amp[pick, 1:] = np.linalg.solve(mat[pick], rhs[pick, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        for i in good.tolist():
+        for i in np.flatnonzero(good).tolist():
             try:
                 amp[i, 1:] = np.linalg.solve(mat[i], rhs[i])
             except np.linalg.LinAlgError as exc:
@@ -368,14 +392,13 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
             flux = (np.sqrt((modes.sigma[:, 1].real - V) / E)
                     * (1.0 - np.abs(modes.wfrac[:, 1]) ** 2))
         big_t = np.where(above, flux * big_t, 0.0)
-    inf = np.full(n, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = _current_spread(layout.mask, terms, amp,
-                                 (-inf, np.zeros(n), *x.T, inf), hbar, m)
+        spread = _current_spread(layout, terms, amp, x, hbar, m)
 
-    failed = np.array([err is not None for err in errors])
-    r, rt, t, tt, big_r, big_t, spread = [np.where(failed, math.nan, x) for x in
-                                          (r, rt, t, tt, big_r, big_t, spread)]
+    if errors.count(None) < n:
+        failed = np.array([err is not None for err in errors])
+        r, rt, t, tt, big_r, big_t, spread = [np.where(failed, math.nan, x) for x in
+                                              (r, rt, t, tt, big_r, big_t, spread)]
     codes = np.where(above, 0, np.where(E < wabs, 2, 1)).tolist()
     return ScatteringRows(
         kind=kind, E=E, kin=terms[:, 0, 0].imag, r=r, r_tilde=rt, t=t, t_tilde=tt,
@@ -388,14 +411,14 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
 def _wave(rows: ScatteringRows, params: PhysicalParams) -> PiecewiseWave:
     """The wave of the single row of `rows` as ExpSum regions."""
     layout = _LAYOUTS[_REGIONS[rows.kind]]
-    edges = (0.0, params.a)[:len(layout.mask) - 1]
+    edges = (0.0, params.a)[:len(layout.first) - 1]
     bounds = (-math.inf, *edges, math.inf)
     potentials = ((0.0, 0.0), (params.V, params.W), (0.0, 0.0))
     regions = []
-    for k, mask in enumerate(layout.mask):
+    for k in range(len(layout.first)):
         terms = [exp_term(Quaternion.from_symplectic(rows.u1[0, c], rows.u2[0, c]),
                           complex(rows.g[0, c]), complex(rows.amplitudes[0, c]))
-                 for c in np.flatnonzero(mask[1:]).tolist()]
+                 for c in np.flatnonzero(layout.region[1:] == k).tolist()]
         if k == 0:
             terms.insert(0, exp_term(_ONE, 1j * float(rows.kin[0])))
         regions.append(Region(bounds[k], bounds[k + 1], terms, *potentials[k]))
@@ -411,15 +434,14 @@ def _solve_single(kind: str, params: PhysicalParams) -> ScatteringResult:
     return ScatteringResult(r=complex(rows.r[0]), r_tilde=complex(rows.r_tilde[0]),
                             t=complex(rows.t[0]), t_tilde=complex(rows.t_tilde[0]),
                             R=float(rows.R[0]), T=float(rows.T[0]),
-                            regime=rows.regimes[0], wave=_wave(rows, params),
-                            params=params)
+                            regime=rows.regimes[0], params=params, _rows=rows)
 
 
 def solve_step(params: PhysicalParams) -> ScatteringResult:
     """Match the quaternionic plane-wave basis across a potential step at 0.
 
-    One row of solve_rows("step", ...), with its wave built as ExpSum
-    regions; the row's error, if any, is raised.
+    One row of solve_rows("step", ...), whose wave is built as ExpSum
+    regions when first read; the row's error, if any, is raised.
     """
     return _solve_single("step", params)
 
@@ -443,7 +465,7 @@ def probability_current(psi: Quaternion, dpsi: Quaternion,
 
 
 def current_samples(wave: PiecewiseWave, params: PhysicalParams,
-                    per_region: int = 3) -> list[tuple[float, float]]:
+                    per_region: int = _SAMPLES) -> list[tuple[float, float]]:
     """Probability current at a few interior points of every region."""
     out = []
     for reg in wave.regions:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from quatode.clode import SchrodingerModes
 from quatode.quadsolve import QuadraticCoeffs
 from quatode.qmat2 import Matrix2H, _outer_sum
 from quatode.quatcore import Quaternion, RightLinearScalarOp
+from quatode.scatter import _sample_xs, current_kernel
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -201,6 +203,30 @@ def scattering_row(kind, E, V, W, a=0.0, hbar=1.0, m=1.0):
     return r, rt, t, tt, abs(r) ** 2, big_t
 
 
+def seeded_rows(rng, kind, count):
+    """(E, V, W, a) in all three regimes and with W zero, real, imaginary and
+    complex; every E keeps 1 % away from |W| and from sqrt(V^2 + |W|^2)."""
+    rows = []
+    for n in range(count):
+        regime, phase = n % 3, (n // 3) % 4
+        wabs = 0.0 if phase == 0 else rng.uniform(0.3, 2.5)
+        W = wabs * [1.0, rng.choice((1.0, -1.0)), rng.choice((1j, -1j)),
+                    cmath.exp(1j * rng.uniform(0.3, 1.2))][phase]
+        V = rng.uniform(0.5, 4.0)
+        # an Evanescent row needs room between |W| and the threshold
+        while regime == 1 and 1.02 * wabs + 0.05 >= 0.98 * math.hypot(V, wabs):
+            V = rng.uniform(0.5, 4.0)
+        thr = math.hypot(V, wabs)
+        if regime == 0 or (regime == 2 and wabs == 0.0):
+            E = thr * rng.uniform(1.05, 3.0)
+        elif regime == 1:
+            E = rng.uniform(1.02 * wabs + 0.05, 0.98 * thr)
+        else:
+            E = wabs * rng.uniform(0.05, 0.97)
+        rows.append((E, V, W, rng.uniform(0.2, 3.0) if kind == "barrier" else 0.0))
+    return rows
+
+
 def well_matrix(E, V, W, a, hbar=1.0, m=1.0):
     """The 8x8 matching system of the well -V + jW on (0, a) at one E < 0.
 
@@ -363,3 +389,64 @@ def per_entry_counterpart(m) -> np.ndarray:
         for k in range(2):
             c[r::2, k::2] = block(m.m[r][k])
     return c
+
+
+# the scattering CLI's earlier row formatter and current check ----------------
+
+
+def csv_lines_per_number(kind, rows, E, V, W, a) -> list[str]:
+    """The CSV lines of solved rows, one f-string per number.
+
+    The reference for cli._csv_lines: the row builder it replaced, unchanged.
+    A failed row's cause goes to stderr.
+    """
+    E, V, W, a = [np.broadcast_to(x, rows.E.shape) for x in (E, V, W, a)]
+    wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
+    heads = np.column_stack([E, V, wabs, np.where(wabs != 0.0, np.angle(W), 0.0), a])
+    numbers = np.column_stack([rows.R, rows.T, rows.r.real, rows.r.imag,
+                               rows.r_tilde.real, rows.r_tilde.imag,
+                               rows.t.real, rows.t.imag,
+                               rows.t_tilde.real, rows.t_tilde.imag,
+                               rows.current_spread])
+    lines = []
+    for head, values, regime, exc in zip(heads.tolist(), numbers.tolist(),
+                                         rows.regimes, rows.errors):
+        head = [_fmt(v) for v in head]
+        if exc is None:
+            lines.append(",".join(head + [regime.value] + [_fmt(v) for v in values]))
+            continue
+        names = ("E", "V", "Wabs", "Warg", "a")
+        where = " ".join(f"{n}={v}" for n, v in zip(names, head))
+        cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"quatode {kind} {where}: {cause}", file=sys.stderr)
+        lines.append(",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11))
+    return lines
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,
+                              per_region: int = 3) -> np.ndarray:
+    """max - min of the current at the points current_samples picks, row by row.
+
+    The reference for scatter._current_spread, as it was before the layout
+    placed the samples: one _sample_xs call per region, and every term's
+    exponential at every region's samples, masked.  mask is the
+    (regions, terms) mask of each region's terms, terms the (n, 3, terms)
+    g, u1, u2 of _matching, amp the (n, terms) amplitudes and bounds the
+    regions' edges, -inf to inf.
+    """
+    g = terms[:, 0]
+    coef = terms[:, 1:] * amp[:, None, :]
+    size = np.hypot(g.real, g.imag)
+    widest = np.where(mask, size[:, None, :], 0.0).max(axis=2)
+    xs = np.stack([_sample_xs(bounds[k], bounds[k + 1], widest[:, k], per_region)
+                   for k in range(len(mask))], axis=1)
+    # e[n, region, term, sample]; terms outside a region are zero there
+    e = np.where(mask[:, :, None], np.exp(g[:, None, :, None] * xs[:, :, None, :]), 0.0)
+    psi = np.einsum("nct,nrts->ncrs", coef, e)
+    dpsi = np.einsum("nct,nrts->ncrs", coef, g[:, None, :, None] * e)
+    j = current_kernel(psi[:, 0], psi[:, 1], dpsi[:, 0], dpsi[:, 1], hbar, m)
+    return j.max(axis=(1, 2)) - j.min(axis=(1, 2))

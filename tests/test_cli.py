@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import quatode
+from quatode import cli
 from quatode.cli import main
+from quatode.scatter import solve_rows
 
-from helpers import step_reflection, well_bound_energies
+from helpers import csv_lines_per_number, seeded_rows, step_reflection, well_bound_energies
 
 
 def run(capsys, *argv):
@@ -133,6 +136,49 @@ def test_long_sweep_rows_match_single_rows(capsys):
         code, single = run(capsys, "scatter", "barrier", f"--E={E}", "--V", "2",
                            "--Wabs", "0.7", "--Warg", "0.4", "--a", "0.9")
         assert single.splitlines()[1] == rows[n]
+
+
+def assert_same_lines(got, want):
+    # the first difference only: a diff of thousands of lines takes minutes
+    bad = next((n for n, (x, y) in enumerate(zip(got, want)) if x != y), None)
+    assert bad is None, (bad, got[bad], want[bad])
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("kind", ["step", "barrier"])
+def test_csv_lines_match_per_number_reference(capsys, kind):
+    rows = seeded_rows(np.random.default_rng(83 if kind == "step" else 84), kind, 1000)
+    # a thick barrier overflows (a step ignores a); E < 0 is invalid for both
+    rows += [(1.5, 4.0, 1.0, 400.0), (-1.0, 2.0, 0.5, 1.0)]
+    E, V, W, a = (np.array(col) for col in zip(*rows))
+    solved = solve_rows(kind, E, V, W, a)
+    got = cli._csv_lines(kind, solved, E, V, W, a)
+    got_err = capsys.readouterr().err
+    want = csv_lines_per_number(kind, solved, E, V, W, a)
+    assert_same_lines(got, want)
+    assert got_err == capsys.readouterr().err != ""
+    fields = [line.split(",") for line in got]
+    assert {f[5] for f in fields} == {"AboveThreshold", "Evanescent", "SubW", "ERROR"}
+    # W = 0 rows print r~ as +0
+    zero_w = [f for f in fields if f[2] == "0" and f[5] != "ERROR"]
+    assert zero_w and all(f[10:12] == ["0", "0"] for f in zero_w)
+
+
+def test_long_sweep_matches_per_number_reference(capsys):
+    # 1500 rows: two stacked blocks, the last ~1/10 overflowing
+    argv = ["sweep", "barrier", "--param", "a", "--start", "0.5", "--stop", "240",
+            "--count", "1500", "--E", "1.5", "--V", "4", "--Wabs", "1", "--Warg", "0.3"]
+    assert cli._SWEEP_BLOCK < 1500
+    code = main(argv)
+    got = capsys.readouterr()
+    W = 1.0 * complex(math.cos(0.3), math.sin(0.3))
+    a = np.linspace(0.5, 240.0, 1500)
+    want = csv_lines_per_number("barrier", solve_rows("barrier", 1.5, 4.0, W, a),
+                                1.5, 4.0, W, a)
+    assert code == 1
+    assert_same_lines(got.out.split("\n"), [cli._CSV_HEADER, *want, ""])
+    assert got.err == capsys.readouterr().err
+    assert 0 < got.out.count(",ERROR,") < 1500
 
 
 @pytest.mark.parametrize("argv", [

@@ -137,6 +137,16 @@ def test_classify_examples():
     assert quadsolve.classify(mk([0, 0, 0], [0, 0, 0])) is CaseTag.BOTH_ZERO
 
 
+@pytest.mark.parametrize("lam", [1e-30, 1e-13, 1e-5, 1.0, 1e10, 1e13, 1e16])
+def test_classify_is_scale_invariant(lam):
+    # q^2 + lam a q + lam^2 b: the roots scale with lam, the branch must not
+    a = np.array([0.3, 1.0, 0.2, -0.5])
+    b = np.array([0.7, 0.4, -1.1, 0.3])
+    c = quadsolve.normalize(lam * a[0], lam * a[1:], lam ** 2 * b[0], lam ** 2 * b[1:])
+    assert quadsolve.classify(c) is CaseTag.GENERIC
+    assert max(residuals(c, quadsolve.solve(c))) <= 1e-12 * lam ** 2
+
+
 # -- cubic resolvent --------------------------------------------------------
 
 

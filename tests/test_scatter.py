@@ -11,8 +11,9 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              probability_current, solve_barrier, solve_rows,
                              solve_step)
 
-from helpers import (barrier_transmission, scattering_row, stationary_b_op,
-                     step_reflection, well_bound_energies, well_matrix)
+from helpers import (barrier_transmission, current_spread_per_region, scattering_row,
+                     seeded_rows, stationary_b_op, step_reflection,
+                     well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -214,27 +215,6 @@ def test_barrier_ratio_invariance():
 # -- stacked rows ---------------------------------------------------------------
 
 
-def seeded_rows(rng, kind, count):
-    """(E, V, W, a) in all three regimes and with W zero, real, imaginary and
-    complex; every E keeps 1 % away from |W| and from sqrt(V^2 + |W|^2)."""
-    rows = []
-    for n in range(count):
-        regime, phase = n % 3, (n // 3) % 4
-        wabs = 0.0 if phase == 0 else rng.uniform(0.3, 2.5)
-        W = wabs * [1.0, rng.choice((1.0, -1.0)), rng.choice((1j, -1j)),
-                    cmath.exp(1j * rng.uniform(0.3, 1.2))][phase]
-        V = rng.uniform(0.5, 4.0)
-        thr = math.hypot(V, wabs)
-        if regime == 0 or (regime == 2 and wabs == 0.0):
-            E = thr * rng.uniform(1.05, 3.0)
-        elif regime == 1:
-            E = rng.uniform(1.02 * wabs + 0.05, 0.98 * thr)
-        else:
-            E = wabs * rng.uniform(0.05, 0.97)
-        rows.append((E, V, W, rng.uniform(0.2, 3.0) if kind == "barrier" else 0.0))
-    return rows
-
-
 def close(got, want, tol=1e-12):
     return abs(got - want) <= tol * max(1.0, abs(want))
 
@@ -261,6 +241,35 @@ def test_stacked_rows_match_single_solves(kind):
         assert got.current_spread[n] < 1e-10 * scale
         wave_spread = current_residual(res.wave, params)
         assert abs(got.current_spread[n] - wave_spread) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["step", "barrier"])
+def test_current_spread_matches_per_region_reference(monkeypatch, kind):
+    # bit for bit: the layout's sample points and the one exp over each
+    # term's own samples change no digit of the current check
+    calls = []
+    real = scatter._current_spread
+
+    def spy(*args):
+        calls.append((*args, real(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(scatter, "_current_spread", spy)
+    rows = seeded_rows(np.random.default_rng(85 if kind == "step" else 86), kind, 1000)
+    rows += [(1.5, 4.0, 1.0, 400.0), (-1.0, 2.0, 0.5, 1.0)]
+    E, V, W, a = (np.array(col) for col in zip(*rows))
+    got = solve_rows(kind, E, V, W, a, hbar=0.8, m=1.3)
+    assert sum(err is not None for err in got.errors) == 1 + (kind == "barrier")
+    layout, terms, amp, x, hbar, m, spread = calls[0]
+    n = len(amp)
+    mask = layout.region == np.arange(len(layout.first))[:, None]
+    inf = np.full(n, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = current_spread_per_region(mask, terms, amp,
+                                         (-inf, np.zeros(n), *x.T, inf), hbar, m)
+    assert spread.tobytes() == want.tobytes()
+    ok = [err is None for err in got.errors]
+    assert got.current_spread[ok].tobytes() == want[ok].tobytes()
 
 
 def test_stacked_rows_keep_failures_per_row():
