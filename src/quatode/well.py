@@ -5,7 +5,8 @@ homogeneous 8x8 matching system of the four decaying exterior modes and the
 four interior modes is singular: scatter's barrier system at E < 0, without
 its incident wave.  find_bound_states scans the smallest singular value of
 that system over a grid of energies, in stacked SVDs, and refines all local
-minima together by golden section.  The scattering module re-exports
+minima together by Brent's method; the acceptance residual takes an
+orthonormal basis of the interior columns.  The scattering module re-exports
 find_bound_states and BoundStateSet.
 """
 
@@ -28,7 +29,7 @@ class BoundStateSet:
 
 
 _SCAN_BLOCK = 64    # energies per stacked SVD; bounds the scan's working memory
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0    # golden-section fraction of a bracket
 
 
 def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -51,47 +52,81 @@ def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     return np.divide(mat, norms, out=mat)
 
 
-def _smallest_singular_values(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Smallest singular value of each energy's matching system."""
+def _smallest_singular_values(es: np.ndarray, params: PhysicalParams,
+                              span_interior: bool = False) -> np.ndarray:
+    """Smallest singular value of each energy's matching system.
+
+    span_interior puts an orthonormal basis of the interior columns' span in
+    their place: a state stays singular, but sigma no longer falls like
+    sqrt|E + |W|| at E = -|W|, where those columns turn parallel.
+    """
     out = np.empty(len(es))
     for lo in range(0, len(es), _SCAN_BLOCK):
         block = _bound_matrices(es[lo:lo + _SCAN_BLOCK], params)
+        if span_interior:
+            block[:, :, 2:6] = np.linalg.qr(block[:, :, 2:6])[0]
         out[lo:lo + _SCAN_BLOCK] = np.linalg.svd(block, compute_uv=False)[:, -1]
     return out
 
 
-def _golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
-                   params: PhysicalParams) -> np.ndarray:
-    """Golden-section minima of the smallest singular value, all brackets at once.
+def _brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
+                  params: PhysicalParams) -> np.ndarray:
+    """Brent minima of the smallest singular value, all brackets at once.
 
-    Every open bracket takes the scalar golden-section step; the new points
-    of one step are evaluated together.  Narrows lo and hi in place.
+    The scan triples es[n-1:n+2], sv[n-1:n+2] seed the brackets and first
+    parabolas.  Parabolas fit sigma^2, which near a simple root is
+    s^2 (E - E*)^2, so the vertex lands on the root.  Golden-section fallback
+    and minimum step tol1 = xtol / 2 as in R. P. Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 5.  A bracket closes when
+    all of it is within xtol of its best point; each step evaluates the
+    trial points of all open brackets in one call.
     """
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = np.split(_smallest_singular_values(np.concatenate([x1, x2]), params), 2)
-    active = hi - lo > xtol
-    while active.any():
-        left = active & (f1 <= f2)
-        right = active & ~left
-        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-        x1[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
-        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
-        x2[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
-        f = _smallest_singular_values(np.where(left, x1, x2)[active], params)
-        f1[left] = f[left[active]]
-        f2[right] = f[right[active]]
-        active = hi - lo > xtol
-    return 0.5 * (lo + hi)
+    a, x, b = es[n - 1], es[n], es[n + 1]
+    fa, fx, fb = sv[n - 1] ** 2, sv[n] ** 2, sv[n + 1] ** 2
+    w, v = np.where(fa <= fb, a, b), np.where(fa <= fb, b, a)
+    fw, fv = np.minimum(fa, fb), np.maximum(fa, fb)
+    d = e = b - a
+    tol1 = 0.5 * xtol
+    out, idx = np.empty_like(x), np.arange(x.size)
+    while True:
+        done = np.abs(x - 0.5 * (a + b)) <= 2.0 * tol1 - 0.5 * (b - a)
+        out[idx[done]] = x[done]
+        if done.all():
+            return out
+        idx, a, b, x, w, v, fx, fw, fv, d, e = (
+            s[~done] for s in (idx, a, b, x, w, v, fx, fw, fv, d, e))
+        xm = 0.5 * (a + b)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        e = np.where(parabolic, d, np.where(x >= xm, a - x, b - x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(parabolic, p / q, _CGOLD * e)
+        edge = parabolic & ((x + d - a < 2.0 * tol1) | (b - x - d < 2.0 * tol1))
+        d = np.where(edge, np.copysign(tol1, xm - x), d)
+        u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
+        fu = _smallest_singular_values(u, params) ** 2
+        better, right = fu <= fx, u >= x
+        a = np.where(better & right, x, np.where(~better & ~right, u, a))
+        b = np.where(better & ~right, x, np.where(~better & right, u, b))
+        to_w = ~better & (fu <= fw)
+        to_v = ~better & ~to_w & (fu <= fv)
+        v, fv = (np.where(better | to_w, w, np.where(to_v, u, v)),
+                 np.where(better | to_w, fw, np.where(to_v, fu, fv)))
+        w, fw = (np.where(better, x, np.where(to_w, u, w)),
+                 np.where(better, fx, np.where(to_w, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
 
 
 def find_bound_states(params: PhysicalParams, grid: int = 2000,
                       accept: float = 1e-8) -> BoundStateSet:
     """Scan E in (-sqrt(V^2+|W|^2), 0) for singular matching systems.
 
-    Local minima of the smallest singular value are refined by golden
-    section; energies whose refined minimum is below `accept` are returned
-    in ascending order.
+    Local minima of the smallest singular value are refined by Brent's
+    method; energies whose residual (span_interior in _smallest_singular_values)
+    is below `accept` are returned in ascending order.
     """
     if params.V <= 0.0 or params.a <= 0.0 or grid < 3:
         raise ValueError("well needs V > 0 and a > 0, and the scan grid >= 3")
@@ -101,8 +136,8 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     sv = _smallest_singular_values(es, params)
     # refine every local minimum; acceptance happens after refinement
     n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
-    e_star = _golden_minima(es[n - 1], es[n + 1], 1e-12 * max(1.0, vmax), params)
-    res = _smallest_singular_values(e_star, params)
+    e_star = _brent_minima(es, sv, n, 1e-12 * max(1.0, vmax), params)
+    res = _smallest_singular_values(e_star, params, span_interior=True)
     keep = res < accept
     found = list(zip(e_star[keep].tolist(), res[keep].tolist()))
     # merge refinements that converged to the same energy

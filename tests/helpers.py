@@ -18,7 +18,8 @@ from quatode.clode import SchrodingerModes
 from quatode.quadsolve import QuadraticCoeffs
 from quatode.qmat2 import Matrix2H, _outer_sum
 from quatode.quatcore import Quaternion, RightLinearScalarOp
-from quatode.scatter import _sample_xs, current_kernel
+from quatode.scatter import PhysicalParams, _sample_xs, current_kernel
+from quatode.well import _smallest_singular_values
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -450,3 +451,56 @@ def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,
     dpsi = np.einsum("nct,nrts->ncrs", coef, g[:, None, :, None] * e)
     j = current_kernel(psi[:, 0], psi[:, 1], dpsi[:, 0], dpsi[:, 1], hbar, m)
     return j.max(axis=(1, 2)) - j.min(axis=(1, 2))
+
+
+# the bound-state refinement's earlier golden-section search ----------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
+                  params: PhysicalParams) -> np.ndarray:
+    """Golden-section minima of the smallest singular value, all brackets at once.
+
+    Every open bracket takes the scalar golden-section step; the new points
+    of one step are evaluated together.  Narrows lo and hi in place.
+    """
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = np.split(_smallest_singular_values(np.concatenate([x1, x2]), params), 2)
+    active = hi - lo > xtol
+    while active.any():
+        left = active & (f1 <= f2)
+        right = active & ~left
+        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
+        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
+        f = _smallest_singular_values(np.where(left, x1, x2)[active], params)
+        f1[left] = f[left[active]]
+        f2[right] = f[right[active]]
+        active = hi - lo > xtol
+    return 0.5 * (lo + hi)
+
+
+def golden_bound_states(params: PhysicalParams, grid: int,
+                        accept: float = 1e-8) -> list[tuple[float, float]]:
+    """(energy, residual) of each state as well.find_bound_states found them
+    by golden section: the same scan, minima, acceptance and merge, with the
+    plain smallest singular value as the residual.
+
+    The reference for well._brent_minima and the acceptance residual.
+    """
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, grid)
+    sv = _smallest_singular_values(es, params)
+    n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
+    e_star = golden_minima(es[n - 1], es[n + 1], 1e-12 * max(1.0, vmax), params)
+    res = _smallest_singular_values(e_star, params)
+    merged: list[tuple[float, float]] = []
+    for e, r in sorted(zip(e_star[res < accept].tolist(), res[res < accept].tolist())):
+        if merged and abs(e - merged[-1][0]) < 1e-9 * max(1.0, vmax):
+            merged[-1] = min(merged[-1], (e, r), key=lambda state: state[1])
+        else:
+            merged.append((e, r))
+    return merged

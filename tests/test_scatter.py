@@ -11,8 +11,8 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              probability_current, solve_barrier, solve_rows,
                              solve_step)
 
-from helpers import (barrier_transmission, current_spread_per_region, scattering_row,
-                     seeded_rows, stationary_b_op, step_reflection,
+from helpers import (barrier_transmission, current_spread_per_region, golden_bound_states,
+                     scattering_row, seeded_rows, stationary_b_op, step_reflection,
                      well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
@@ -422,6 +422,95 @@ def test_bound_states_ten_state_well_at_coarse_grid():
     assert len(got.energies) == len(expected)
     for g, e in zip(got.energies, expected):
         assert abs(g - e) < 1e-9
+
+
+def seeded_well(rng, wabs):
+    """A well -V + jW whose W = 0 count of states is k, drawn in 1..10."""
+    k, V = int(rng.integers(1, 11)), rng.uniform(0.5, 50.0)
+    a = math.pi * (k - 1 + rng.uniform(0.2, 0.9)) / math.sqrt(2.0 * V)
+    W = wabs * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    return k, PhysicalParams(E=1.0, V=V, W=W, a=a)
+
+
+def unmatched(states, energies, tol):
+    """The (energy, residual) states with no energy of `energies` within tol."""
+    return [(e, r) for e, r in states if not any(abs(e - g) <= tol for g in energies)]
+
+
+@pytest.mark.parametrize("wclass", ["zero", "small", "sizable"])
+def test_bound_refinement_matches_golden_reference(wclass):
+    # 50 wells per class, alternately at grids 400 and 2000, against the
+    # golden-section refinement with the plain residual.  That residual also
+    # accepted a state at E = -|W|, where the interior columns turn parallel.
+    # And the two residuals are the smallest singular values of two column
+    # scalings of one system, about 10 % apart at a state, so a near-state
+    # with a residual close to `accept` may be in one list only.
+    rng = np.random.default_rng({"zero": 87, "small": 88, "sizable": 89}[wclass])
+    wells = []
+    for n in range(50):
+        wabs = {"zero": 0.0, "small": 10.0 ** rng.uniform(-6.0, -5.0),
+                "sizable": rng.uniform(0.5, 2.5)}[wclass]
+        wells.append((seeded_well(rng, wabs)[1], (400, 2000)[n % 2]))
+    if wclass == "sizable":
+        # plain residual 9.6e-9, orthonormal-basis one 1.06e-8; the
+        # transfer-matrix system of perfbench/reference.py gives 2.1e-8
+        W = 0.9110894852822884 * cmath.exp(1.3772483980045642j)
+        wells.append((PhysicalParams(E=1.0, V=37.35231914638898, W=W,
+                                     a=1.973974288561503), 400))
+    for params, grid in wells:
+        scale, wabs = max(1.0, params.threshold), abs(params.W)
+        want = golden_bound_states(params, grid)
+        got = find_bound_states(params, grid=grid)
+        merge = 1e-9 * scale    # find_bound_states' merge distance
+        assert all(abs(g - e) <= 1e-11 * scale for g in got.energies for e, _ in want
+                   if abs(g - e) < merge)
+        gone = unmatched(want, got.energies, merge)
+        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], merge)
+        assert all(abs(e + wabs) < merge or r >= 5e-9 for e, r in gone), (params, grid, gone)
+        assert all(r >= 5e-9 for _, r in new), (params, grid, new)
+        assert all(r < 1e-8 for r in got.residuals)
+
+
+@pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
+                                     (10.0, 0.4, 2.0)])
+def test_bound_refinement_call_count(monkeypatch, V, W, a):
+    # grid 400 is 7 scan blocks and 1 acceptance call; with the golden-section
+    # refinement these wells made 56 calls in all
+    calls = []
+    build = well._bound_matrices
+
+    def counted(es, params):
+        calls.append(es.size)
+        return build(es, params)
+
+    monkeypatch.setattr(well, "_bound_matrices", counted)
+    find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("grid", [400, 2000])
+@pytest.mark.parametrize("V, a, wabs, warg", [
+    (16.522987482791073, 0.1417499841944505, 2.1838127032618453, 2.2537636247604382),
+    (6.906180277444374, 1.5296913177746458, 2.3833143584525365, -1.7049448436783115),
+    (2.8076495272615762, 1.9303434086278226, 0.6837317967800727, 2.1867305379901936)])
+def test_bound_no_state_where_interior_modes_coincide(V, a, wabs, warg, grid):
+    # at E = -|W| the interior mode pairs coincide and the smallest singular
+    # value of the column-normalised system falls like sqrt|E + |W||; a
+    # transfer-matrix scan of these wells finds no state anywhere
+    params = PhysicalParams(E=1.0, V=V, W=wabs * cmath.exp(1j * warg), a=a)
+    assert find_bound_states(params, grid=grid).energies == ()
+
+
+def test_bound_state_count_at_zero_w():
+    # at W = 0 the well holds ceil(a sqrt(2 m V) / (pi hbar)) states
+    rng = np.random.default_rng(90)
+    for _ in range(100):
+        k, params = seeded_well(rng, 0.0)
+        count = math.ceil(params.a * math.sqrt(2.0 * params.m * params.V)
+                          / (math.pi * params.hbar))
+        assert count == k
+        assert len(find_bound_states(params, grid=400).energies) == count, params
+        assert len(find_bound_states(params).energies) == count, params
 
 
 def test_bound_states_need_well_geometry():
