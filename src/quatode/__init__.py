@@ -60,7 +60,6 @@ from .scatter import (
     Regime,
     ScatteringResult,
     ScatteringRows,
-    probability_current,
     solve_barrier,
     solve_rows,
     solve_step,
@@ -81,7 +80,7 @@ __all__ = [
     "UnsupportedStructureError",
     "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
     "find_bound_states", "general_solution", "jordanize", "normalize",
-    "oracle", "probability_current", "rebase_sphere_exponential",
+    "oracle", "rebase_sphere_exponential",
     "right_eigenpairs", "schrodinger_modes", "solve", "solve_barrier",
     "solve_clinear", "solve_clinear_ops", "solve_coeffs", "solve_ivp",
     "solve_ode_via_matrix", "solve_quaternion", "solve_rows", "solve_step",

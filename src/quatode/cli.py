@@ -221,8 +221,8 @@ def _add_physical_flags(sub, with_a: bool, e_flag: bool = True, number=float):
     sub.add_argument("--Warg", type=number, default=0.0, help="arg W in radians")
     if with_a:
         sub.add_argument("--a", type=number, required=True, help="width > 0")
-    sub.add_argument("--hbar", type=float, default=1.0)
-    sub.add_argument("--mass", type=float, default=1.0)
+    sub.add_argument("--hbar", type=_finite, default=1.0)
+    sub.add_argument("--mass", type=_finite, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = subs.add_parser("sweep", help="sweep one parameter, CSV output")
     p_sw.add_argument("kind", choices=("step", "barrier"))
     p_sw.add_argument("--param", choices=("E", "V", "Wabs", "a"), required=True)
-    p_sw.add_argument("--start", type=float, required=True)
-    p_sw.add_argument("--stop", type=float, required=True)
+    p_sw.add_argument("--start", type=_finite, required=True)
+    p_sw.add_argument("--stop", type=_finite, required=True)
     p_sw.add_argument("--count", type=int, required=True)
     # fixed values; the swept one may be omitted
     p_sw.add_argument("--E", type=float, default=None)
@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--Wabs", type=float, default=0.0)
     p_sw.add_argument("--Warg", type=float, default=0.0)
     p_sw.add_argument("--a", type=float, default=0.0)
-    p_sw.add_argument("--hbar", type=float, default=1.0)
-    p_sw.add_argument("--mass", type=float, default=1.0)
+    p_sw.add_argument("--hbar", type=_finite, default=1.0)
+    p_sw.add_argument("--mass", type=_finite, default=1.0)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_bd = subs.add_parser("bound", help="bound states of the rectangular well")

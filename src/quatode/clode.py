@@ -179,7 +179,7 @@ def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
     sigma = (np.sqrt(E * E - np.hypot(W.real, W.imag) ** 2, dtype=complex)
              * np.where(E < 0.0, -1.0, 1.0))
     denom = E + sigma
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wfrac, wbar = W / denom, np.conj(W) / denom
     return ModeArrays(sigma, denom, np.sqrt(V - sigma), np.sqrt(V + sigma), wfrac, wbar)
 
@@ -192,8 +192,8 @@ def schrodinger_modes(E: float, V: float, W: complex,
     u_- = 1 + j W / (E + sigma), u_+ = conj(W) / (E + sigma) + j.
     One row of schrodinger_mode_arrays.
     """
-    if hbar <= 0.0 or m <= 0.0:
-        raise ValueError("hbar and m must be positive")
+    if not (0.0 < hbar < math.inf and 0.0 < m < math.inf):
+        raise ValueError("hbar and m must be positive and finite")
     W = complex(W)
     modes = schrodinger_mode_arrays(E, V, W)
     sigma, denom = complex(modes.sigma), complex(modes.denom)

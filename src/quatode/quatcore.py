@@ -330,10 +330,6 @@ class ExpSum:
     def __add__(self, other: "ExpSum") -> "ExpSum":
         return ExpSum(self.terms + other.terms)
 
-    def max_rate(self) -> float:
-        """Largest |z| over the terms."""
-        return max((abs(t.z) for t in self.terms), default=0.0)
-
 
 def rebase_sphere_exponential(alpha_vec) -> tuple[Quaternion, Quaternion]:
     """Constant quaternions (c+, c-) expanding an arbitrary-axis oscillation.

@@ -14,7 +14,8 @@ J = (hbar/2m) [(dPsi/dx)~ i Psi - Psi~ i dPsi/dx] = (hbar/m) <dPsi/dx, i Psi>,
 whose fixed i-placement is what survives non-commutativity.  Above the
 threshold E = sqrt(V^2+|W|^2) the transmitted current carries the flux factor
 sqrt((sqrt(E^2-|W|^2) - V)/E) * (1 - |W/(E + sqrt(E^2-|W|^2))|^2), so
-R + T = 1 holds exactly; below threshold T = 0 and |r| = 1.
+R + T = 1 holds exactly; below threshold T = 0 and |r| = 1.  The check of a
+solved row is current_spread, max - min of J at three points per region.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class PhysicalParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0.0 or self.m <= 0.0:
-            raise ValueError("hbar and m must be positive")
+        if not (0.0 < self.hbar < math.inf and 0.0 < self.m < math.inf):
+            raise ValueError("hbar and m must be positive and finite")
         object.__setattr__(self, "W", complex(self.W))
 
     @property
@@ -98,6 +99,7 @@ class ScatteringResult:
     t_tilde: complex
     R: float
     T: float
+    current_spread: float
     regime: Regime
     params: PhysicalParams
     _rows: ScatteringRows = field(repr=False, compare=False)
@@ -138,7 +140,7 @@ def _layout(regions: int) -> _Layout:
     the last region.  The mode table holds the rightward, leftward, principal
     and negated principal rates (blocks 0..3), each as z-, z+ (root 0, 1) of
     the free medium and the potential (medium 0, 1), then wbar, wfrac, 1.
-    The current check samples each region where _sample_xs does (_current_spread).
+    _current_spread samples each region at lo + reach * steps / parts.
     """
     last = regions - 1
     region, block, root = np.array(
@@ -253,35 +255,19 @@ def _nudge_off_threshold(E: np.ndarray, threshold: np.ndarray,
     return out
 
 
-def _sample_xs(lo: np.ndarray, hi: np.ndarray, rate: np.ndarray,
-               per_region: int) -> np.ndarray:
-    """per_region points inside each row's (lo, hi): shape (n, per_region).
-
-    On a half-line the points lie 1/(1 + rate) apart from the finite end, so
-    a mode of spatial rate `rate` changes by O(1) among them.  Every row's
-    region is unbounded on the same side.
-    """
-    k = np.arange(per_region)
-    if np.isinf(lo).any():
-        return hi[:, None] - (1.0 / (1.0 + rate))[:, None] * (k + 0.5)
-    if np.isinf(hi).any():
-        return lo[:, None] + (1.0 / (1.0 + rate))[:, None] * (k + 0.5)
-    return lo[:, None] + (hi - lo)[:, None] * (k + 1.0) / (per_region + 1.0)
-
-
 def current_kernel(psi1, psi2, dpsi1, dpsi2, hbar: float = 1.0, m: float = 1.0):
     """Probability current (hbar/m) <psi', i psi> in symplectic coordinates.
 
     <p, q> is the real inner product Re(p~ q).  With psi = psi1 + j psi2,
     i psi = i psi1 + j (-i psi2), so <psi', i psi> equals
-    Im(psi1' conj(psi1)) - Im(psi2' conj(psi2)).  This is the closed form of
-    probability_current for any psi, psi'; it takes scalars or arrays.
+    Im(psi1' conj(psi1)) - Im(psi2' conj(psi2)) for any psi, psi'; it takes
+    scalars or arrays.
     """
     return hbar / m * (np.imag(dpsi1 * np.conj(psi1)) - np.imag(dpsi2 * np.conj(psi2)))
 
 
 def _current_spread(layout: _Layout, terms, amp, x, hbar: float, m: float) -> np.ndarray:
-    """max - min of the current at the points current_samples picks, row by row.
+    """max - min of the current at three points per region, row by row.
 
     terms is the (n, 3, terms) g, u1, u2 of _matching, amp the (n, terms)
     amplitudes and x the (n, regions - 2) edges after the one at 0.  Each
@@ -291,7 +277,8 @@ def _current_spread(layout: _Layout, terms, amp, x, hbar: float, m: float) -> np
     g = terms[:, 0]
     coef = terms[:, 1:] * amp[:, None, :]
     widest = np.maximum.reduceat(np.hypot(g.real, g.imag), layout.first, axis=1)
-    # a half-line reaches 1 / (1 + rate) from its edge, an inner region hi - lo
+    # a half-line reaches 1 / (1 + rate) from its edge, rate its largest |g|, so
+    # each mode changes by O(1) among the samples; an inner region reaches hi - lo
     lo = np.concatenate([np.zeros((n, 2)), x], axis=1)
     step = 1.0 / (1.0 + widest)
     reach = np.concatenate([step[:, :1], lo[:, 2:] - lo[:, 1:-1], step[:, -1:]], axis=1)
@@ -317,7 +304,7 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     _matching gives one (n, 4, 4) or (n, 8, 8) complex system, solved by
     one stacked np.linalg.solve; if one system is singular the rows are
     solved one at a time to find it.  current_spread is max - min of the
-    probability current at the points current_samples picks.
+    probability current at three points per region (_current_spread).
 
     Errors are per row: ValueError for E <= 0, a <= 0 (barrier) or a
     non-finite input; OverflowError when the matching system is not finite
@@ -326,8 +313,8 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     """
     if kind not in _REGIONS:
         raise ValueError(f"unknown scattering geometry {kind!r}")
-    if not (hbar > 0.0 and m > 0.0):
-        raise ValueError("hbar and m must be positive")
+    if not (0.0 < hbar < math.inf and 0.0 < m < math.inf):
+        raise ValueError("hbar and m must be positive and finite")
     barrier = kind == "barrier"
     E, V, W, a = [np.asarray(x, dtype=t) for x, t in
                   ((E, float), (V, float), (W, complex), (a, float))]
@@ -434,6 +421,7 @@ def _solve_single(kind: str, params: PhysicalParams) -> ScatteringResult:
     return ScatteringResult(r=complex(rows.r[0]), r_tilde=complex(rows.r_tilde[0]),
                             t=complex(rows.t[0]), t_tilde=complex(rows.t_tilde[0]),
                             R=float(rows.R[0]), T=float(rows.T[0]),
+                            current_spread=float(rows.current_spread[0]),
                             regime=rows.regimes[0], params=params, _rows=rows)
 
 
@@ -451,37 +439,10 @@ def solve_barrier(params: PhysicalParams) -> ScatteringResult:
     return _solve_single("barrier", params)
 
 
-def probability_current(psi: Quaternion, dpsi: Quaternion,
-                        params: PhysicalParams) -> float:
-    """Scalar part of (hbar/2m)[(dpsi)~ i psi - psi~ i dpsi].
-
-    The bracket is conjugation-invariant, hence real for any inputs; for
-    stationary solutions it is also independent of x.  The quaternion-product
-    reference for current_kernel.
-    """
-    i = Quaternion(0, 1, 0, 0)
-    bracket = dpsi.conjugate() * i * psi - psi.conjugate() * i * dpsi
-    return params.hbar / (2.0 * params.m) * bracket.w
-
-
-def current_samples(wave: PiecewiseWave, params: PhysicalParams,
-                    per_region: int = _SAMPLES) -> list[tuple[float, float]]:
-    """Probability current at a few interior points of every region."""
-    out = []
-    for reg in wave.regions:
-        xs = _sample_xs(np.array([reg.lo]), np.array([reg.hi]),
-                        np.array([reg.max_rate()]), per_region)[0]
-        for x in xs.tolist():
-            psi1, psi2 = reg.value(x).symplectic()
-            dpsi1, dpsi2 = reg.derivative(x).symplectic()
-            out.append((x, float(current_kernel(psi1, psi2, dpsi1, dpsi2,
-                                                params.hbar, params.m))))
-    return out
-
-
-def current_residual(wave: PiecewiseWave, params: PhysicalParams) -> float:
-    js = [j for _, j in current_samples(wave, params)]
-    return max(js) - min(js)
+# perfbench's tracer wraps this name: keep it
+def current_residual(result: ScatteringResult) -> float:
+    """max - min of the probability current at the row's sample points."""
+    return result.current_spread
 
 
 # the bound states of the well -V + jW, found through this module as well

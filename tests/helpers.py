@@ -18,7 +18,7 @@ from quatode.clode import SchrodingerModes
 from quatode.quadsolve import QuadraticCoeffs
 from quatode.qmat2 import Matrix2H, _outer_sum
 from quatode.quatcore import Quaternion, RightLinearScalarOp
-from quatode.scatter import PhysicalParams, _sample_xs, current_kernel
+from quatode.scatter import PhysicalParams, current_kernel
 from quatode.well import _smallest_singular_values
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
@@ -426,6 +426,60 @@ def csv_lines_per_number(kind, rows, E, V, W, a) -> list[str]:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def probability_current(psi: Quaternion, dpsi: Quaternion,
+                        params: PhysicalParams) -> float:
+    """Scalar part of (hbar/2m)[(dpsi)~ i psi - psi~ i dpsi].
+
+    The bracket is conjugation-invariant, hence real for any inputs; for
+    stationary solutions it is also independent of x.  The quaternion-product
+    reference for current_kernel.
+    """
+    i = Quaternion(0, 1, 0, 0)
+    bracket = dpsi.conjugate() * i * psi - psi.conjugate() * i * dpsi
+    return params.hbar / (2.0 * params.m) * bracket.w
+
+
+def _sample_xs(lo: np.ndarray, hi: np.ndarray, rate: np.ndarray,
+               per_region: int) -> np.ndarray:
+    """per_region points inside each row's (lo, hi): shape (n, per_region).
+
+    On a half-line the points lie 1/(1 + rate) apart from the finite end, so
+    a mode of spatial rate `rate` changes by O(1) among them.  Every row's
+    region is unbounded on the same side.
+    """
+    k = np.arange(per_region)
+    if np.isinf(lo).any():
+        return hi[:, None] - (1.0 / (1.0 + rate))[:, None] * (k + 0.5)
+    if np.isinf(hi).any():
+        return lo[:, None] + (1.0 / (1.0 + rate))[:, None] * (k + 0.5)
+    return lo[:, None] + (hi - lo)[:, None] * (k + 1.0) / (per_region + 1.0)
+
+
+def current_samples(wave, params: PhysicalParams,
+                    per_region: int = 3) -> list[tuple[float, float]]:
+    """Probability current at a few interior points of every region.
+
+    The reference for scatter._current_spread: the ExpSum regions of a
+    solved row's .wave, evaluated one point at a time.
+    """
+    out = []
+    for reg in wave.regions:
+        xs = _sample_xs(np.array([reg.lo]), np.array([reg.hi]),
+                        np.array([max(abs(t.z) for t in reg.terms)]), per_region)[0]
+        for x in xs.tolist():
+            psi1, psi2 = reg.value(x).symplectic()
+            dpsi1, dpsi2 = reg.derivative(x).symplectic()
+            out.append((x, float(current_kernel(psi1, psi2, dpsi1, dpsi2,
+                                                params.hbar, params.m))))
+    return out
+
+
+def wave_current_residual(wave, params: PhysicalParams) -> float:
+    """max - min of current_samples: the row's current check, re-sampled."""
+    js = [j for _, j in current_samples(wave, params)]
+    return max(js) - min(js)
 
 
 def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,

@@ -324,7 +324,7 @@ def test_criterion_10_property_suites():
             a=rng.uniform(0.3, 2.0))
         res = scatter.solve_barrier(params) if n % 2 else scatter.solve_step(params)
         scale = max(1.0, params.momentum / params.m)
-        ok &= scatter.current_residual(res.wave, params) < 1e-10 * scale
+        ok &= scatter.current_residual(res) < 1e-10 * scale
 
     # right complex linearity of the complex-linear solver
     solved = 0

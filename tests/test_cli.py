@@ -186,6 +186,10 @@ def test_long_sweep_matches_per_number_reference(capsys):
     ["scatter", "step", "--E", "1", "--V", "1", "--hbar=-1"],
     ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
      "--count", "3", "--V", "1", "--hbar", "nan"],
+    ["bound", "--V", "5", "--a", "1", "--hbar", "inf"],
+    ["scatter", "step", "--E", "1", "--V", "1", "--hbar", "inf"],
+    ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
+     "--count", "3", "--V", "1", "--hbar", "inf"],
 ])
 def test_nonpositive_hbar_is_usage_error(argv):
     with pytest.raises(SystemExit) as info:
@@ -198,6 +202,10 @@ def test_nonpositive_hbar_is_usage_error(argv):
     ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
      "--count", "3", "--V", "1", "--mass=-1"],
     ["bound", "--V", "10", "--a", "2", "--mass", "0"],
+    ["scatter", "barrier", "--E", "1", "--V", "2", "--a", "1", "--mass", "inf"],
+    ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
+     "--count", "3", "--V", "1", "--mass", "inf"],
+    ["bound", "--V", "10", "--a", "2", "--mass", "inf"],
 ])
 def test_nonpositive_mass_is_usage_error(argv):
     with pytest.raises(SystemExit) as info:
@@ -362,7 +370,9 @@ _ODE_TAIL = ("--b", "0,0,0,0", "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0")
     ["eig", "nan"] + ["0"] * 15,
     ["ode", "h", "--a", "1,0,0,0", *_ODE_TAIL, "--points", "0.5,nan"],
     ["ode", "h", "--a", "inf,0,0,0", *_ODE_TAIL, "--points", "0.5"],
-], ids=["quad", "bound-V", "bound-Warg", "eig", "ode-points", "ode-coeff"])
+    ["sweep", "barrier", "--param", "E", "--start", "1", "--stop", "inf",
+     "--count", "3", "--V", "2", "--a", "1"],
+], ids=["quad", "bound-V", "bound-Warg", "eig", "ode-points", "ode-coeff", "sweep-stop"])
 def test_non_finite_number_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)

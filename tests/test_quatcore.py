@@ -302,5 +302,3 @@ def test_exp_sum_products_and_sums():
                                for L, Lx, q, R in spec_s])
         _check_exp_sum(s * c, [(L, Lx, q, R * c) for L, Lx, q, R in spec_s])
         _check_exp_sum(s + t, spec_s + spec_t)
-        rates = [_as_quaternion(q).norm() for _, _, q, _ in spec_t]
-        assert abs(t.max_rate() - max(rates)) <= 1e-15 * max(rates)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ import pytest
 from quatode import scatter, well
 from quatode.quatcore import Quaternion, RightLinearScalarOp
 from quatode.scatter import (PhysicalParams, Regime, current_kernel,
-                             current_residual, current_samples, find_bound_states,
-                             probability_current, solve_barrier, solve_rows,
-                             solve_step)
+                             current_residual, find_bound_states, schrodinger_modes,
+                             solve_barrier, solve_rows, solve_step)
 
-from helpers import (barrier_transmission, current_spread_per_region, golden_bound_states,
-                     scattering_row, seeded_rows, stationary_b_op, step_reflection,
-                     well_bound_energies, well_matrix)
+from helpers import (barrier_transmission, current_samples, current_spread_per_region,
+                     golden_bound_states, probability_current, scattering_row,
+                     seeded_rows, stationary_b_op, step_reflection,
+                     wave_current_residual, well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -115,7 +116,7 @@ def test_step_current_independent_of_x():
                                 W=complex(*rng.standard_normal(2)))
         res = solve_step(params)
         scale = max(1.0, params.momentum / params.m)
-        assert current_residual(res.wave, params) < 1e-10 * scale
+        assert wave_current_residual(res.wave, params) < 1e-10 * scale
 
 
 def test_step_scale_invariance():
@@ -185,7 +186,7 @@ def test_barrier_current_independent_of_x():
                                 a=rng.uniform(0.3, 2.0))
         res = solve_barrier(params)
         scale = max(1.0, params.momentum / params.m)
-        assert current_residual(res.wave, params) < 1e-9 * scale
+        assert wave_current_residual(res.wave, params) < 1e-9 * scale
 
 
 def test_barrier_solution_satisfies_ode():
@@ -239,7 +240,9 @@ def test_stacked_rows_match_single_solves(kind):
             assert close(x, y) and close(x, z)
         scale = max(1.0, params.momentum / params.m)
         assert got.current_spread[n] < 1e-10 * scale
-        wave_spread = current_residual(res.wave, params)
+        assert current_residual(res) == res.current_spread
+        assert res.current_spread == got.current_spread[n]    # bit for bit
+        wave_spread = wave_current_residual(res.wave, params)
         assert abs(got.current_spread[n] - wave_spread) < 1e-13 * scale
 
 
@@ -530,3 +533,22 @@ def test_params_validation():
         PhysicalParams(E=1.0, V=0.0, hbar=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(E=1.0, V=0.0, m=-1.0)
+
+
+@pytest.mark.parametrize("hbar, m", [(math.inf, 1.0), (math.nan, 1.0),
+                                     (1.0, math.inf), (1.0, math.nan)])
+def test_non_finite_constants_are_rejected(hbar, m):
+    with pytest.raises(ValueError):
+        PhysicalParams(E=1.0, V=5.0, a=1.0, hbar=hbar, m=m)
+    with pytest.raises(ValueError):
+        solve_rows("barrier", 1.0, 5.0, 0.0, 1.0, hbar=hbar, m=m)
+    with pytest.raises(ValueError):
+        schrodinger_modes(1.0, 5.0, 0.0, hbar=hbar, m=m)
+
+
+def test_subnormal_energy_fails_without_warnings():
+    # the row is reported as OverflowError; no numpy warning may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_rows("step", 1e-320, 0.0, 0.0)
+    assert isinstance(got.errors[0], OverflowError)
