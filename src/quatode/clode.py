@@ -229,9 +229,9 @@ def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:
 
 def stationary_phase(E: float, hbar: float, zeta0: Quaternion) -> Callable[[float], Quaternion]:
     """Unit time factor t -> exp(-i E t / hbar) * zeta0, zeta0 on the right."""
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
-    if abs(zeta0.norm() - 1.0) > 1e-12:
+    if not (math.isfinite(E) and 0.0 < hbar < math.inf):
+        raise ValueError("E must be finite, hbar positive and finite")
+    if not abs(zeta0.norm() - 1.0) <= 1e-12:
         raise ValueError("zeta(0) must be a unit quaternion")
 
     def zeta(t: float) -> Quaternion:

@@ -558,3 +558,59 @@ def golden_bound_states(params: PhysicalParams, grid: int,
         else:
             merged.append((e, r))
     return merged
+
+
+# the bound-state refinement's earlier vectorised Brent search --------------
+
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
+                          params: PhysicalParams) -> np.ndarray:
+    """Brent minima of the smallest singular value, all brackets at once.
+
+    The scan triples es[n-1:n+2], sv[n-1:n+2] seed the brackets and first
+    parabolas.  Parabolas fit sigma^2, which near a simple root is
+    s^2 (E - E*)^2, so the vertex lands on the root.  Golden-section fallback
+    and minimum step tol1 = xtol / 2 as in R. P. Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 5.  A bracket closes when
+    all of it is within xtol of its best point; each step evaluates the
+    trial points of all open brackets in one call.
+    """
+    a, x, b = es[n - 1], es[n], es[n + 1]
+    fa, fx, fb = sv[n - 1] ** 2, sv[n] ** 2, sv[n + 1] ** 2
+    w, v = np.where(fa <= fb, a, b), np.where(fa <= fb, b, a)
+    fw, fv = np.minimum(fa, fb), np.maximum(fa, fb)
+    d = e = b - a
+    tol1 = 0.5 * xtol
+    out, idx = np.empty_like(x), np.arange(x.size)
+    while True:
+        done = np.abs(x - 0.5 * (a + b)) <= 2.0 * tol1 - 0.5 * (b - a)
+        out[idx[done]] = x[done]
+        if done.all():
+            return out
+        idx, a, b, x, w, v, fx, fw, fv, d, e = (
+            s[~done] for s in (idx, a, b, x, w, v, fx, fw, fv, d, e))
+        xm = 0.5 * (a + b)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        e = np.where(parabolic, d, np.where(x >= xm, a - x, b - x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(parabolic, p / q, _CGOLD * e)
+        edge = parabolic & ((x + d - a < 2.0 * tol1) | (b - x - d < 2.0 * tol1))
+        d = np.where(edge, np.copysign(tol1, xm - x), d)
+        u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
+        fu = _smallest_singular_values(u, params) ** 2
+        better, right = fu <= fx, u >= x
+        a = np.where(better & right, x, np.where(~better & ~right, u, a))
+        b = np.where(better & ~right, x, np.where(~better & right, u, b))
+        to_w = ~better & (fu <= fw)
+        to_v = ~better & ~to_w & (fu <= fv)
+        v, fv = (np.where(better | to_w, w, np.where(to_v, u, v)),
+                 np.where(better | to_w, fw, np.where(to_v, fu, fv)))
+        w, fw = (np.where(better, x, np.where(to_w, u, w)),
+                 np.where(better, fx, np.where(to_w, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)

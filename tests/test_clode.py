@@ -290,3 +290,12 @@ def test_stationary_phase_unit_norm():
 def test_stationary_phase_requires_unit():
     with pytest.raises(ValueError):
         stationary_phase(1.0, 1.0, 2 * ONE)
+
+
+@pytest.mark.parametrize("E, hbar, zeta0", [
+    (1.0, math.inf, ONE), (1.0, math.nan, ONE), (1.0, 0.0, ONE), (1.0, -1.0, ONE),
+    (math.nan, 1.0, ONE), (math.inf, 1.0, ONE), (-math.inf, 1.0, ONE),
+    (1.0, 1.0, Quaternion(math.nan)), (1.0, 1.0, Quaternion(math.inf))])
+def test_stationary_phase_rejects_non_finite(E, hbar, zeta0):
+    with pytest.raises(ValueError):
+        stationary_phase(E, hbar, zeta0)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              solve_barrier, solve_rows, solve_step)
 
 from helpers import (barrier_transmission, current_samples, current_spread_per_region,
-                     golden_bound_states, probability_current, scattering_row,
-                     seeded_rows, stationary_b_op, step_reflection,
+                     golden_bound_states, lockstep_brent_minima, probability_current,
+                     scattering_row, seeded_rows, stationary_b_op, step_reflection,
                      wave_current_residual, well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
@@ -474,11 +475,54 @@ def test_bound_refinement_matches_golden_reference(wclass):
         assert all(r < 1e-8 for r in got.residuals)
 
 
+@pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.1, 1.0), (0.3, 2.0), (3.0, 0.5)])
+def test_bound_refinement_matches_lockstep_reference(monkeypatch, hbar, m):
+    # 25 wells per (hbar, m), |W| zero, small and sizable, against the
+    # vectorised Brent search that ran every bracket down to xtol.  Closing a
+    # bracket early may move only energies that are rejected either way; the
+    # W = 0 well below has a state that a closure on sigma(x) > 100 accept
+    # alone drops (sigma(x) = 2.3e-6 at a width of 2e5 xtol).
+    rng = np.random.default_rng(round(91 + 10 * hbar + m))
+    wells = []
+    for n in range(25):
+        wabs = (0.0, 10.0 ** rng.uniform(-6.0, -2.0), rng.uniform(0.5, 2.5))[n % 3]
+        wells.append((replace(seeded_well(rng, wabs)[1], hbar=hbar, m=m),
+                      (400, 400, 400, 400, 2000)[n % 5]))
+    if (hbar, m) == (0.3, 2.0):
+        wells.append((PhysicalParams(E=1.0, V=2.9488610177271397, W=0.0,
+                                     a=12.398374598593811, hbar=0.3, m=2.0), 2000))
+    brent, minima = well._brent_minima, []
+
+    def spy(minimise):
+        def spied(es, sv, n, xtol, accept, params):
+            minima.append(minimise(es, sv, n, xtol, accept, params))
+            return minima[-1]
+        return spied
+
+    def reference(es, sv, n, xtol, accept, params):
+        return lockstep_brent_minima(es, sv, n, xtol, params)
+
+    closed = 0
+    for params, grid in wells:
+        minima.clear()
+        monkeypatch.setattr(well, "_brent_minima", spy(brent))
+        got = find_bound_states(params, grid=grid)
+        monkeypatch.setattr(well, "_brent_minima", spy(reference))
+        want = find_bound_states(params, grid=grid)
+        assert (got.energies, got.residuals) == (want.energies, want.residuals), params
+        moved = minima[0] != minima[1]
+        closed += np.count_nonzero(moved)
+        residual = well._smallest_singular_values(minima[1][moved], params, span_interior=True)
+        assert np.all(residual >= 1e-8), (params, grid)
+    assert closed > 0
+
+
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
     # grid 400 is 7 scan blocks and 1 acceptance call; with the golden-section
-    # refinement these wells made 56 calls in all
+    # refinement these wells made 56 calls in all, and 28 and 39 while every
+    # Brent bracket ran down to xtol
     calls = []
     build = well._bound_matrices
 
@@ -488,7 +532,7 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
 
     monkeypatch.setattr(well, "_bound_matrices", counted)
     find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
-    assert len(calls) <= 40
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("grid", [400, 2000])
@@ -521,6 +565,13 @@ def test_bound_states_need_well_geometry():
         find_bound_states(PhysicalParams(E=1.0, V=-1.0, W=0.0, a=1.0))
     with pytest.raises(ValueError):
         find_bound_states(PhysicalParams(E=1.0, V=1.0, W=0.0, a=0.0))
+    nan, inf = math.nan, math.inf
+    for V, W, a in [(nan, 0.0, 1.0), (inf, 0.0, 1.0), (1.0, 0.0, inf), (1.0, 0.0, nan),
+                    (1.0, nan, 1.0), (1.0, complex(0.0, inf), 1.0), (1.0, inf, 1.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a))
 
 
 def test_bound_states_need_three_scan_energies():
