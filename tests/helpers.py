@@ -19,7 +19,7 @@ from quatode.quadsolve import QuadraticCoeffs
 from quatode.qmat2 import Matrix2H, _outer_sum
 from quatode.quatcore import Quaternion, RightLinearScalarOp
 from quatode.scatter import PhysicalParams, current_kernel
-from quatode.well import _smallest_singular_values
+from quatode.well import _bound_matrices, _folded_residual
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -512,6 +512,11 @@ def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def smallest_singular_values(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """The plain residual: the smallest singular value of well._bound_matrices."""
+    return np.linalg.svd(_bound_matrices(es, params), compute_uv=False)[:, -1]
+
+
 def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
                   params: PhysicalParams) -> np.ndarray:
     """Golden-section minima of the smallest singular value, all brackets at once.
@@ -521,7 +526,7 @@ def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
     """
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = np.split(_smallest_singular_values(np.concatenate([x1, x2]), params), 2)
+    f1, f2 = np.split(smallest_singular_values(np.concatenate([x1, x2]), params), 2)
     active = hi - lo > xtol
     while active.any():
         left = active & (f1 <= f2)
@@ -530,7 +535,7 @@ def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
         x1[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
         lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
         x2[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
-        f = _smallest_singular_values(np.where(left, x1, x2)[active], params)
+        f = smallest_singular_values(np.where(left, x1, x2)[active], params)
         f1[left] = f[left[active]]
         f2[right] = f[right[active]]
         active = hi - lo > xtol
@@ -543,14 +548,15 @@ def golden_bound_states(params: PhysicalParams, grid: int,
     by golden section: the same scan, minima, acceptance and merge, with the
     plain smallest singular value as the residual.
 
-    The reference for well._brent_minima and the acceptance residual.
+    The reference for well._brent_minima, well._folded_residual and the
+    acceptance residual.
     """
     vmax = params.threshold
     es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, grid)
-    sv = _smallest_singular_values(es, params)
+    sv = smallest_singular_values(es, params)
     n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
     e_star = golden_minima(es[n - 1], es[n + 1], 1e-12 * max(1.0, vmax), params)
-    res = _smallest_singular_values(e_star, params)
+    res = smallest_singular_values(e_star, params)
     merged: list[tuple[float, float]] = []
     for e, r in sorted(zip(e_star[res < accept].tolist(), res[res < accept].tolist())):
         if merged and abs(e - merged[-1][0]) < 1e-9 * max(1.0, vmax):
@@ -567,10 +573,10 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
                           params: PhysicalParams) -> np.ndarray:
-    """Brent minima of the smallest singular value, all brackets at once.
+    """Brent minima of well._folded_residual r, all brackets at once.
 
     The scan triples es[n-1:n+2], sv[n-1:n+2] seed the brackets and first
-    parabolas.  Parabolas fit sigma^2, which near a simple root is
+    parabolas.  Parabolas fit r^2, which near a simple root is
     s^2 (E - E*)^2, so the vertex lands on the root.  Golden-section fallback
     and minimum step tol1 = xtol / 2 as in R. P. Brent, Algorithms for
     Minimization without Derivatives (1973), ch. 5.  A bracket closes when
@@ -603,7 +609,7 @@ def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: f
         edge = parabolic & ((x + d - a < 2.0 * tol1) | (b - x - d < 2.0 * tol1))
         d = np.where(edge, np.copysign(tol1, xm - x), d)
         u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
-        fu = _smallest_singular_values(u, params) ** 2
+        fu = _folded_residual(u, params) ** 2
         better, right = fu <= fx, u >= x
         a = np.where(better & right, x, np.where(~better & ~right, u, a))
         b = np.where(better & ~right, x, np.where(~better & right, u, b))

@@ -388,11 +388,13 @@ def test_non_finite_number_is_usage_error(capsys, argv):
      "quatode ode: OverflowError: "),
     (["bound", "--V", "10", "--Wabs", "10", "--a", "500"],
      "quatode bound: OverflowError: "),
+    (["bound", "--V", "1e308", "--a", "1"],
+     "quatode bound: ValueError: well depth "),
     (["quad", "0", "1e200", "0", "0", "0", "1e200", "1", "0"],
      "quatode quad: OverflowError: "),
     (["quad", "1e308", "0", "0", "0", "1e308", "0", "0", "0"],
      "quatode quad: OverflowError: "),
-], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well",
+], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well", "bound-huge-depth",
         "quad-vector-overflow", "quad-shift-overflow"])
 def test_solver_error_is_one_stderr_line(capsys, argv, cause):
     code = main(argv)

@@ -512,7 +512,7 @@ def test_bound_refinement_matches_lockstep_reference(monkeypatch, hbar, m):
         assert (got.energies, got.residuals) == (want.energies, want.residuals), params
         moved = minima[0] != minima[1]
         closed += np.count_nonzero(moved)
-        residual = well._smallest_singular_values(minima[1][moved], params, span_interior=True)
+        residual = well._certificate(minima[1][moved], params)
         assert np.all(residual >= 1e-8), (params, grid)
     assert closed > 0
 
@@ -520,19 +520,26 @@ def test_bound_refinement_matches_lockstep_reference(monkeypatch, hbar, m):
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400 is 7 scan blocks and 1 acceptance call; with the golden-section
-    # refinement these wells made 56 calls in all, and 28 and 39 while every
-    # Brent bracket ran down to xtol
-    calls = []
-    build = well._bound_matrices
+    # grid 400: one scan call, one per refinement step, one certificate; with
+    # the golden-section refinement these wells made 56 SVD calls in all, and
+    # 28 and 39 while every Brent bracket ran down to xtol
+    calls, built = [], []
+    objective, build = well._folded_residual, well._bound_matrices
 
     def counted(es, params):
         calls.append(es.size)
+        return objective(es, params)
+
+    def counted_build(es, params):
+        built.append(es.size)
         return build(es, params)
 
-    monkeypatch.setattr(well, "_bound_matrices", counted)
+    monkeypatch.setattr(well, "_folded_residual", counted)
+    monkeypatch.setattr(well, "_bound_matrices", counted_build)
     find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
+    assert calls[0] == 400
     assert len(calls) <= 20
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("grid", [400, 2000])
@@ -546,6 +553,52 @@ def test_bound_no_state_where_interior_modes_coincide(V, a, wabs, warg, grid):
     # transfer-matrix scan of these wells finds no state anywhere
     params = PhysicalParams(E=1.0, V=V, W=wabs * cmath.exp(1j * warg), a=a)
     assert find_bound_states(params, grid=grid).energies == ()
+
+
+@pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.1, 1.0), (0.3, 2.0), (3.0, 0.5)])
+def test_bound_folded_residual_matches_certificate(hbar, m):
+    # the parity-folded closed form against QR and SVD of the unfolded system,
+    # 12 seeded wells per (hbar, m) with |W| zero, small and sizable, on the
+    # scan grid; near E = -|W| the interior columns turn parallel and both
+    # computations lose digits to the cancellation
+    rng = np.random.default_rng(round(95 + 10 * hbar + m))
+    for n in range(12):
+        wabs = (0.0, 10.0 ** rng.uniform(-6.0, -2.0), rng.uniform(0.5, 2.5))[n % 3]
+        params = replace(seeded_well(rng, wabs)[1], hbar=hbar, m=m)
+        vmax = params.threshold
+        es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
+        want = well._certificate(es, params)
+        diff = np.abs(well._folded_residual(es, params) - want)
+        assert np.max(diff[want < 1e-2], initial=0.0) <= 1e-14, params
+        far = np.abs(es + wabs) >= 1e-3 * max(1.0, wabs)
+        assert np.max(diff[far]) <= 1e-10, params
+
+
+@pytest.mark.parametrize("hbar", [1e-3, 0.1, 1.0, 1e20, 1e150, 1e300])
+@pytest.mark.parametrize("V, W, a", [(5.0, 0.0, 1.0), (5.0, 0.8 - 1.1j, 1.0),
+                                     (10.0, 10.0, 500.0)])
+def test_bound_folded_residual_is_scale_free(V, W, a, hbar):
+    # columns are scaled to unit size before the Gram matrix, so no hbar
+    # over- or underflows; the a = 500 well's certificate overflows
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a, hbar=hbar)
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = well._folded_residual(es, params)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@pytest.mark.parametrize("hbar", [1e20, 1e150, 1e300])
+def test_bound_no_spurious_states_at_huge_hbar(hbar):
+    # a huge hbar flattens the well: its one state lies within the first scan
+    # step of E = 0, and the residual is ~ kappa everywhere.  The residual of
+    # the unit-size columns used to be singular to rounding at every energy,
+    # and 125-133 scan minima passed the absolute acceptance.
+    got = find_bound_states(PhysicalParams(E=1.0, V=5.0, W=0.0, a=1.0, hbar=hbar), grid=400)
+    assert len(got.energies) <= 1
+    for e in got.energies:
+        assert any(abs(e - w) <= 1e-9 for w in well_bound_energies(5.0, 1.0, hbar=hbar))
 
 
 def test_bound_state_count_at_zero_w():
@@ -572,6 +625,19 @@ def test_bound_states_need_well_geometry():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a))
+
+
+@pytest.mark.parametrize("V, W, a, hbar, scale", [
+    (1e308, 0.0, 1.0, 1.0, "depth"), (1.0, complex(1e308, 1e308), 1.0, 1.0, "depth"),
+    (2e154, 0.0, 1.0, 1.0, "depth"), (1.0, 0.0, 1e308, 1.0, "phase"),
+    (1.0, 0.0, 1.0, 1e-308, "phase")])
+def test_bound_states_reject_overflowing_scales(V, W, a, hbar, scale):
+    # finite inputs whose modes or interior phase leave the float range fail
+    # before any numpy work, with the scale named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"well {scale} .* overflows"):
+            find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a, hbar=hbar), grid=10)
 
 
 def test_bound_states_need_three_scan_energies():
