@@ -100,12 +100,12 @@ def cmd_ode(args) -> int:
     for x in xs:
         phi = sol.value(x)
         dphi = sol.derivative(x)
-        points.append({
-            "x": x,
-            "phi": list(phi.to_array()),
-            "dphi": list(dphi.to_array()),
-            "residual": resid(x),
-        })
+        point = {"x": x, "phi": list(phi.to_array()),
+                 "dphi": list(dphi.to_array()), "residual": resid(x)}
+        # e.g. z^2 e^{zx} p with |z| near the float range and p ~ 0 is inf * 0
+        if not all(map(math.isfinite, (*point["phi"], *point["dphi"], point["residual"]))):
+            raise OverflowError(f"solution or residual is not finite at x = {x!r}")
+        points.append(point)
     payload = {"kind": args.kind, "points": points}
     if args.oracle:
         worst = 0.0

@@ -21,11 +21,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qmat2 import _RANK_TOL, Matrix2CL, _nullspaces, lift, svec
+from .qmat2 import (_MERGE_TOL, _RANK_TOL, Matrix2CL, _companion_counterpart, _nullspaces,
+                    _scale, lift, svec)
 from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 from .quatcore import exp as qexp
-
-_MERGE_TOL = 1e-6
 
 
 class UnsupportedStructureError(ValueError):
@@ -65,18 +64,30 @@ def _cluster(lams, tol):
 
 
 def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
-    """Closed-form solution of the first-order system carried by m_cl.
+    """Closed-form solution of the first-order system carried by m_cl."""
+    return _solve_counterpart(m_cl.counterpart(), phi0, dphi0)
+
+
+def _solve_counterpart(c: np.ndarray, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
+    """Closed-form solution of the first-order system with 4x4 counterpart c.
 
     The counterpart spectrum gives four complex exponents; the quaternions
     u_n are lifted from counterpart eigenvectors and the complex coefficients
-    solve the 4x4 initial-condition system in symplectic coordinates.  The
+    solve the 4x4 initial-condition system in symplectic coordinates.  Four
+    simple eigenvalues take eig's columns as they are; only a cluster of
+    merged eigenvalues decides its eigenspace dimension from an SVD.  The
     only defect handled is a single 2x2 Jordan block, which adds one
     (u x + u_tilde) basis function.
     """
-    c = m_cl.counterpart()
-    scale = 1.0 + np.linalg.norm(c)
-    lam = np.linalg.eigvals(c)
+    scale = _scale(c)
+    lam, vec = np.linalg.eig(c)
     clusters = _cluster(lam, _MERGE_TOL * scale)
+    if len(clusters) == 4:
+        order = sorted(range(4), key=lambda k: (lam[k].imag, lam[k].real))
+        basis = vec[:, order]
+        coeff = np.linalg.solve(basis, svec((phi0, dphi0)))
+        return CLSolution(exp_term(lift(basis[:, n])[0], lam[k], coeff[n])
+                          for n, k in enumerate(order))
     tols = [max(_RANK_TOL * scale, 2.0 * max(abs(w - z) for w in lam
                                              if abs(w - z) <= _MERGE_TOL * scale))
             for z, _ in clusters]
@@ -111,7 +122,7 @@ def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSol
 def solve_clinear_ops(a_op: RightLinearScalarOp, b_op: RightLinearScalarOp,
                       phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
     """Solve phi'' + a_op(phi') + b_op(phi) = 0 with given initial data."""
-    return solve_clinear(Matrix2CL.companion(a_op, b_op), phi0, dphi0)
+    return _solve_counterpart(_companion_counterpart(a_op, b_op), phi0, dphi0)
 
 
 def residual(sol: CLSolution, a_op: Callable[[Quaternion], Quaternion],

@@ -12,6 +12,7 @@ convention is pinned by the anti-hermitian worked example in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,7 +22,12 @@ from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 
 # rank decisions on the 4x4 counterpart
 _RANK_TOL = 1e-9
-# numerical threshold deciding quaternionic linear independence
+# eigenvalues closer than this (times the scale) are one repeated eigenvalue:
+# a defective pair splits its computed eigenvalues by O(sqrt(eps)), so the
+# merge decision must be far looser than the rank tolerance
+_MERGE_TOL = 1e-6
+# numerical threshold deciding quaternionic linear independence of two unit
+# columns: their dieudonne determinant lies in [0, 1] whatever the scale of M
 _INDEP_TOL = 1e-10
 # a linear system is singular when dieudonne(M) <= _SINGULAR_TOL |M|^2
 _SINGULAR_TOL = 1e-12
@@ -128,13 +134,6 @@ class Matrix2CL:
         if len(self.m) != 2 or any(len(r) != 2 for r in self.m):
             raise ValueError("expected a 2x2 array of scalar operators")
 
-    @classmethod
-    def companion(cls, a_op: RightLinearScalarOp, b_op: RightLinearScalarOp
-                  ) -> "Matrix2CL":
-        """Matrix form [[0, 1], [-b, -a]] of phi'' + a(phi') + b(phi) = 0."""
-        return cls([[0, 1], [RightLinearScalarOp(-b_op.A, -b_op.B),
-                             RightLinearScalarOp(-a_op.A, -a_op.B)]])
-
     def matvec(self, v) -> tuple[Quaternion, Quaternion]:
         return (self.m[0][0](v[0]) + self.m[0][1](v[1]),
                 self.m[1][0](v[0]) + self.m[1][1](v[1]))
@@ -151,6 +150,16 @@ def _counterpart(blocks) -> np.ndarray:
     (r, k)'s 2x2 counterpart, whose element (i, j) goes to (r + 2 i, k + 2 j)."""
     return np.array([[b0[i][0], b1[i][0], b0[i][1], b1[i][1]]
                      for i in range(2) for b0, b1 in blocks])
+
+
+def _companion_counterpart(a, b) -> np.ndarray:
+    """Counterpart of the matrix form [[0, 1], [-b, -a]] of
+    phi'' + a(phi') + b(phi) = 0, for quaternions or scalar operators a and
+    b, from their counterpart rows without building the 2x2 matrix."""
+    (a00, a01), (a10, a11) = a._counterpart_rows()
+    (b00, b01), (b10, b11) = b._counterpart_rows()
+    return np.array([[0j, 1, 0j, 0j], [-b00, -a00, -b01, -a01],
+                     [0j, 0j, 0j, 1], [-b10, -a10, -b11, -a11]])
 
 
 def _lift_inverse(c: np.ndarray) -> "Matrix2H":
@@ -190,9 +199,18 @@ class EigenDecomposition:
     transform_inv: Optional[Matrix2H] = None
 
 
+def _scale(c: np.ndarray) -> float:
+    """1 + |c| (Frobenius) of a complex array: math.hypot scales internally,
+    so entries near the float range do not overflow the norm."""
+    return 1.0 + math.hypot(*c.ravel().view(float).tolist())
+
+
 def _nullspaces(c: np.ndarray, zs, tols) -> list[np.ndarray]:
     """Orthonormal nullspace bases (columns) of c - z I for each z and its
-    rank tolerance, from one stacked SVD; smallest singular directions."""
+    rank tolerance, from one stacked SVD; smallest singular directions.
+
+    Used only where a rank has to be decided: at a real or merged canonical
+    eigenvalue.  Otherwise each eigenspace is eig's column."""
     _, s, vh = np.linalg.svd(c - np.multiply.outer(zs, np.eye(4)))
     # an eigenvalue known only to roundoff keeps its best direction
     return [v[-max(1, int(np.sum(sv <= tol))):].conj().T
@@ -200,25 +218,27 @@ def _nullspaces(c: np.ndarray, zs, tols) -> list[np.ndarray]:
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k] / abs(v[k])
-    return v * np.conj(ph)
+    """The columns of v scaled to unit norm, each with its largest component
+    real and positive."""
+    v = v / np.linalg.norm(v, axis=0)
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.conj(top / np.abs(top))
 
 
-def _canonical_pairs(lam: np.ndarray) -> list[complex]:
-    """Fold the conjugate-closed 4-spectrum into 2 canonical eigenvalues."""
-    remaining = list(lam)
+def _canonical_pairs(lam: np.ndarray) -> list[tuple[complex, int]]:
+    """Fold the conjugate-closed 4-spectrum into 2 canonical eigenvalues, each
+    with the index in lam of its member of larger imaginary part."""
+    remaining = list(enumerate(lam.tolist()))
     canon = []
     for _ in range(2):
-        k = max(range(len(remaining)), key=lambda i: remaining[i].imag)
-        z = remaining.pop(k)
+        k = max(range(len(remaining)), key=lambda i: remaining[i][1].imag)
+        idx, z = remaining.pop(k)
         kk = min(range(len(remaining)),
-                 key=lambda i: abs(remaining[i] - z.conjugate()))
-        zbar = remaining.pop(kk)
-        canon.append(complex((z.real + zbar.real) / 2.0,
-                             (abs(z.imag) + abs(zbar.imag)) / 2.0))
-    canon.sort(key=lambda w: (w.imag, w.real))
+                 key=lambda i: abs(remaining[i][1] - z.conjugate()))
+        zbar = remaining.pop(kk)[1]
+        canon.append((complex((z.real + zbar.real) / 2.0,
+                              (abs(z.imag) + abs(zbar.imag)) / 2.0), idx))
+    canon.sort(key=lambda p: (p[0].imag, p[0].real))
     return canon
 
 
@@ -230,16 +250,20 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
     completes the similarity transform.
     """
     c = m.counterpart()
-    scale = 1.0 + np.linalg.norm(c)
+    scale = _scale(c)
     tol = _RANK_TOL * scale
-    # a defective pair splits its computed eigenvalues by O(sqrt(eps)), so
-    # the merge decision must be far looser than the rank tolerance
-    merge_tol = 1e-6 * scale
-    lam = np.linalg.eigvals(c)
-    z1, z2 = _canonical_pairs(lam)
+    merge_tol = _MERGE_TOL * scale
+    lam, vec = np.linalg.eig(c)
+    (z1, k1), (z2, k2) = _canonical_pairs(lam)
     if abs(z1 - z2) > merge_tol:
-        vecs = tuple(lift(_normalize_phase(ns[:, 0]))
-                     for ns in _nullspaces(c, (z1, z2), (tol, tol)))
+        if z1.imag > merge_tol:
+            # four simple counterpart eigenvalues: each eigenspace is eig's
+            # column at the member of the pair with Im > 0
+            cols = vec[:, [k1, k2]]
+        else:
+            # a real z pairs with itself: a two-dimensional eigenspace
+            cols = np.column_stack([ns[:, 0] for ns in _nullspaces(c, (z1, z2), (tol, tol))])
+        vecs = tuple(map(lift, _normalize_phase(cols).T))
         return EigenDecomposition((z1, z2), vecs, form="diagonal")
     # double canonical eigenvalue; the mean is eps-accurate even though the
     # individual values are not
@@ -247,15 +271,13 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
     rank_tol = max(tol, 2.0 * abs(z1 - z2))
     ns, = _nullspaces(c, (z,), (rank_tol,))
     needed = 4 if abs(z.imag) <= merge_tol else 2  # real z pairs with itself
+    first, *others = map(lift, _normalize_phase(ns).T)
     if ns.shape[1] >= needed:
-        cands = [lift(_normalize_phase(ns[:, k])) for k in range(ns.shape[1])]
-        first = cands[0]
-        for other in cands[1:]:
+        for other in others:
             s = Matrix2H.from_columns(first, other)
-            if dieudonne(s) > _INDEP_TOL * max(1.0, m.norm()) ** 2:
+            if dieudonne(s) > _INDEP_TOL:
                 return EigenDecomposition((z, z), (first, other), form="diagonal")
-    psi = lift(_normalize_phase(ns[:, 0]))
-    return EigenDecomposition((z, z), (psi,), form="jordan", defective=True)
+    return EigenDecomposition((z, z), (first,), form="jordan", defective=True)
 
 
 def diagonalize(m: Matrix2H) -> EigenDecomposition:
@@ -265,7 +287,7 @@ def diagonalize(m: Matrix2H) -> EigenDecomposition:
         raise DefectiveMatrixError("defective matrix: use jordanize")
     s = Matrix2H.from_columns(dec.eigenvectors[0], dec.eigenvectors[1])
     cs = s.counterpart()
-    if _root_det(cs) <= _INDEP_TOL * max(1.0, m.norm()) ** 2:
+    if _root_det(cs) <= _INDEP_TOL:
         raise DefectiveMatrixError("eigenvectors quaternionically dependent")
     # the check above is stricter than inverse()'s: s has unit columns
     return EigenDecomposition(dec.eigenvalues, dec.eigenvectors,
@@ -289,7 +311,7 @@ def jordanize(m: Matrix2H) -> EigenDecomposition:
         raise DefectiveMatrixError("cannot gauge-fix the eigenvector")
     psi = tuple(p * Quaternion.from_complex(1.0 / comp) for p in psi)
     c = m.counterpart()
-    tol = _RANK_TOL * (1.0 + np.linalg.norm(c))
+    tol = _RANK_TOL * _scale(c)
     rhs = svec(psi)
     w, *_ = np.linalg.lstsq(c - z * np.eye(4), rhs, rcond=None)
     if np.linalg.norm((c - z * np.eye(4)) @ w - rhs) > 1e3 * tol:

@@ -14,10 +14,12 @@ import sys
 
 import numpy as np
 
-from quatode.clode import SchrodingerModes
+from quatode.clode import CLSolution, SchrodingerModes, UnsupportedStructureError, _cluster
 from quatode.quadsolve import QuadraticCoeffs
-from quatode.qmat2 import Matrix2H, _outer_sum
-from quatode.quatcore import Quaternion, RightLinearScalarOp
+from quatode.qmat2 import (_INDEP_TOL, _RANK_TOL, EigenDecomposition, Matrix2H,
+                           _canonical_pairs, _nullspaces, _outer_sum,
+                           dieudonne, lift, svec)
+from quatode.quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 from quatode.scatter import PhysicalParams, current_kernel
 from quatode.well import _bound_matrices, _folded_residual
 
@@ -620,3 +622,108 @@ def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: f
         w, fw = (np.where(better, x, np.where(to_w, u, w)),
                  np.where(better, fx, np.where(to_w, fu, fw)))
         x, fx = np.where(better, u, x), np.where(better, fu, fx)
+
+
+# the eigenvalue routes before eig's own eigenvectors: eigvals, then one SVD
+# nullspace per eigenvalue ------------------------------------------------------
+
+
+def _normalize_phase(v: np.ndarray) -> np.ndarray:
+    v = v / np.linalg.norm(v)
+    k = int(np.argmax(np.abs(v)))
+    ph = v[k] / abs(v[k])
+    return v * np.conj(ph)
+
+
+def svd_right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
+    """qmat2.right_eigenpairs with every eigenvector from an SVD nullspace."""
+    c = m.counterpart()
+    scale = 1.0 + np.linalg.norm(c)
+    tol = _RANK_TOL * scale
+    merge_tol = 1e-6 * scale
+    lam = np.linalg.eigvals(c)
+    (z1, _), (z2, _) = _canonical_pairs(lam)
+    if abs(z1 - z2) > merge_tol:
+        vecs = tuple(lift(_normalize_phase(ns[:, 0]))
+                     for ns in _nullspaces(c, (z1, z2), (tol, tol)))
+        return EigenDecomposition((z1, z2), vecs, form="diagonal")
+    z = complex((z1.real + z2.real) / 2.0, (z1.imag + z2.imag) / 2.0)
+    rank_tol = max(tol, 2.0 * abs(z1 - z2))
+    ns, = _nullspaces(c, (z,), (rank_tol,))
+    needed = 4 if abs(z.imag) <= merge_tol else 2
+    if ns.shape[1] >= needed:
+        cands = [lift(_normalize_phase(ns[:, k])) for k in range(ns.shape[1])]
+        first = cands[0]
+        for other in cands[1:]:
+            s = Matrix2H.from_columns(first, other)
+            if dieudonne(s) > _INDEP_TOL * max(1.0, m.norm()) ** 2:
+                return EigenDecomposition((z, z), (first, other), form="diagonal")
+    psi = lift(_normalize_phase(ns[:, 0]))
+    return EigenDecomposition((z, z), (psi,), form="jordan", defective=True)
+
+
+def svd_solve_clinear(c: np.ndarray, phi0: Quaternion,
+                      dphi0: Quaternion) -> tuple[CLSolution, int]:
+    """clode.solve_clinear on the counterpart c, with every basis column
+    from an SVD nullspace; returns the solution and the number of
+    eigenvalue clusters."""
+    scale = 1.0 + np.linalg.norm(c)
+    lam = np.linalg.eigvals(c)
+    clusters = _cluster(lam, 1e-6 * scale)
+    tols = [max(_RANK_TOL * scale, 2.0 * max(abs(w - z) for w in lam
+                                             if abs(w - z) <= 1e-6 * scale))
+            for z, _ in clusters]
+    columns, specs, deficient = [], [], 0
+    for (z, alg), rank_tol, ns in zip(
+            clusters, tols, _nullspaces(c, [z for z, _ in clusters], tols)):
+        geo = min(ns.shape[1], alg)
+        if geo == alg:
+            for k in range(alg):
+                specs.append((lift(ns[:, k])[0], z, None))
+                columns.append(ns[:, k])
+        elif alg == 2 and geo == 1:
+            deficient += 1
+            v = ns[:, 0]
+            w, *_ = np.linalg.lstsq(c - z * np.eye(4), v, rcond=None)
+            if np.linalg.norm((c - z * np.eye(4)) @ w - v) > 1e3 * rank_tol:
+                raise UnsupportedStructureError("broken Jordan chain")
+            u = lift(v)[0]
+            specs += [(u, z, None), (lift(w)[0], z, u)]
+            columns += [v, w]
+        else:
+            raise UnsupportedStructureError(
+                f"eigenvalue {z}: algebraic {alg}, geometric {geo}")
+    if deficient > 1:
+        raise UnsupportedStructureError("more than one Jordan block")
+    coeff = np.linalg.solve(np.column_stack(columns), svec((phi0, dphi0)))
+    sol = CLSolution(exp_term(L, z, k, Lx) for (L, z, Lx), k in zip(specs, coeff))
+    return sol, len(clusters)
+
+
+def expm_series(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a small complex matrix: Taylor series on a / 2^s, squared s times."""
+    s = max(0, int(math.ceil(math.log2(max(np.linalg.norm(a), 1e-300)))) + 2)
+    b = a / 2.0 ** s
+    term = total = np.eye(len(a), dtype=complex)
+    for n in range(1, 30):
+        term = term @ b / n
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def term_scale(sol, x: float) -> float:
+    """Sum of the norms of sol's terms at x: the size of what sol.value sums,
+    against which its rounding error is measured."""
+    return sum(ExpSum((t,)).value(x).norm() for t in sol.terms)
+
+
+def spy_eigen_calls(monkeypatch) -> list[str]:
+    """Record, in order, the names of the np.linalg eig, eigvals and svd calls."""
+    calls = []
+    for name in ("eig", "eigvals", "svd"):
+        func = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, _f=func, _n=name: calls.append(_n) or _f(*args))
+    return calls

@@ -386,6 +386,11 @@ def test_non_finite_number_is_usage_error(capsys, argv):
      "quatode ode: UnsupportedStructureError: "),
     (["ode", "h", "--a", "1e308,0,0,0", *_ODE_TAIL, "--points", "0.5"],
      "quatode ode: OverflowError: "),
+    # the initial data are kept, but z^2 e^{zx} p at x = 0 is inf * 0 in the
+    # residual: the fast exponent is -1e300
+    (["ode", "c", "--a", "1e300,0,0,0,0,0,0,0", "--b", "0,1,1,0,0,0,0,0",
+      "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0", "--points", "0,0.5"],
+     "quatode ode: OverflowError: "),
     (["bound", "--V", "10", "--Wabs", "10", "--a", "500"],
      "quatode bound: OverflowError: "),
     (["bound", "--V", "1e308", "--a", "1"],
@@ -394,7 +399,7 @@ def test_non_finite_number_is_usage_error(capsys, argv):
      "quatode quad: OverflowError: "),
     (["quad", "1e308", "0", "0", "0", "1e308", "0", "0", "0"],
      "quatode quad: OverflowError: "),
-], ids=["ode-c-structure", "ode-h-overflow", "bound-thick-well", "bound-huge-depth",
+], ids=["ode-c-structure", "ode-h-overflow", "ode-c-huge-coefficient", "bound-thick-well", "bound-huge-depth",
         "quad-vector-overflow", "quad-shift-overflow"])
 def test_solver_error_is_one_stderr_line(capsys, argv, cause):
     code = main(argv)

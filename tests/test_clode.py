@@ -9,10 +9,12 @@ from quatode.clode import (ModeNormalizationError, TViolatingError,
                            UnsupportedStructureError, schrodinger_modes,
                            solve_clinear_ops, stationary_phase,
                            time_reversal_map)
+from quatode.qmat2 import Matrix2CL, _companion_counterpart, lift, svec
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
-from helpers import (mode_equation_residual, mode_quartic_residual,
-                     rand_quaternion, stationary_b_op)
+from helpers import (expm_series, mode_equation_residual, mode_quartic_residual,
+                     rand_quaternion, spy_eigen_calls, stationary_b_op, svd_solve_clinear,
+                     term_scale)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -111,6 +113,83 @@ def test_single_jordan_block_solution():
         assert (traj.phi(n) - sol.value(traj.xs[n])).norm() < 1e-6
     for x in (0.2, 0.8):
         assert clode.residual(sol, a_op, b_op, x) < 1e-10
+
+
+def _agrees_with_svd_route(a_op, b_op, phi0, dphi0, tol=1e-12):
+    """Samples and cluster count against eigvals + one SVD per eigenvalue."""
+    sol = solve_clinear_ops(a_op, b_op, phi0, dphi0)
+    ref, clusters = svd_solve_clinear(_companion_counterpart(a_op, b_op), phi0, dphi0)
+    assert len({t.z for t in sol.terms}) == clusters
+    assert [t.px is None for t in sol.terms] == [t.px is None for t in ref.terms]
+    for x in np.linspace(0.0, 1.5, 7):
+        scale = term_scale(ref, x)
+        assert (sol.value(x) - ref.value(x)).norm() <= tol * scale
+    return sol
+
+
+def test_eig_route_matches_svd_route_random():
+    # with and without right-i parts: four simple eigenvalues take eig's columns
+    rng = np.random.default_rng(64)
+    for n in range(200):
+        a_op, b_op = rand_op(rng), rand_op(rng)
+        if n % 2:
+            a_op, b_op = q_op(a_op.A), q_op(b_op.A)
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        _agrees_with_svd_route(a_op, b_op, phi0, dphi0)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_eig_route_near_repeated_roots(delta):
+    # sectors y'' - 2s y' + (s^2 - delta^2) y = 0 with roots s +- delta, and
+    # the same with t, turned by a quaternion u: (u A u^-1) psi + (u B u^-1) psi i
+    rng = np.random.default_rng(65)
+    for _ in range(10):
+        s, t = (complex(rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)) for _ in range(2))
+        u = rand_quaternion(rng)
+        u_inv = u.inverse()
+        ops = []
+        for op in (_sector_diag_op(-2.0 * s, -2.0 * t),
+                   _sector_diag_op(s * s - delta ** 2, t * t - delta ** 2)):
+            assert op.B.norm() > 0.1      # a right-i part
+            ops.append(RightLinearScalarOp(u * op.A * u_inv, u * op.B * u_inv))
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        sol = _agrees_with_svd_route(*ops, phi0, dphi0)
+        assert len(sol.terms) == 4
+        c, y0 = _companion_counterpart(*ops), svec((phi0, dphi0))
+        for x in np.linspace(0.0, 1.5, 7):
+            exact = lift(expm_series(c * x) @ y0)[0]
+            assert (sol.value(x) - exact).norm() <= 1e-12 * term_scale(sol, x)
+
+
+def test_solve_clinear_of_the_companion_matrix():
+    rng = np.random.default_rng(66)
+    a_op, b_op = rand_op(rng), rand_op(rng)
+    phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+    m_cl = Matrix2CL([[0, 1], [RightLinearScalarOp(-b_op.A, -b_op.B),
+                               RightLinearScalarOp(-a_op.A, -a_op.B)]])
+    sol = clode.solve_clinear(m_cl, phi0, dphi0)
+    ops_sol = solve_clinear_ops(a_op, b_op, phi0, dphi0)
+    for x in (0.0, 0.6, 1.3):
+        assert (sol.value(x) - ops_sol.value(x)).norm() < 1e-14 * term_scale(ops_sol, x)
+
+
+def test_one_eig_and_no_svd_per_generic_solve(monkeypatch):
+    calls = spy_eigen_calls(monkeypatch)
+    sol = solve_clinear_ops(RightLinearScalarOp(0.3 + I, 0.2 * K),
+                            RightLinearScalarOp(0.7 * J, -0.4 * ONE), ONE, K)
+    assert len(sol.terms) == 4 and all(t.px is None for t in sol.terms)
+    assert calls == ["eig"]
+
+
+def test_huge_coefficient_keeps_the_initial_data():
+    # phi'' + 1e300 phi' + (i + j) phi = 0: a plain Frobenius norm of the
+    # counterpart overflows, and an infinite merge tolerance merged every
+    # eigenvalue
+    a_op, b_op = q_op(Quaternion(1e300)), q_op(I + J)
+    sol = solve_clinear_ops(a_op, b_op, ONE, Quaternion())
+    assert (sol.value(0.0) - ONE).norm() < 1e-12
+    assert sol.derivative(0.0).norm() < 1e-12
+    assert (sol.value(0.5) - ONE).norm() < 1e-12
 
 
 def test_double_block_defect_unsupported():

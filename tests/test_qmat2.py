@@ -9,7 +9,8 @@ from quatode.qmat2 import (DefectiveMatrixError, Matrix2CL, Matrix2H,
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
 from helpers import (per_entry_counterpart, rand_quaternion,
-                     reconstruct_antihermitian)
+                     reconstruct_antihermitian, spy_eigen_calls, svd_right_eigenpairs,
+                     term_scale)
 
 
 def rand_matrix(rng, scale=1.0):
@@ -93,7 +94,7 @@ def test_counterparts_bit_identical_to_per_entry_assembly():
         h = rand_matrix(rng, scale=10.0 ** rng.uniform(-3, 3))
         ops = [[RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng))
                 for _ in range(2)] for _ in range(2)]
-        if n % 4 == 0:      # exact zeros and ones, as in Matrix2CL.companion
+        if n % 4 == 0:      # exact zeros and ones, as in a companion matrix
             ops[0] = [0, 1]
         for m in (h, Matrix2CL(ops)):
             assert m.counterpart().tobytes() == per_entry_counterpart(m).tobytes()
@@ -286,6 +287,78 @@ def test_ode_via_matrix_agrees_with_hode():
         h_sol = hode.solve_ivp(a, b, phi0, dphi0)
         for x in np.linspace(0.0, 1.0, 7):
             assert (m_sol.value(x) - h_sol.value(x)).norm() < 1e-9
+
+
+def _samples_agree(sol, ref, tol=1e-12):
+    for x in np.linspace(0.0, 1.5, 7):
+        scale = term_scale(ref, x)
+        assert (sol.value(x) - ref.value(x)).norm() <= tol * scale
+        assert (sol.derivative(x) - ref.derivative(x)).norm() <= tol * (
+            scale * (1.0 + max(abs(t.z) for t in ref.terms)))
+
+
+def test_eig_route_matches_svd_route_on_random_ivps(monkeypatch):
+    # eig's own eigenvectors against eigvals + one SVD nullspace per eigenvalue
+    rng = np.random.default_rng(52)
+    for _ in range(200):
+        a, b = rand_quaternion(rng, 1.5), rand_quaternion(rng, 1.5)
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        sol = qmat2.solve_ode_via_matrix(a, b, phi0, dphi0)
+        with monkeypatch.context() as patch:
+            patch.setattr(qmat2, "right_eigenpairs", svd_right_eigenpairs)
+            ref = qmat2.solve_ode_via_matrix(a, b, phi0, dphi0)
+        dec, rdec = sol.decomposition, ref.decomposition
+        assert (dec.form, dec.defective) == (rdec.form, rdec.defective)
+        for z, rz in zip(dec.eigenvalues, rdec.eigenvalues):
+            assert abs(z - rz) <= 1e-12 * (1.0 + abs(rz))
+        _samples_agree(sol, ref)
+
+
+def test_eig_route_matches_svd_route_with_real_eigenvalues():
+    # a real canonical eigenvalue pairs with itself: both routes take the SVD
+    rng = np.random.default_rng(53)
+    checked = 0
+    while checked < 60:
+        s = rand_matrix(rng)
+        if dieudonne(s) < 0.1:
+            continue
+        z2 = complex(rng.uniform(-2.0, 2.0), 0.0 if checked % 2 else rng.uniform(0.3, 2.0))
+        m = s @ Matrix2H.diagonal(Quaternion(rng.uniform(-2.0, 2.0)),
+                                  Quaternion.from_complex(z2)) @ s.inverse()
+        dec, ref = qmat2.right_eigenpairs(m), svd_right_eigenpairs(m)
+        assert (dec.form, dec.defective) == (ref.form, ref.defective) == ("diagonal", False)
+        for z, rz in zip(dec.eigenvalues, ref.eigenvalues):
+            assert abs(z - rz) <= 1e-12 * (1.0 + abs(rz))
+        for v, rv in zip(dec.eigenvectors, ref.eigenvectors):
+            assert vec_close(v, rv, tol=1e-12)
+        checked += 1
+    # two real roots: phi'' - 3 phi' + 2 phi = 0, roots 1 and 2
+    sol = qmat2.solve_ode_via_matrix(Quaternion(-3.0), Quaternion(2.0), ONE + J, K)
+    for x in (0.0, 0.4, 1.1):
+        want = (ONE + J) * (2.0 * math.exp(x) - math.exp(2.0 * x)) + K * (
+            math.exp(2.0 * x) - math.exp(x))
+        assert (sol.value(x) - want).norm() < 1e-12 * want.norm()
+
+
+def test_one_eig_and_no_svd_per_generic_solve(monkeypatch):
+    calls = spy_eigen_calls(monkeypatch)
+    sol = qmat2.solve_ode_via_matrix(0.3 + I - 0.2 * K, 0.7 * J + 0.4 * I, ONE, K)
+    assert sol.decomposition.form == "diagonal"
+    assert calls == ["eig"]
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e100, 1e300])
+def test_diagonalize_is_scale_free(scale):
+    # unit eigenvectors decide independence whatever |M|; at 1e300 a plain
+    # Frobenius norm of the counterpart overflows
+    m = Matrix2H([[e * scale for e in row] for row in S1.m])
+    dec = qmat2.diagonalize(m)
+    assert abs(dec.eigenvalues[0] / scale - 2j) < 1e-12
+    assert abs(dec.eigenvalues[1] / scale - 4j) < 1e-12
+    for v, rv in zip(dec.eigenvectors, qmat2.diagonalize(S1).eigenvectors):
+        # the same complex ray; the phase rule ties on equal components
+        overlap = rv[0].conjugate() * v[0] + rv[1].conjugate() * v[1]
+        assert abs(overlap.norm() - 1.0) < 1e-12
 
 
 # -- anti-hermitian spectral decomposition -----------------------------------
