@@ -53,9 +53,10 @@ def rk4_step_matrix(rhs: Callable[[float, np.ndarray], np.ndarray],
     """The 8x8 matrix P with P y = one classical RK4 step of size h from x0.
 
     `rhs(x, y)` must be linear in y with constant coefficients and must map
-    the columns of an (8, m) array of states, as the callbacks made by
-    `qlinear_rhs` and `clinear_rhs` do; the four stages are then applied
-    once, through `rhs`, to the identity.
+    the columns of an (8, m) array of states, or a stack of them, as the
+    callbacks made by `qlinear_rhs` and `clinear_rhs` do; the four stages
+    are then applied once, through `rhs`, to the identity.  h may be an
+    array of shape (p, 1, 1): the result is then the (p, 8, 8) stack.
     """
     eye = np.eye(8)
     k1 = rhs(x0, eye)
@@ -91,21 +92,25 @@ def rk4_integrate(rhs: Callable[[float, np.ndarray], np.ndarray],
 
 def rk4_endpoint(rhs: Callable[[float, np.ndarray], np.ndarray],
                  phi0: Quaternion, dphi0: Quaternion,
-                 x0: float, x1: float, steps: int) -> np.ndarray:
+                 x0: float, x1, steps: int) -> np.ndarray:
     """The last state of rk4_integrate(...), as P^steps y0 by matrix powers.
 
     Same step size and step matrix as rk4_integrate; only the rounding of
-    the product differs.  Raises DivergenceError(x1) if the state at x1 is
-    not finite.
+    the product differs.  x1 may be a 1-D array of end points: every step
+    matrix is then built at once and raised by one stacked matrix_power, and
+    the result is (len(x1), 8).  Raises DivergenceError at the first end
+    point, in the order given, whose state is not finite.
     """
     if steps < 16:
         raise ValueError("need at least 16 steps")
-    step = rk4_step_matrix(rhs, x0, (x1 - x0) / steps)
+    ends = np.asarray(x1, dtype=float)
+    step = rk4_step_matrix(rhs, x0, (ends.reshape(-1, 1, 1) - x0) / steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        state = np.linalg.matrix_power(step, steps) @ pack_state(phi0, dphi0)
-    if not np.isfinite(state).all():
-        raise DivergenceError(x1)
-    return state
+        states = np.linalg.matrix_power(step, steps) @ pack_state(phi0, dphi0)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(float(ends.reshape(-1)[np.argmin(finite)]))
+    return states.reshape(ends.shape + (8,))
 
 
 def qlinear_rhs(a: Quaternion, b: Quaternion) -> Callable[[float, np.ndarray], np.ndarray]:

@@ -7,22 +7,22 @@ its incident wave.  Its residual is the smallest singular value after an
 orthonormal basis of the interior columns' span takes their place, so the
 coinciding interior modes at E = -|W| give no state.  find_bound_states scans
 that residual over a grid of energies in closed form, by the mirror symmetry
-of the well (_folded_residual, elementwise numpy), and refines all local
-minima together by Brent's method on the same function; one QR and SVD of
-the unfolded systems (_certificate) then certifies each refined energy.  The
-objective is the residual, so a Brent bracket narrower than 1e6 xtol closes
-early when the residual at its best point exceeds 100 accept by a tenth of
-the steepest secant of the residual times the bracket's width: near a root
-the residual is ~ s |E - E*|, and the best point is by then much closer to
-the root than that.  The scattering module re-exports find_bound_states and
-BoundStateSet.
+of the well (_folded_residual, elementwise numpy).  At each local minimum it
+then searches both parity blocks for a real root of a determinant
+(_parity_determinants) by a secant, all searches in lock step
+(_secant_roots); one QR and SVD of the unfolded systems (_certificate) then
+certifies each refined energy and alone decides acceptance.  A secant step
+that would leave the scan bracket goes halfway from the current point to the
+end it crossed.  A search stops when its step is within xtol, after two
+consecutive such exits, when the step's zero lies far off the real axis
+(a near miss, not a root), or after _MAX_STEPS steps.  The scattering module
+re-exports find_bound_states and BoundStateSet.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +39,18 @@ class BoundStateSet:
     params: PhysicalParams
 
 
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0    # golden-section fraction of a bracket
-# A bracket narrower than 1e6 xtol closes early when the residual at x exceeds
-# the floor by this fraction of the steepest secant of the residual times the
-# width.  Near a root the residual is ~ s |E - E*|.  On 960 seeded wells (hbar,
-# m from 0.1 to 3), with the smallest singular value as the objective, Brent's
-# best point x was within 0.0033 widths of every accepted root at that width,
-# and a floor with no secant term lost one root in about 320 wells; with the
-# residual itself, every accepted bracket had its best point below the floor
-# by then (2919 brackets on 240 seeded wells).
-_ROOT_FRACTION = 0.1
+# At most this many secant steps per search.  On 3164 wells (the 80
+# benchmark spectra, the tests' 104, 2080 seeded regular and 800 dense ones,
+# 100 unit wells; 121,552 searches) one search reached it, and found no state.
+_MAX_STEPS = 12
+# A search stops as a near miss when its complex secant step s has
+# |Im s| > 10 |Re s| and |Im s| > _OFF_AXIS xtol: the zero of the secant line
+# is then off the real axis by more than 1e-6 max(1, V_max), and the real
+# part of the step is within a tenth of that distance of its foot, where the
+# search stops.  On the wells above this rule stopped 8914 searches, 2 of
+# them at states the certificate then accepted, and lost none; the 80
+# benchmark spectra took 309 calls of the function instead of 522.
+_OFF_AXIS = 1e6
 
 
 def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -133,92 +135,79 @@ def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     return sin_theta / np.sqrt(1.0 + np.sqrt(1.0 - sin_theta ** 2))
 
 
-def _brent_search(a: float, x: float, b: float, fa: float, fx: float, fb: float,
-                  xtol: float, floor: float) -> Generator[float, float, float]:
-    """One bracket's Brent search for a minimum of r^2, r the residual, on floats.
+def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """det A of each parity block over factors without real zeros: (parity, n).
 
-    Yields each trial energy and is sent r^2 there; returns the minimum,
-    or stops early as _brent_minima describes, with floor = 100 accept.
+    In _folded_residual's notation, the block is singular where det A = 0,
+    A = N^H C the 2x2 matrix of the two interior columns C (u- and u+)
+    against the complement N of the exterior span.  This returns the Schur
+    complement A00 - A01 A10 / A11 = det A / A11; A11 = u+'s row of
+    (beta + i kappa alpha) has no zero below E = -|W|.  At W = 0 the
+    complement is u-'s factor alone: det A is that times A11, whose modulus
+    swings by a decade within a scan step wherever the u+ pair's phase
+    passes a multiple of 2 pi, and there the secant on det A lost states.
+    Rates are in units of sqrt(2 m) / hbar and the columns are not scaled,
+    so no scale of hbar over- or underflows; scaled to unit size, the
+    function turned steep where cos(g a / 2) = 0.  Factors without real
+    zeros are taken out:
+    - the u- column's phase exp(i Im(g) a / 2), so that at W = 0 the even
+      block is real and the odd one imaginary;
+    - the odd column's factor z, so it does not vanish at E = -V_max
+      (there z- = 0 and the column is 0, or 0/0 at unit size);
+    - 1 - wbar wfrac = 2 sigma / (E + sigma), the spurious zero at
+      E = -|W| where the two interior pairs coincide.
     """
-    w, v = (a, b) if fa <= fb else (b, a)
-    fw, fv = (fa, fb) if fa <= fb else (fb, fa)
-    d = e = b - a
-    tol1 = 0.5 * xtol
-    while True:
-        xm = 0.5 * (a + b)
-        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
-            return x
-        if b - a <= 1e6 * xtol:
-            sx, sw, sv = math.sqrt(fx), math.sqrt(fw), math.sqrt(fv)
-            slope = max(abs(sx - sw) / abs(x - w) if x != w else 0.0,
-                        abs(sx - sv) / abs(x - v) if x != v else 0.0,
-                        abs(sw - sv) / abs(w - v) if w != v else 0.0)
-            if sx > floor + _ROOT_FRACTION * slope * (b - a):
-                return x
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        if q > 0.0:
-            p = -p
-        q = abs(q)
-        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
-                d = math.copysign(tol1, xm - x)
-        else:
-            e = a - x if x >= xm else b - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = yield u
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u >= x:
-                b = u
-            else:
-                a = u
-            if fu <= fw:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv:
-                v, fv = u, fu
+    modes = schrodinger_mode_arrays(es, -params.V, -params.W)
+    z = np.array((modes.z_minus, modes.z_plus))
+    za = math.sqrt(2.0 * params.m) * params.a / params.hbar     # g a = -za z
+    em = np.expm1(z * -za)
+    p, q = 2.0 + em, -em
+    alpha, beta = np.array((p, q / z)), np.array((q * -z, -p))
+    kalpha = np.sqrt(-es) * alpha
+    x, y = beta - kalpha, beta + 1j * kalpha
+    t = modes.wbar * modes.wfrac
+    with np.errstate(divide="ignore", invalid="ignore"):
+        schur = x[:, 0] - t * x[:, 1] * y[:, 0] / y[:, 1]
+        return schur * (np.exp(0.5j * za * z[0].imag) / (1.0 - t))
 
 
-def _brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
-                  accept: float, params: PhysicalParams) -> np.ndarray:
-    """Brent minima of the residual r (_folded_residual), brackets in lock step.
+def _secant_roots(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
+                  params: PhysicalParams) -> np.ndarray:
+    """One secant search per parity block at each scan minimum es[k], k in n.
 
-    The scan triples es[n-1:n+2], sv[n-1:n+2] seed the brackets and first
-    parabolas.  Parabolas fit r^2, which near a simple root is
-    s^2 (E - E*)^2, so the vertex lands on the root.  Golden-section fallback
-    and minimum step tol1 = xtol / 2 as in R. P. Brent, Algorithms for
-    Minimization without Derivatives (1973), ch. 5.  A bracket closes when
-    all of it is within xtol of its best point x.  It closes early when it is
-    narrower than 1e6 xtol and r(x) > 100 accept + _ROOT_FRACTION s (b - a),
-    with s the steepest secant of r through x, w and v: x is then never
-    accepted, and by the secant no root lies within a tenth of the width of
-    x.  Open brackets take the same steps as without the early closure.  Each
-    bracket steps on Python floats; each lock step evaluates the trial points
-    of all open brackets in one call.
+    A search starts from es[k] and the neighbour beyond which
+    _parity_determinants changes sign, or else the lower-residual neighbour,
+    and stays in [es[k-1], es[k+1]].  Each step is the real part of the
+    complex secant step; see the module docstring for the bracket rule and
+    the stop rules.  All live searches are evaluated in one call per step.
+    Returns the last iterate of each search, even parities first: (2 len(n),).
     """
-    f, e = (sv ** 2).tolist(), es.tolist()
-    searches = [_brent_search(e[k - 1], e[k], e[k + 1], f[k - 1], f[k], f[k + 1],
-                              xtol, 100.0 * accept) for k in n.tolist()]
-    out = np.empty(len(searches))
-    live, fus = range(len(searches)), [None] * len(searches)
-    while live:
-        still, us = [], []
-        for i, fu in zip(live, fus):
-            try:
-                us.append(searches[i].send(fu))
-                still.append(i)
-            except StopIteration as stop:
-                out[i] = stop.value
-        live = still
-        if us:
-            fus = (_folded_residual(np.array(us), params) ** 2).tolist()
+    m = n.size
+    xs = es[n + np.array([[-1], [0], [1]])]
+    lo, mid, hi = np.tile(xs, 2)
+    f_lo, f_mid, f_hi = (_parity_determinants(xs.ravel(), params)
+                         .reshape(2, 3, m).swapaxes(0, 1).reshape(3, 2 * m))
+    pick = (np.repeat((0, 1), m), np.arange(2 * m))
+    with np.errstate(all="ignore"):
+        # a sign change: the values at least a right angle apart
+        low, high = (f_lo * f_mid.conj()).real <= 0.0, (f_mid * f_hi.conj()).real <= 0.0
+        left = np.where(low ^ high, low, np.tile(sv[n - 1] <= sv[n + 1], 2))
+        x0, f0 = np.where(left, lo, hi), np.where(left, f_lo, f_hi)
+        x1, f1 = mid, f_mid
+        out, live = mid, np.ones(2 * m, dtype=bool)
+        exits = np.zeros(2 * m, dtype=int)
+        for _ in range(_MAX_STEPS):
+            s = f1 * ((x1 - x0) / (f1 - f0))
+            x2 = x1 - s.real
+            inside = (lo <= x2) & (x2 <= hi)
+            x2 = np.where(inside, x2, 0.5 * (x1 + np.where(x2 < lo, lo, hi)))
+            exits = np.where(inside, 0, exits + 1)
+            out = np.where(live, x2, out)
+            live &= ((np.abs(x2 - x1) > xtol) & (exits < 2)
+                     & (np.abs(s.imag) <= np.maximum(10.0 * np.abs(s.real), _OFF_AXIS * xtol)))
+            if not live.any():
+                break
+            x0, f0, x1, f1 = x1, f1, x2, _parity_determinants(x2, params)[pick]
     return out
 
 
@@ -226,9 +215,9 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
                       accept: float = 1e-8) -> BoundStateSet:
     """Scan E in (-sqrt(V^2+|W|^2), 0) for singular matching systems.
 
-    Local minima of the residual are refined by Brent's method; energies
-    whose residual (_certificate) is below `accept` are returned in
-    ascending order.
+    Each local minimum of the residual is refined by _secant_roots, once per
+    parity; energies whose residual (_certificate) is below `accept` are
+    returned in ascending order.
     """
     if not (0.0 < params.V < math.inf and 0.0 < params.a < math.inf
             and cmath.isfinite(params.W) and grid >= 3):
@@ -248,7 +237,7 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     sv = _folded_residual(es, params)
     # refine every local minimum; acceptance happens after refinement
     n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
-    e_star = _brent_minima(es, sv, n, 1e-12 * max(1.0, vmax), accept, params)
+    e_star = _secant_roots(es, sv, n, 1e-12 * max(1.0, vmax), params)
     res = _certificate(e_star, params)
     keep = res < accept
     found = list(zip(e_star[keep].tolist(), res[keep].tolist()))

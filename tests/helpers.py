@@ -21,7 +21,7 @@ from quatode.qmat2 import (_INDEP_TOL, _RANK_TOL, EigenDecomposition, Matrix2H,
                            dieudonne, lift, svec)
 from quatode.quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
 from quatode.scatter import PhysicalParams, current_kernel
-from quatode.well import _bound_matrices, _folded_residual
+from quatode.well import _bound_matrices, _certificate, _folded_residual
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -544,21 +544,9 @@ def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
     return 0.5 * (lo + hi)
 
 
-def golden_bound_states(params: PhysicalParams, grid: int,
-                        accept: float = 1e-8) -> list[tuple[float, float]]:
-    """(energy, residual) of each state as well.find_bound_states found them
-    by golden section: the same scan, minima, acceptance and merge, with the
-    plain smallest singular value as the residual.
-
-    The reference for well._brent_minima, well._folded_residual and the
-    acceptance residual.
-    """
-    vmax = params.threshold
-    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, grid)
-    sv = smallest_singular_values(es, params)
-    n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
-    e_star = golden_minima(es[n - 1], es[n + 1], 1e-12 * max(1.0, vmax), params)
-    res = smallest_singular_values(e_star, params)
+def _merged_states(e_star: np.ndarray, res: np.ndarray, accept: float,
+                   vmax: float) -> list[tuple[float, float]]:
+    """find_bound_states' acceptance and merge of refined energies."""
     merged: list[tuple[float, float]] = []
     for e, r in sorted(zip(e_star[res < accept].tolist(), res[res < accept].tolist())):
         if merged and abs(e - merged[-1][0]) < 1e-9 * max(1.0, vmax):
@@ -568,7 +556,23 @@ def golden_bound_states(params: PhysicalParams, grid: int,
     return merged
 
 
-# the bound-state refinement's earlier vectorised Brent search --------------
+def golden_bound_states(params: PhysicalParams, grid: int,
+                        accept: float = 1e-8) -> list[tuple[float, float]]:
+    """(energy, residual) of each state as well.find_bound_states found them
+    by golden section: the same scan, minima, acceptance and merge, with the
+    plain smallest singular value as the residual.
+
+    The reference for well._folded_residual and the acceptance residual.
+    """
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, grid)
+    sv = smallest_singular_values(es, params)
+    n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
+    e_star = golden_minima(es[n - 1], es[n + 1], 1e-12 * max(1.0, vmax), params)
+    return _merged_states(e_star, smallest_singular_values(e_star, params), accept, vmax)
+
+
+# the bound-state refinement's earlier lock-step Brent minimisation ---------
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -622,6 +626,22 @@ def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: f
         w, fw = (np.where(better, x, np.where(to_w, u, w)),
                  np.where(better, fx, np.where(to_w, fu, fw)))
         x, fx = np.where(better, u, x), np.where(better, fu, fx)
+
+
+def brent_bound_states(params: PhysicalParams, grid: int,
+                       accept: float = 1e-8) -> list[tuple[float, float]]:
+    """(energy, residual) of each state as well.find_bound_states found them
+    by Brent minimisation of the residual: the same scan, certificate and
+    merge, one refinement per scan minimum.
+
+    The reference for well._secant_roots.
+    """
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, grid)
+    sv = _folded_residual(es, params)
+    n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
+    e_star = lockstep_brent_minima(es, sv, n, 1e-12 * max(1.0, vmax), params)
+    return _merged_states(e_star, _certificate(e_star, params), accept, vmax)
 
 
 # the eigenvalue routes before eig's own eigenvectors: eigvals, then one SVD

@@ -1,4 +1,5 @@
 import json
+import warnings
 import math
 import os
 import subprocess
@@ -399,10 +400,16 @@ def test_non_finite_number_is_usage_error(capsys, argv):
      "quatode quad: OverflowError: "),
     (["quad", "1e308", "0", "0", "0", "1e308", "0", "0", "0"],
      "quatode quad: OverflowError: "),
+    # the SVD of c - z I meets inf * 0 on the way: no numpy warning line
+    (["eig", "1e308", "0", "0", "0", "1", "0", "0", "0", "0", "0", "1", "0", "0", "1", "0", "-1"],
+     "quatode eig: LinAlgError: "),
 ], ids=["ode-c-structure", "ode-h-overflow", "ode-c-huge-coefficient", "bound-thick-well", "bound-huge-depth",
-        "quad-vector-overflow", "quad-shift-overflow"])
+        "quad-vector-overflow", "quad-shift-overflow", "eig-huge-entry"])
 def test_solver_error_is_one_stderr_line(capsys, argv, cause):
-    code = main(argv)
+    # a warning would be one more stderr line of the command
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""

@@ -106,6 +106,39 @@ def test_rk4_endpoint_divergence_and_minimum_steps():
                             ONE, Quaternion(), 0.0, 1.0, 8)
 
 
+@pytest.mark.parametrize("kind", ["qlinear", "clinear"])
+def test_rk4_endpoint_stacked_rows_match_single_points(kind):
+    # one stacked matrix_power over all end points gives, row for row, the
+    # bits of one step matrix and one matrix_power per point
+    rng = np.random.default_rng(45 if kind == "qlinear" else 46)
+    for _ in range(5):
+        if kind == "qlinear":
+            rhs = oracle.qlinear_rhs(rand_quaternion(rng), rand_quaternion(rng))
+        else:
+            rhs = oracle.clinear_rhs(
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)),
+                RightLinearScalarOp(rand_quaternion(rng), rand_quaternion(rng)))
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        ends = rng.uniform(-1.5, 1.5, 7)
+        stacked = oracle.rk4_endpoint(rhs, phi0, dphi0, 0.0, ends, 512)
+        assert stacked.shape == (7, 8)
+        for x1, row in zip(ends, stacked):
+            single = (np.linalg.matrix_power(oracle.rk4_step_matrix(rhs, 0.0, x1 / 512), 512)
+                      @ oracle.pack_state(phi0, dphi0))
+            assert np.array_equal(row, single)
+            assert np.array_equal(row, oracle.rk4_endpoint(rhs, phi0, dphi0, 0.0, x1, 512))
+
+
+@pytest.mark.parametrize("ends, first", [([0.1, 5.0, -3.0, 2.0], 5.0),
+                                         ([0.1, -3.0, 5.0], -3.0)])
+def test_rk4_endpoint_stacked_divergence_names_first_point(ends, first):
+    # phi'' = 1e6 phi: 512 steps overflow beyond |x| ~ 0.7
+    rhs = oracle.qlinear_rhs(Quaternion(), Quaternion(-1e6))
+    with pytest.raises(oracle.DivergenceError) as info:
+        oracle.rk4_endpoint(rhs, ONE, ONE, 0.0, np.array(ends), 512)
+    assert info.value.x == first
+
+
 def test_residual_max_detects_perturbation():
     a, b = K, J
     sol = hode.solve_ivp(a, b, I + K, ONE)

@@ -13,7 +13,7 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              solve_barrier, solve_rows, solve_step)
 
 from helpers import (barrier_transmission, current_samples, current_spread_per_region,
-                     golden_bound_states, lockstep_brent_minima, probability_current,
+                     brent_bound_states, golden_bound_states, probability_current,
                      scattering_row, seeded_rows, stationary_b_op, step_reflection,
                      wave_current_residual, well_bound_energies, well_matrix)
 
@@ -476,12 +476,13 @@ def test_bound_refinement_matches_golden_reference(wclass):
 
 
 @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.1, 1.0), (0.3, 2.0), (3.0, 0.5)])
-def test_bound_refinement_matches_lockstep_reference(monkeypatch, hbar, m):
-    # 25 wells per (hbar, m), |W| zero, small and sizable, against the
-    # vectorised Brent search that ran every bracket down to xtol.  Closing a
-    # bracket early may move only energies that are rejected either way; the
-    # W = 0 well below has a state that a closure on sigma(x) > 100 accept
-    # alone drops (sigma(x) = 2.3e-6 at a width of 2e5 xtol).
+def test_bound_refinement_matches_brent_reference(hbar, m):
+    # 25 wells per (hbar, m), |W| zero, small and sizable, against lock-step
+    # Brent minimisation of the residual with the same scan, certificate and
+    # merge.  The secant searches both parities at every scan minimum, so it
+    # may find a state that the one minimisation there missed; it loses none.
+    # The W = 0 well below has a state at a steep residual (sigma = 2.3e-6 at
+    # 2e5 xtol from it).
     rng = np.random.default_rng(round(91 + 10 * hbar + m))
     wells = []
     for n in range(25):
@@ -491,40 +492,45 @@ def test_bound_refinement_matches_lockstep_reference(monkeypatch, hbar, m):
     if (hbar, m) == (0.3, 2.0):
         wells.append((PhysicalParams(E=1.0, V=2.9488610177271397, W=0.0,
                                      a=12.398374598593811, hbar=0.3, m=2.0), 2000))
-    brent, minima = well._brent_minima, []
-
-    def spy(minimise):
-        def spied(es, sv, n, xtol, accept, params):
-            minima.append(minimise(es, sv, n, xtol, accept, params))
-            return minima[-1]
-        return spied
-
-    def reference(es, sv, n, xtol, accept, params):
-        return lockstep_brent_minima(es, sv, n, xtol, params)
-
-    closed = 0
     for params, grid in wells:
-        minima.clear()
-        monkeypatch.setattr(well, "_brent_minima", spy(brent))
+        scale = max(1.0, params.threshold)
+        want = brent_bound_states(params, grid)
         got = find_bound_states(params, grid=grid)
-        monkeypatch.setattr(well, "_brent_minima", spy(reference))
-        want = find_bound_states(params, grid=grid)
-        assert (got.energies, got.residuals) == (want.energies, want.residuals), params
-        moved = minima[0] != minima[1]
-        closed += np.count_nonzero(moved)
-        residual = well._certificate(minima[1][moved], params)
-        assert np.all(residual >= 1e-8), (params, grid)
-    assert closed > 0
+        merge = 1e-9 * scale    # find_bound_states' merge distance
+        for e, _ in want:
+            assert min((abs(g - e) for g in got.energies), default=math.inf) <= 1e-11 * scale, (
+                params, grid, e)
+        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], merge)
+        energies = np.array([e for e, _ in new])
+        assert np.all(well._certificate(energies, params) < 1e-8), (params, grid, new)
+
+
+@pytest.mark.parametrize("V, W, a, hbar, m, grid, state", [
+    (44.65350354954876, 0.0019035439830805254 - 0.0013875658543416418j, 14.579755601401732,
+     1.0, 1.0, 2000, -44.63094820308668),
+    (48.0097833633813, 1.1702884150408957e-06 + 1.0278831781345047e-07j, 14.001669077074073,
+     1.0, 1.0, 2000, -47.98532997845315),
+    (7.952491560148022, 0.0, 727.7209789800988, 16.083150425460005, 0.03181942905245352,
+     400, -7.885354838923361)], ids=["ground-small-w", "ground-tiny-w", "under-resolved"])
+def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
+    # the first two are ground states near E = -V, where a stop on an
+    # off-axis secant step of det A dropped them; in the third well the scan
+    # is coarse and det A far from linear between scan points
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a, hbar=hbar, m=m)
+    got = find_bound_states(params, grid=grid)
+    assert min(abs(e - state) for e in got.energies) <= 1e-11 * max(1.0, params.threshold)
 
 
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
-                                     (10.0, 0.4, 2.0)])
+                                     (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400: one scan call, one per refinement step, one certificate; with
-    # the golden-section refinement these wells made 56 SVD calls in all, and
-    # 28 and 39 while every Brent bracket ran down to xtol
-    calls, built = [], []
-    objective, build = well._folded_residual, well._bound_matrices
+    # grid 400: one scan call, one certificate, and at most five calls of the
+    # secant's function.  These wells took 5, 3 and 2 calls, where the Brent
+    # refinement on the residual took 11, 8 and 9 lock steps; without the
+    # stop on an off-axis secant step the sizable-|W| wells took 4 and 13.
+    calls, built, searched = [], [], []
+    objective, build, search = (well._folded_residual, well._bound_matrices,
+                                well._parity_determinants)
 
     def counted(es, params):
         calls.append(es.size)
@@ -534,12 +540,34 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
         built.append(es.size)
         return build(es, params)
 
+    def counted_search(es, params):
+        searched.append(es.size)
+        return search(es, params)
+
     monkeypatch.setattr(well, "_folded_residual", counted)
     monkeypatch.setattr(well, "_bound_matrices", counted_build)
+    monkeypatch.setattr(well, "_parity_determinants", counted_search)
     find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
-    assert calls[0] == 400
-    assert len(calls) <= 20
+    assert calls == [400]
     assert len(built) == 1
+    assert len(searched) <= 5
+
+
+@pytest.mark.parametrize("V, W, a, where", [(6.0, 0.7 - 0.9j, 1.7, "wabs"),
+                                            (2.8076495272615762, 0.4 + 0.5j, 1.93, "wabs"),
+                                            (10.0, 0.4, 2.0, "depth"),
+                                            (36.76473671903387, 0.0, 3.5392552744385, "depth")])
+def test_bound_secant_function_has_no_spurious_zero(V, W, a, where):
+    # det A vanishes like sqrt|E + |W|| at E = -|W|, where the interior pairs
+    # coincide, and its odd column like z- at E = -V_max; both factors are
+    # taken out, so the function keeps its size across those points
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a)
+    edge = -abs(W) if where == "wabs" else -params.threshold
+    side = (-1.0, 1.0) if where == "wabs" else (1.0,)
+    es = edge + np.array([s * d for s in side for d in (1e-3, 1e-6, 1e-9, 1e-12)])
+    f = np.abs(well._parity_determinants(es, params))
+    assert np.all(np.isfinite(f))
+    assert np.all(f.min(axis=1) >= 0.5 * f.max(axis=1)), f
 
 
 @pytest.mark.parametrize("grid", [400, 2000])
@@ -578,15 +606,18 @@ def test_bound_folded_residual_matches_certificate(hbar, m):
 @pytest.mark.parametrize("V, W, a", [(5.0, 0.0, 1.0), (5.0, 0.8 - 1.1j, 1.0),
                                      (10.0, 10.0, 500.0)])
 def test_bound_folded_residual_is_scale_free(V, W, a, hbar):
-    # columns are scaled to unit size before the Gram matrix, so no hbar
-    # over- or underflows; the a = 500 well's certificate overflows
+    # columns are scaled to unit size before the Gram matrix, and the
+    # secant's function is in units of sqrt(2 m) / hbar, so no hbar over- or
+    # underflows; the a = 500 well's certificate overflows
     params = PhysicalParams(E=1.0, V=V, W=W, a=a, hbar=hbar)
     vmax = params.threshold
     es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = well._folded_residual(es, params)
+        det = well._parity_determinants(es, params)
     assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(np.isfinite(det))
 
 
 @pytest.mark.parametrize("hbar", [1e20, 1e150, 1e300])
