@@ -21,8 +21,6 @@ from .quatcore import Quaternion, RightLinearScalarOp
 
 _CSV_HEADER = ("E,V,Wabs,Warg,a,regime,R,T,r_re,r_im,rt_re,rt_im,"
                "t_re,t_im,tt_re,tt_im,current_residual")
-# a solved row: "%.17g" prints the same text as _fmt
-_CSV_ROW = ",".join(["%.17g"] * 5 + ["%s"] + ["%.17g"] * 11)
 # rows per stacked solve in a sweep: bounds the working memory of a long sweep
 _SWEEP_BLOCK = 1024
 
@@ -159,25 +157,35 @@ def _scatter_rows(args, E, V, wabs, a) -> bool:
 
 def _csv_lines(kind: str, rows: scatter.ScatteringRows, E, V, W, a) -> list[str]:
     """CSV lines of solved rows, one % format each; a failed row prints as
-    regime ERROR with nan numbers, and its cause goes to stderr."""
-    table = np.empty((len(rows.errors), 16))
+    regime ERROR with nan numbers, and its cause goes to stderr.  A head
+    column given as a scalar (a sweep's fixed values) is formatted once,
+    into the row formats."""
     wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
-    table[:, 0], table[:, 1], table[:, 2], table[:, 4] = E, V, wabs, a
-    table[:, 3] = np.where(wabs != 0.0, np.angle(W), 0.0)
-    table[:, 5], table[:, 6], table[:, 15] = rows.R, rows.T, rows.current_spread
+    # np.angle(W), without its Python wrapper
+    heads = (E, V, wabs, np.where(wabs != 0.0, np.arctan2(W.imag, W.real), 0.0), a)
+    columns = [x for x in heads if np.ndim(x)]
+    # "%.17g" prints the same text as _fmt
+    head = ",".join(["%.17g" if np.ndim(x) else _fmt(float(x)) for x in heads])
+    numbers = ",".join(["%.17g"] * 11)
+    formats = {regime: f"{head},{regime.value},{numbers}" for regime in scatter.Regime}
+    k = len(columns)
+    table = np.empty((len(rows.errors), k + 11))
+    for col, x in enumerate(columns):
+        table[:, col] = x
+    table[:, k], table[:, k + 1], table[:, -1] = rows.R, rows.T, rows.current_spread
     np.stack([rows.r, rows.r_tilde, rows.t, rows.t_tilde], axis=1,
-             out=table[:, 7:15].view(complex))
+             out=table[:, k + 2:-1].view(complex))
     lines = []
     for values, regime, exc in zip(table.tolist(), rows.regimes, rows.errors):
         if exc is None:
-            lines.append(_CSV_ROW % (*values[:5], regime.value, *values[5:]))
+            lines.append(formats[regime] % tuple(values))
             continue
-        head = [_fmt(v) for v in values[:5]]
+        text = head % tuple(values[:k])
         names = ("E", "V", "Wabs", "Warg", "a")
-        where = " ".join(f"{n}={v}" for n, v in zip(names, head))
+        where = " ".join(f"{n}={v}" for n, v in zip(names, text.split(",")))
         cause = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         print(f"quatode {kind} {where}: {cause}", file=sys.stderr)
-        lines.append(",".join(head + ["ERROR"] + [_fmt(math.nan)] * 11))
+        lines.append(",".join([text, "ERROR"] + [_fmt(math.nan)] * 11))
     return lines
 
 
@@ -225,7 +233,8 @@ def _add_physical_flags(sub, with_a: bool, e_flag: bool = True, number=float):
     sub.add_argument("--mass", type=_finite, default=1.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers():
+    """The top-level parser and its subparsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="quatode",
         description="Quaternionic second-order ODEs and 1D scattering "
@@ -284,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--grid", type=int, default=2000)
     p_bd.set_defaults(func=cmd_bound)
 
-    return parser
+    return parser, subs.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 def _validate(args, parser):
@@ -326,13 +339,23 @@ def _validate(args, parser):
             parser.error("bound needs V > 0, a > 0 and --grid >= 3")
 
 
-# built on the first main() call, not at import; parsing leaves it unchanged
-_parser = functools.cache(build_parser)
+# built on the first main() call, not at import; parsing leaves them unchanged
+_parsers = functools.cache(_build_parsers)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # no argv, -h or an unknown command: the top-level parser reports it
+        args = parser.parse_args(argv)
+    else:
+        # the command's own subparser, the one the top-level parser would hand
+        # the rest of argv to, parses it without the top-level pass over it
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     _validate(args, parser)
     try:
         # a failure is one stderr line: no numpy floating-point warnings

@@ -118,7 +118,11 @@ class Matrix2H:
 
     def _regular_counterpart(self) -> np.ndarray:
         c = self.counterpart()
-        if _root_det(c) <= _SINGULAR_TOL * self.norm() ** 2:
+        # an exact power of two takes the largest modulus into [0.5, 1): both
+        # sides of the test have degree 2, so no verdict changes, but neither
+        # over- nor underflows; |c|^2 = 2 |M|^2
+        s = c * math.ldexp(1.0, -math.frexp(np.abs(c).max())[1])
+        if _root_det(s) <= _SINGULAR_TOL * np.vdot(s, s).real / 2.0:
             raise ValueError("singular quaternionic system")
         return c
 

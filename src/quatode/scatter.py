@@ -126,8 +126,9 @@ class _Layout:
     at0: int             # entries at the first edge, x = 0; they come first
     later: np.ndarray    # (entries - at0,) column in x of each later edge
     first: np.ndarray    # (regions,) the first term of each region
-    cell: np.ndarray     # (terms,) place of each term in a (regions, terms) table
-    steps: np.ndarray    # (regions, samples), parts (regions, 1): current samples at
+    cell: np.ndarray     # (samples, terms) place of each term's samples in a
+                         # (regions, samples, terms) table
+    steps: np.ndarray    # (samples, regions), parts (1, regions): current samples at
     parts: np.ndarray    # lo + reach * steps / parts, steps < 0 on the left half-line
 
 
@@ -160,9 +161,9 @@ def _layout(regions: int) -> _Layout:
                    flat=(row * region.size + term).ravel(),
                    at0=int(np.sum(edge == 0)), later=edge[edge > 0] - 1,
                    first=np.searchsorted(region, k),
-                   cell=region * region.size + np.arange(region.size),
-                   steps=np.where(inner, n + 1.0, np.sign(k - 0.5)[:, None] * (n + 0.5)),
-                   parts=np.where(inner, _SAMPLES + 1.0, 1.0))
+                   cell=(region * _SAMPLES + n[:, None]) * region.size + np.arange(region.size),
+                   steps=np.where(inner, n + 1.0, np.sign(k - 0.5)[:, None] * (n + 0.5)).T,
+                   parts=np.where(inner, _SAMPLES + 1.0, 1.0).T)
 
 
 _LAYOUTS = {regions: _layout(regions) for regions in set(_REGIONS.values())}
@@ -236,23 +237,25 @@ class ScatteringRows:
     amplitudes: np.ndarray
 
 
-def _nudge_off_threshold(E: np.ndarray, threshold: np.ndarray,
-                         wabs: np.ndarray) -> np.ndarray:
+def _nudge_off_threshold(E: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Energies within 1e-12 (relative) of a regime boundary, moved above it.
 
-    The regime formulas are singular exactly at E = sqrt(V^2+|W|^2), and the
-    exponential mode basis degenerates at E = |W| (coincident exponents).
-    A row near both boundaries moves above the threshold.
+    boundaries is the (2, n) table of |W| and sqrt(V^2+|W|^2), tested in one
+    pass.  The regime formulas are singular exactly at E = sqrt(V^2+|W|^2),
+    and the exponential mode basis degenerates at E = |W| (coincident
+    exponents).  A row near both boundaries moves above the threshold.
     """
-    out = E
-    for boundary in (wabs, threshold):
-        scale = np.maximum(1.0, boundary)
-        near = (boundary > 0.0) & (np.abs(E - boundary) < 1e-12 * scale)
-        if near.any():
+    scale = np.maximum(1.0, boundaries)
+    near = np.abs(E - boundaries) < 1e-12 * scale
+    if not near.any():
+        return E
+    near &= boundaries > 0.0
+    for count in near.sum(axis=1).tolist():
+        if count:
             log.info("%d energies within 1e-12 of a regime boundary; nudging above",
-                     int(near.sum()))
-            out = np.where(near, boundary + 1e-12 * scale, out)
-    return out
+                     count)
+    above = boundaries + 1e-12 * scale
+    return np.where(near[1], above[1], np.where(near[0], above[0], E))
 
 
 def current_kernel(psi1, psi2, dpsi1, dpsi2, hbar: float = 1.0, m: float = 1.0):
@@ -279,16 +282,19 @@ def _current_spread(layout: _Layout, terms, amp, x, hbar: float, m: float) -> np
     widest = np.maximum.reduceat(np.hypot(g.real, g.imag), layout.first, axis=1)
     # a half-line reaches 1 / (1 + rate) from its edge, rate its largest |g|, so
     # each mode changes by O(1) among the samples; an inner region reaches hi - lo
-    lo = np.concatenate([np.zeros((n, 2)), x], axis=1)
-    step = 1.0 / (1.0 + widest)
-    reach = np.concatenate([step[:, :1], lo[:, 2:] - lo[:, 1:-1], step[:, -1:]], axis=1)
-    xs = lo[:, :, None] + reach[:, :, None] * layout.steps / layout.parts
-    # e[n, region, term, sample]; terms outside a region are zero there
-    e = np.zeros((n, regions, size, _SAMPLES), dtype=complex)
-    e.reshape(n, regions * size, _SAMPLES)[:, layout.cell] = np.exp(
-        g[:, :, None] * xs[:, layout.region])
-    psi = np.einsum("nct,nrts->ncrs", coef, e)
-    dpsi = np.einsum("nct,nrts->ncrs", coef, g[:, None, :, None] * e)
+    lo = np.zeros((n, regions))
+    lo[:, 2:] = x
+    reach = 1.0 / (1.0 + widest)
+    reach[:, 1:-1] = lo[:, 2:] - lo[:, 1:-1]
+    xs = lo[:, None, :] + reach[:, None, :] * layout.steps / layout.parts
+    # e[n, region, sample, term]; terms outside a region are zero there.  The
+    # contraction runs over contiguous terms, in the same order as over
+    # strided ones, so it is the same sum, in half the time
+    e = np.zeros((n, regions, _SAMPLES, size), dtype=complex)
+    e.reshape(n, regions * _SAMPLES * size)[:, layout.cell] = np.exp(
+        g[:, None, :] * xs[:, :, layout.region])
+    psi = np.einsum("nct,nrst->ncrs", coef, e)
+    dpsi = np.einsum("nct,nrst->ncrs", coef, g[:, None, None, :] * e)
     j = current_kernel(psi[:, 0], psi[:, 1], dpsi[:, 0], dpsi[:, 1], hbar, m)
     return j.max(axis=(1, 2)) - j.min(axis=(1, 2))
 
@@ -318,46 +324,49 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     barrier = kind == "barrier"
     E, V, W, a = [np.asarray(x, dtype=t) for x, t in
                   ((E, float), (V, float), (W, complex), (a, float))]
-    shape = np.broadcast(E, V, W, a).shape or (1,)
-    if len(shape) != 1:
+    # one mask over every input; a step ignores a but takes its shape
+    valid = ((E > 0.0) & np.isfinite(E) & np.isfinite(V) & np.isfinite(W)
+             & ((a > 0.0) & np.isfinite(a) | (not barrier)))
+    if valid.ndim > 1:
         raise ValueError("solve_rows takes scalars and 1-D arrays")
-    E, V, W, a = [np.full(shape, x) for x in (E, V, W, a)]
-    n = E.size
-    bad_e = ~(E > 0.0)
-    bad_a = ~(a > 0.0) & barrier
-    finite = (np.isfinite(E) & np.isfinite(V) & np.isfinite(W)
-              & (np.isfinite(a) | (not barrier)))
-    invalid = bad_e | bad_a | ~finite
+    valid = valid.reshape(-1)
+    n = valid.size
     errors = [None] * n
-    if invalid.any():
+    if valid.all():
+        E = np.full(n, E)
+    else:
+        invalid = ~valid
+        bad_e, bad_a = np.broadcast_to(~(E > 0.0), n), np.broadcast_to(~(a > 0.0), n)
         for i in np.flatnonzero(invalid).tolist():
             errors[i] = ValueError("scattering needs E > 0" if bad_e[i] else
-                                   "barrier needs a > 0" if bad_a[i] else
+                                   "barrier needs a > 0" if barrier and bad_a[i] else
                                    "E, V, W and a must be finite")
         # invalid rows are solved on harmless stand-in values, then discarded
         E, V = np.where(invalid, 1.0, E), np.where(invalid, 0.0, V)
         W, a = np.where(invalid, 0.0, W), np.where(invalid, 1.0, a)
 
-    wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
-    threshold = np.hypot(V, wabs)
-    E = _nudge_off_threshold(E, threshold, wabs)
+    boundaries = np.empty((2, n))
+    wabs = np.hypot(W.real, W.imag, out=boundaries[0])    # bit for bit abs(complex)
+    threshold = np.hypot(V, wabs, out=boundaries[1])
+    E = _nudge_off_threshold(E, boundaries)
     above = E > threshold
     pot_v, pot_w = np.zeros((n, 2)), np.zeros((n, 2), dtype=complex)
     pot_v[:, 1], pot_w[:, 1] = V, W
-    x = a[:, None] if barrier else np.empty((n, 0))
+    x = np.full((n, 1), a[..., None]) if barrier else np.empty((n, 0))
     modes, layout, table, mat = _matching(E, pot_v, pot_w, x, hbar, m)
     terms = table[:, layout.columns]
     # 0 - v, not -v: zeros stay +0, so a W = 0 row prints r~ as 0, not -0
     rhs, mat = 0.0 - mat[:, :, 0], mat[:, :, 1:]
-    overflow = ~invalid & ~np.isfinite(mat).all(axis=(1, 2))
-    for i in np.flatnonzero(overflow).tolist():
-        errors[i] = OverflowError("matching system is not finite: its modes overflow")
+    good = valid & np.isfinite(mat).all(axis=(1, 2))
+    clean = good.all()
+    if not clean:
+        for i in np.flatnonzero(valid & ~good).tolist():
+            errors[i] = OverflowError("matching system is not finite: its modes overflow")
 
     # amplitudes of every term: the incident wave has amplitude 1
     amp = np.full((n, terms.shape[2]), complex(math.nan, math.nan))
     amp[:, 0] = 1.0
-    good = ~invalid & ~overflow
-    pick = slice(None) if good.all() else np.flatnonzero(good)    # no copy if clean
+    pick = slice(None) if clean else np.flatnonzero(good)    # no copy if clean
     try:
         amp[pick, 1:] = np.linalg.solve(mat[pick], rhs[pick, :, None])[..., 0]
     except np.linalg.LinAlgError:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 import math
@@ -163,6 +164,23 @@ def test_csv_lines_match_per_number_reference(capsys, kind):
     # W = 0 rows print r~ as +0
     zero_w = [f for f in fields if f[2] == "0" and f[5] != "ERROR"]
     assert zero_w and all(f[10:12] == ["0", "0"] for f in zero_w)
+    # V, W and a as scalars, as cmd_sweep passes its fixed values: the head
+    # columns are formatted once; E = 30 overflows the barrier (a = 100) and
+    # E = 1e308 the step, E < 0 is invalid
+    E = np.concatenate([np.linspace(0.05, 25.0, 97), [30.0, 1e308, -1.0]])
+    V, W, a = 4.0, np.asarray(1.0) * complex(math.cos(2.1), math.sin(2.1)), np.float64(100.0)
+    with np.errstate(all="ignore"):     # as under main
+        solved = solve_rows(kind, E, V, W, a)
+    got = cli._csv_lines(kind, solved, E, V, W, a)
+    got_err = capsys.readouterr().err
+    want = csv_lines_per_number(kind, solved, E, V, W, a)
+    assert_same_lines(got, want)
+    assert got_err == capsys.readouterr().err
+    assert [type(exc) for exc in solved.errors[-3:]] == [
+        type(None) if kind == "step" else OverflowError, OverflowError, ValueError]
+    fields = [line.split(",") for line in got]
+    assert {f[5] for f in fields} == {"AboveThreshold", "Evanescent", "SubW", "ERROR"}
+    assert len({tuple(f[1:5]) for f in fields}) == 1
 
 
 def test_long_sweep_matches_per_number_reference(capsys):
@@ -434,6 +452,65 @@ def test_eig_diagonal_output(capsys):
     payload = json.loads(out)
     assert payload["form"] == "diagonal"
     assert [round(z[1], 9) for z in payload["eigenvalues"]] == [2.0, 4.0]
+
+
+_SWEEP_HEAD = ["sweep", "barrier", "--param", "E", "--start", "0.5", "--stop", "3",
+               "--count", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "0", "1", "0", "0", "1", "1", "0", "1"],
+    ["ode", "h", "--a", "0,1,0,0", "--b=0.25,0.5,0,0.5", "--phi0", "0,0,0,0",
+     "--dphi0=-0.5,-0.5,-0.5,0", "--points", "0,0.5,1", "--oracle"],
+    ["ode", "c", "--a=0.3,-0.7,0.2,0.5,0.4,0.1,-0.6,0.9", "--b=-0.8,0.6,1.1,-0.2,0.3,-0.5,0.7,0.2",
+     "--phi0=0.5,-0.1,0.8,0.3", "--dphi0=-0.4,0.9,0.2,-0.7", "--points=0,0.25,1",
+     "--oracle-steps", "64"],
+    ["eig", "--", "0.3", "-1", "0.2", "-0.5", "0.7", "0.4", "-1.1", "0.3", "-0.2", "0.6",
+     "0.9", "0.1", "1.2", "-0.3", "0.5", "0.8"],
+    ["scatter", "barrier", "--E", "1.3", "--V", "2", "--Wabs", "0.8", "--a", "1.1"],
+    _SWEEP_HEAD + ["--V", "2", "--Wabs=1", "--Warg=-0.4", "--a", "0.8"],
+    ["bound", "--V", "10", "--a", "2", "--grid", "400", "--hbar=0.9"],
+], ids=["quad", "ode-h", "ode-c", "eig", "scatter", "sweep", "bound"])
+def test_main_parses_as_the_top_level_parser(monkeypatch, argv):
+    # main hands a known command's argv straight to its subparser: the
+    # namespace, command included, is the one argparse's full pass gives
+    class Parsed(Exception):
+        pass
+
+    def stop(args, parser):
+        raise Parsed(argparse.Namespace(**vars(args)))
+
+    monkeypatch.setattr(cli, "_validate", stop)
+    with pytest.raises(Parsed) as info:
+        main(argv)
+    got = info.value.args[0]
+    assert got == cli.build_parser().parse_args(argv)
+    assert got.command == argv[0]
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    (_SWEEP_HEAD + ["--V", "2", "--bogus"], 2,
+     "quatode: error: unrecognized arguments: --bogus"),
+    (["sweep", "barrier", "--param", "E", "--start", "0.5"], 2,
+     "quatode sweep: error: the following arguments are required: --stop, --count"),
+    (["sweep", "wall"] + _SWEEP_HEAD[2:], 2,
+     "quatode sweep: error: argument kind: invalid choice: 'wall'"),
+    ([], 2, "quatode: error: the following arguments are required: command"),
+    (["sweep", "-h"], 0, None),
+], ids=["unknown-flag", "missing-option", "invalid-choice", "empty", "sweep-help"])
+def test_main_reports_usage_as_the_top_level_parser(capsys, argv, code, last):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        return (info.value.code, *capsys.readouterr())
+
+    got = outcome(main)
+    assert got == outcome(cli.build_parser().parse_args)
+    assert got[0] == code
+    if last is None:
+        assert got[1].startswith("usage: quatode sweep") and got[2] == ""
+    else:
+        assert got[1] == "" and got[2].splitlines()[-1].startswith(last)
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

@@ -427,6 +427,26 @@ def test_inverse_of_singular_matrix_raises():
         Matrix2H([[0, 0], [0, 0]]).inverse()
 
 
+def test_singularity_test_is_scale_free():
+    # 2^k I: det of the counterpart (2^4k) and |M|^2 (2^(2k+1)) leave the float
+    # range from |k| ~ 256, but the verdict has degree 2 on both sides
+    q = Quaternion(0.3, -1.1, 0.7, 0.2)
+    for k in range(-530, 531):
+        f, inv = math.ldexp(1.0, k), math.ldexp(1.0, -k)
+        m = Matrix2H([[f, 0], [0, f]])
+        got = m.inverse()
+        for r in range(2):
+            for c in range(2):
+                assert got.m[r][c] == Quaternion(inv if r == c else 0.0), (k, r, c)
+        assert m.solve((ONE, Quaternion())) == (Quaternion(inv), Quaternion())
+        assert m.solve((Quaternion(), ONE)) == (Quaternion(), Quaternion(inv))
+        singular = Matrix2H([[q * f, q * f], [q * f, q * f]])
+        with pytest.raises(ValueError, match="singular"):
+            singular.inverse()
+        with pytest.raises(ValueError, match="singular"):
+            singular.solve((ONE, ONE))
+
+
 def test_dieudonne_multiplicative():
     rng = np.random.default_rng(50)
     for _ in range(100):
