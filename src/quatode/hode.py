@@ -66,9 +66,7 @@ def solve_ivp(a: Quaternion, b: Quaternion,
               phi0: Quaternion, dphi0: Quaternion) -> GeneralSolution:
     """Fix the right coefficients from phi(0), phi'(0)."""
     sol = general_solution(a, b)
-    b1, b2 = sol.basis
-    rows = [[b1.value(0.0), b2.value(0.0)],
-            [b1.derivative(0.0), b2.derivative(0.0)]]
+    rows = [[f.value(0.0) for f in sol.basis], [f.derivative(0.0) for f in sol.basis]]
     try:
         c1, c2 = Matrix2H(rows).solve((phi0, dphi0))
     except ValueError as exc:

@@ -13,12 +13,11 @@ convention is pinned by the anti-hermitian worked example in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
+from .quatcore import ONE, ZERO, ExpSum, Quaternion, RightLinearScalarOp, exp_term
 
 # rank decisions on the 4x4 counterpart
 _RANK_TOL = 1e-9
@@ -46,16 +45,16 @@ def svec(v: Sequence[Quaternion]) -> np.ndarray:
 
 def lift(v: np.ndarray) -> tuple[Quaternion, Quaternion]:
     """Inverse of svec."""
-    return (Quaternion.from_symplectic(v[0], v[2]),
-            Quaternion.from_symplectic(v[1], v[3]))
+    return (Quaternion(v[0].real, v[0].imag, v[2].real, -v[2].imag),
+            Quaternion(v[1].real, v[1].imag, v[3].real, -v[3].imag))
 
 
 class Matrix2H:
     """2x2 matrix of quaternions acting from the left."""
 
     def __init__(self, entries):
-        self.m = tuple(tuple(_as_quaternion(e) for e in row) for row in entries)
-        if len(self.m) != 2 or any(len(r) != 2 for r in self.m):
+        self.m = tuple(tuple(map(_as_quaternion, row)) for row in entries)
+        if tuple(map(len, self.m)) != (2, 2):
             raise ValueError("expected a 2x2 array of quaternions")
 
     @classmethod
@@ -102,29 +101,27 @@ class Matrix2H:
         return float(np.sqrt(sum(e.norm2() for row in self.m for e in row)))
 
     def counterpart(self) -> np.ndarray:
-        """4x4 complex matrix in the svec coordinates."""
-        return _counterpart([[e._counterpart_rows() for e in row] for row in self.m])
+        """4x4 complex matrix in the svec coordinates, laid out as Matrix2CL's:
+        the entry z1 + j z2 has the counterpart [[z1, -conj z2], [z2, conj z1]]."""
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = [e.symplectic() for row in self.m for e in row]
+        return np.array([[a1, b1, -a2.conjugate(), -b2.conjugate()],
+                         [c1, d1, -c2.conjugate(), -d2.conjugate()],
+                         [a2, b2, a1.conjugate(), b1.conjugate()],
+                         [c2, d2, c1.conjugate(), d1.conjugate()]])
 
     def solve(self, rhs) -> tuple[Quaternion, Quaternion]:
-        """The 2-vector c with M c = rhs, by one complex solve on the counterpart.
+        """The 2-vector c with M c = rhs, by block elimination (_eliminate).
 
         Raises ValueError when dieudonne(M) <= 1e-12 |M|^2.
         """
-        return lift(np.linalg.solve(self._regular_counterpart(), svec(rhs)))
+        _, det, (n0, n1), (x,) = _eliminate(self.m, (rhs,))
+        if det <= _SINGULAR_TOL * (n0 + n1):
+            raise ValueError("singular quaternionic system")
+        return x
 
     def inverse(self) -> "Matrix2H":
-        """M^-1, read back from the inverse of the counterpart."""
-        return _lift_inverse(self._regular_counterpart())
-
-    def _regular_counterpart(self) -> np.ndarray:
-        c = self.counterpart()
-        # an exact power of two takes the largest modulus into [0.5, 1): both
-        # sides of the test have degree 2, so no verdict changes, but neither
-        # over- nor underflows; |c|^2 = 2 |M|^2
-        s = c * math.ldexp(1.0, -math.frexp(np.abs(c).max())[1])
-        if _root_det(s) <= _SINGULAR_TOL * np.vdot(s, s).real / 2.0:
-            raise ValueError("singular quaternionic system")
-        return c
+        """M^-1, solved column by column; ValueError as for solve."""
+        return Matrix2H.from_columns(self.solve((ONE, ZERO)), self.solve((ZERO, ONE)))
 
     def __repr__(self):
         return f"Matrix2H({self.m!r})"
@@ -143,17 +140,14 @@ class Matrix2CL:
                 self.m[1][0](v[0]) + self.m[1][1](v[1]))
 
     def counterpart(self) -> np.ndarray:
-        return _counterpart([[op._counterpart_rows() for op in row] for row in self.m])
+        """4x4 matrix in svec coordinates: element (i, j) of entry (r, k)'s 2x2
+        counterpart goes to (r + 2 i, k + 2 j)."""
+        blocks = [[op._counterpart_rows() for op in row] for row in self.m]
+        return np.array([[b0[i][0], b1[i][0], b0[i][1], b1[i][1]]
+                         for i in range(2) for b0, b1 in blocks])
 
     def __repr__(self):
         return f"Matrix2CL({self.m!r})"
-
-
-def _counterpart(blocks) -> np.ndarray:
-    """4x4 matrix in svec coordinates: blocks[r][k] holds the rows of entry
-    (r, k)'s 2x2 counterpart, whose element (i, j) goes to (r + 2 i, k + 2 j)."""
-    return np.array([[b0[i][0], b1[i][0], b0[i][1], b1[i][1]]
-                     for i in range(2) for b0, b1 in blocks])
 
 
 def _companion_counterpart(a, b) -> np.ndarray:
@@ -164,11 +158,6 @@ def _companion_counterpart(a, b) -> np.ndarray:
     (b00, b01), (b10, b11) = b._counterpart_rows()
     return np.array([[0j, 1, 0j, 0j], [-b00, -a00, -b01, -a01],
                      [0j, 0j, 0j, 1], [-b10, -a10, -b11, -a11]])
-
-
-def _lift_inverse(c: np.ndarray) -> "Matrix2H":
-    ci = np.linalg.inv(c)
-    return Matrix2H.from_columns(lift(ci[:, 0]), lift(ci[:, 1]))
 
 
 def _as_quaternion(e) -> Quaternion:
@@ -182,17 +171,56 @@ def _as_op(e) -> RightLinearScalarOp:
     return RightLinearScalarOp(_as_quaternion(e), Quaternion())
 
 
+def _pmul(a: tuple, b: tuple) -> tuple:
+    """Product of quaternions as symplectic pairs q = z1 + j z2 (j z = conj(z) j)."""
+    (a1, a2), (b1, b2) = a, b
+    return (a1 * b1 - a2.conjugate() * b2, a1.conjugate() * b2 + a2 * b1)
+
+
+def _pinv(p: tuple, n2: float) -> tuple:
+    """conj(q) / |q|^2 of a symplectic pair with |q|^2 = n2; 0 for 0."""
+    return (p[0].conjugate() / (n2 or 1.0), -p[1] / (n2 or 1.0))
+
+
+def _eliminate(m, rhs=()) -> tuple:
+    """Block elimination of the 2x2 quaternion matrix m on symplectic pairs,
+    scaled by the power of two s that takes the largest modulus into
+    [0.5, 1): nothing over- or underflows.  The pivot row (a, b) has the
+    larger |m_i0|; the other row leaves S = d - c a^-1 b.  Returns s,
+    dieudonne(s m) = |a| |S| (a unit-triangular row operation keeps the Study
+    determinant), the squared column norms of s m, and the solution of
+    m x = r for each r in rhs; the caller judges singularity."""
+    pairs = [e.symplectic() for row in m for e in row]
+    s = math.ldexp(1.0, -math.frexp(max(abs(z) for p in pairs for z in p))[1])
+    a, b, c, d = [(z1 * s, z2 * s) for z1, z2 in pairs]
+    na, nb, nc, nd = [abs(z1) ** 2 + abs(z2) ** 2 for z1, z2 in (a, b, c, d)]
+    if nc > na:
+        a, b, c, d = c, d, a, b
+    ainv = _pinv(a, max(na, nc))
+    low = _pmul(c, ainv)
+    lb = _pmul(low, b)
+    schur = (d[0] - lb[0], d[1] - lb[1])
+    ns = abs(schur[0]) ** 2 + abs(schur[1]) ** 2
+    sinv = _pinv(schur, ns)
+    xs = []
+    for r in rhs:
+        r1, r2 = [q.symplectic() for q in (r[::-1] if nc > na else r)]
+        lr = _pmul(low, r1)
+        y2 = _pmul(sinv, (r2[0] - lr[0], r2[1] - lr[1]))
+        by = _pmul(b, y2)
+        y1 = _pmul(ainv, (r1[0] - by[0], r1[1] - by[1]))
+        # s m has the solution x / s
+        xs.append(lift([y1[0] * s, y2[0] * s, y1[1] * s, y2[1] * s]))
+    return s, math.sqrt(max(na, nc) * ns), (na + nc, nb + nd), xs
+
+
 def dieudonne(m: Matrix2H) -> float:
     """Non-negative determinant functional sqrt(det of the counterpart)."""
-    return _root_det(m.counterpart())
+    s, det, _, _ = _eliminate(m.m)
+    return det / s / s
 
 
-def _root_det(c: np.ndarray) -> float:
-    return float(np.sqrt(max(np.linalg.det(c).real, 0.0)))
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Canonical right eigenstructure of a 2x2 quaternionic matrix."""
 
     eigenvalues: tuple[complex, ...]
@@ -221,25 +249,25 @@ def _nullspaces(c: np.ndarray, zs, tols) -> list[np.ndarray]:
             for sv, v, tol in zip(s, vh, tols)]
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    """The columns of v scaled to unit norm, each with its largest component
+def _unit_phase(v) -> list[complex]:
+    """The complex 4-vector v scaled to unit norm, with its largest component
     real and positive."""
-    v = v / np.linalg.norm(v, axis=0)
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * np.conj(top / np.abs(top))
+    mods = list(map(abs, v))
+    top = max(mods)
+    phase = v[mods.index(top)].conjugate() / (top * math.hypot(*mods))
+    return [z * phase for z in v]
 
 
 def _canonical_pairs(lam: np.ndarray) -> list[tuple[complex, int]]:
     """Fold the conjugate-closed 4-spectrum into 2 canonical eigenvalues, each
     with the index in lam of its member of larger imaginary part."""
-    remaining = list(enumerate(lam.tolist()))
+    rest = list(enumerate(lam.tolist()))
     canon = []
-    for _ in range(2):
-        k = max(range(len(remaining)), key=lambda i: remaining[i][1].imag)
-        idx, z = remaining.pop(k)
-        kk = min(range(len(remaining)),
-                 key=lambda i: abs(remaining[i][1] - z.conjugate()))
-        zbar = remaining.pop(kk)[1]
+    while rest:
+        imag = [z.imag for _, z in rest]
+        idx, z = rest.pop(imag.index(max(imag)))
+        dist = [abs(w - z.conjugate()) for _, w in rest]
+        zbar = rest.pop(dist.index(min(dist)))[1]
         canon.append((complex((z.real + zbar.real) / 2.0,
                               (abs(z.imag) + abs(zbar.imag)) / 2.0), idx))
     canon.sort(key=lambda p: (p[0].imag, p[0].real))
@@ -263,23 +291,24 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
         if z1.imag > merge_tol:
             # four simple counterpart eigenvalues: each eigenspace is eig's
             # column at the member of the pair with Im > 0
-            cols = vec[:, [k1, k2]]
+            cols = [vec[:, k].tolist() for k in (k1, k2)]
         else:
             # a real z pairs with itself: a two-dimensional eigenspace
-            cols = np.column_stack([ns[:, 0] for ns in _nullspaces(c, (z1, z2), (tol, tol))])
-        vecs = tuple(map(lift, _normalize_phase(cols).T))
+            cols = [ns[:, 0].tolist() for ns in _nullspaces(c, (z1, z2), (tol, tol))]
+        vecs = tuple(lift(_unit_phase(v)) for v in cols)
         return EigenDecomposition((z1, z2), vecs, form="diagonal")
     # double canonical eigenvalue; the mean is eps-accurate even though the
-    # individual values are not
+    # individual values are not.  A real z pairs with itself, and eig may split
+    # it along the imaginary axis, which |Im| would fold into an O(sqrt(eps)) Im z
     z = complex((z1.real + z2.real) / 2.0, (z1.imag + z2.imag) / 2.0)
+    needed = 4 if abs(z.imag) <= merge_tol else 2
+    z = complex(z.real, 0.0) if needed == 4 else z
     rank_tol = max(tol, 2.0 * abs(z1 - z2))
     ns, = _nullspaces(c, (z,), (rank_tol,))
-    needed = 4 if abs(z.imag) <= merge_tol else 2  # real z pairs with itself
-    first, *others = map(lift, _normalize_phase(ns).T)
+    first, *others = (lift(_unit_phase(v)) for v in ns.T.tolist())
     if ns.shape[1] >= needed:
         for other in others:
-            s = Matrix2H.from_columns(first, other)
-            if dieudonne(s) > _INDEP_TOL:
+            if dieudonne(Matrix2H.from_columns(first, other)) > _INDEP_TOL:
                 return EigenDecomposition((z, z), (first, other), form="diagonal")
     return EigenDecomposition((z, z), (first,), form="jordan", defective=True)
 
@@ -289,14 +318,7 @@ def diagonalize(m: Matrix2H) -> EigenDecomposition:
     dec = right_eigenpairs(m)
     if dec.defective:
         raise DefectiveMatrixError("defective matrix: use jordanize")
-    s = Matrix2H.from_columns(dec.eigenvectors[0], dec.eigenvectors[1])
-    cs = s.counterpart()
-    if _root_det(cs) <= _INDEP_TOL:
-        raise DefectiveMatrixError("eigenvectors quaternionically dependent")
-    # the check above is stricter than inverse()'s: s has unit columns
-    return EigenDecomposition(dec.eigenvalues, dec.eigenvectors,
-                              form="diagonal", transform=s,
-                              transform_inv=_lift_inverse(cs))
+    return _transform_solve(m, dec)[0]
 
 
 def jordanize(m: Matrix2H) -> EigenDecomposition:
@@ -304,28 +326,41 @@ def jordanize(m: Matrix2H) -> EigenDecomposition:
     dec = right_eigenpairs(m)
     if not dec.defective:
         raise ValueError("matrix is diagonalizable: use diagonalize")
-    z = dec.eigenvalues[0]
-    psi = dec.eigenvectors[0]
-    # pin the gauge: unit complex part on the leading component, and no
-    # complex part of that component in the generalized eigenvector
-    scale = max(1.0, psi[0].norm() + psi[1].norm())
-    idx = 0 if abs(psi[0].symplectic()[0]) > 1e-8 * scale else 1
-    comp = psi[idx].symplectic()[0]
-    if abs(comp) <= 1e-8 * scale:
-        raise DefectiveMatrixError("cannot gauge-fix the eigenvector")
-    psi = tuple(p * Quaternion.from_complex(1.0 / comp) for p in psi)
-    c = m.counterpart()
-    tol = _RANK_TOL * _scale(c)
-    rhs = svec(psi)
-    w, *_ = np.linalg.lstsq(c - z * np.eye(4), rhs, rcond=None)
-    if np.linalg.norm((c - z * np.eye(4)) @ w - rhs) > 1e3 * tol:
-        raise DefectiveMatrixError("no generalized eigenvector: chain broken")
-    gen = lift(w)
-    gauge = Quaternion.from_complex(gen[idx].symplectic()[0])
-    gen = tuple(g - p * gauge for g, p in zip(gen, psi))
-    j = Matrix2H.from_columns(psi, gen)
-    return EigenDecomposition((z, z), (psi,), form="jordan", defective=True,
-                              transform=j, transform_inv=j.inverse())
+    return _transform_solve(m, dec)[0]
+
+
+def _transform_solve(m: Matrix2H, dec: EigenDecomposition, rhs=None):
+    """dec with its transform T, and the solution of T x = r for each r in
+    rhs; without rhs, dec also gets T^-1.  T's columns are the eigenvectors,
+    or for a defective m the gauge-fixed eigenvector and a generalized one.
+    They must be independent as unit columns: the generalized eigenvector
+    shrinks like 1/|M|, so the |T|^2 rule of solve would reject a large M."""
+    cols = dec.eigenvectors
+    if dec.defective:
+        z, psi = dec.eigenvalues[0], cols[0]
+        # pin the gauge: unit complex part on the leading component, and no
+        # complex part of that component in the generalized eigenvector
+        scale = max(1.0, psi[0].norm() + psi[1].norm())
+        idx = 0 if abs(psi[0].symplectic()[0]) > 1e-8 * scale else 1
+        comp = psi[idx].symplectic()[0]
+        if abs(comp) <= 1e-8 * scale:
+            raise DefectiveMatrixError("cannot gauge-fix the eigenvector")
+        psi = tuple(p * Quaternion.from_complex(1.0 / comp) for p in psi)
+        c = m.counterpart()
+        tol = _RANK_TOL * _scale(c)
+        w, *_ = np.linalg.lstsq(c - z * np.eye(4), svec(psi), rcond=None)
+        if np.linalg.norm((c - z * np.eye(4)) @ w - svec(psi)) > 1e3 * tol:
+            raise DefectiveMatrixError("no generalized eigenvector: chain broken")
+        gen = lift(w)
+        gauge = Quaternion.from_complex(gen[idx].symplectic()[0])
+        cols = (psi, tuple(g - p * gauge for g, p in zip(gen, psi)))
+    t = Matrix2H.from_columns(*cols)
+    _, det, (n0, n1), xs = _eliminate(t.m, rhs or ((ONE, ZERO), (ZERO, ONE)))
+    if det <= _INDEP_TOL * math.sqrt(n0 * n1):
+        raise DefectiveMatrixError("eigenvectors quaternionically dependent")
+    inv = None if rhs else Matrix2H.from_columns(*xs)
+    return EigenDecomposition(dec.eigenvalues, cols[:len(dec.eigenvectors)], dec.form,
+                              dec.defective, t, inv), xs
 
 
 class MatrixSolution(ExpSum):
@@ -340,25 +375,20 @@ class MatrixSolution(ExpSum):
 
 def companion_matrix(a: Quaternion, b: Quaternion) -> Matrix2H:
     """Matrix form [[0, 1], [-b, -a]] of phi'' + a phi' + b phi = 0."""
-    return Matrix2H([[Quaternion(), Quaternion(1)], [-b, -a]])
+    return Matrix2H([[ZERO, ONE], [-b, -a]])
 
 
 def solve_ode_via_matrix(a: Quaternion, b: Quaternion,
                          phi0: Quaternion, dphi0: Quaternion) -> MatrixSolution:
-    """Solve the IVP through diagonalization or the Jordan form."""
+    """Solve the IVP through diagonalization or the Jordan form: the right
+    coefficients solve T (r1, r2) = (phi0, phi0'), with no T^-1 formed."""
     m = companion_matrix(a, b)
-    try:
-        dec = diagonalize(m)
-    except DefectiveMatrixError:
-        dec = jordanize(m)
-    s, si = dec.transform, dec.transform_inv
-    r1 = si[0, 0] * phi0 + si[0, 1] * dphi0
-    r2 = si[1, 0] * phi0 + si[1, 1] * dphi0
-    # a Jordan form has z1 = z2 and the affine second term (s00 x + s01) e^{z x}
+    dec, ((r1, r2),) = _transform_solve(m, right_eigenpairs(m), ((phi0, dphi0),))
+    # a Jordan form has z1 = z2 and the affine second term (t00 x + t01) e^{z x}
+    (t00, t01), _ = dec.transform.m
     z1, z2 = dec.eigenvalues
-    lx = None if dec.form == "diagonal" else s[0, 0]
-    terms = (exp_term(s[0, 0], z1, r1), exp_term(s[0, 1], z2, r2, Lx=lx))
-    return MatrixSolution(terms, dec)
+    lx = t00 if dec.defective else None
+    return MatrixSolution((exp_term(t00, z1, r1), exp_term(t01, z2, r2, Lx=lx)), dec)
 
 
 def _outer_sum(weights, vecs) -> Matrix2H:

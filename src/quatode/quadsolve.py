@@ -14,7 +14,8 @@ import cmath
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,46 +54,34 @@ def _cross(u, v) -> tuple:
             u[0] * v[1] - u[1] * v[0])
 
 
-@dataclass(frozen=True)
 class QuadraticCoeffs:
     """Original coefficients plus the reduced-equation quantities.
 
     The reduced unknown is p = q + a0/2, satisfying
     p**2 + (h.a_vec) p + c0 + h.c_vec = 0.  OverflowError when c0, |a_vec|^2
-    or |c_vec|^2 is not finite.
+    or |c_vec|^2 is not finite.  The solver computes on the float 3-tuples
+    _a ... _d; a_vec ... d_vec are numpy copies, built on access.
     """
 
-    a0: float
-    a_vec: np.ndarray
-    b0: float
-    b_vec: np.ndarray
-    c0: float = field(init=False)
-    c_vec: np.ndarray = field(init=False)
-    d0: float = field(init=False)
-    d_vec: np.ndarray = field(init=False)
-    delta: float = field(init=False)
-    # a_vec, c_vec and d_vec as float 3-tuples, which the solver computes on
-    _a: tuple = field(init=False, repr=False, compare=False)
-    _c: tuple = field(init=False, repr=False, compare=False)
-    _d: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("a0", "b0", "c0", "d0", "delta", "_a", "_b", "_c", "_d")
 
-    def __post_init__(self):
-        a, b = tuple(map(float, self.a_vec)), tuple(map(float, self.b_vec))
-        c0 = self.b0 - self.a0 ** 2 / 4.0
-        c = tuple(y - self.a0 / 2.0 * x for x, y in zip(a, b))
+    def __init__(self, a0: float, a_vec, b0: float, b_vec):
+        self.a0, self.b0 = a0, b0 = float(a0), float(b0)
+        self._a, self._b = a, b = tuple(map(float, a_vec)), tuple(map(float, b_vec))
+        half = a0 / 2.0
+        self.c0 = c0 = b0 - a0 * a0 / 4.0
+        self._c = c = (b[0] - half * a[0], b[1] - half * a[1], b[2] - half * a[2])
         an2, cn2 = _dot(a, a), _dot(c, c)
         if not math.isfinite(c0 + an2 + cn2):
             raise OverflowError("reduced coefficients overflow")
-        d0, d, delta = math.nan, (math.nan,) * 3, math.nan
+        self.d0, self._d, self.delta = math.nan, (math.nan,) * 3, math.nan
         if an2 > 0.0:
-            d0 = _dot(a, c) / an2
-            d = tuple(y - d0 * x for x, y in zip(a, c))
-            delta = 0.25 + (c0 - cn2 / an2) / an2
-        for name, value in (("a_vec", np.array(a)), ("b_vec", np.array(b)),
-                            ("c_vec", np.array(c)), ("d_vec", np.array(d)),
-                            ("c0", c0), ("d0", d0), ("delta", delta),
-                            ("_a", a), ("_c", c), ("_d", d)):
-            object.__setattr__(self, name, value)
+            self.d0 = d0 = _dot(a, c) / an2
+            self._d = (c[0] - d0 * a[0], c[1] - d0 * a[1], c[2] - d0 * a[2])
+            self.delta = 0.25 + (c0 - cn2 / an2) / an2
+
+    a_vec, b_vec, c_vec, d_vec = (property(lambda self, n=n: np.array(getattr(self, n)))
+                                  for n in ("_a", "_b", "_c", "_d"))
 
     @property
     def shift(self) -> float:
@@ -103,11 +92,10 @@ class QuadraticCoeffs:
         return Quaternion(self.a0, *self._a)
 
     def b_quaternion(self) -> Quaternion:
-        return Quaternion(self.b0, *self.b_vec)
+        return Quaternion(self.b0, *self._b)
 
 
-@dataclass(frozen=True)
-class BasisCoordinates:
+class BasisCoordinates(NamedTuple):
     """Real coordinates of a reduced root p = p0 + h.(x*u + y*v + z*(u x v)).
 
     u is the linear-coefficient vector; v is either the orthogonal constant
@@ -122,9 +110,12 @@ class BasisCoordinates:
     u: tuple
     v: tuple
 
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion(self.p0, *(self.x * u + self.y * v + self.z * w for u, v, w
-                                     in zip(self.u, self.v, _cross(self.u, self.v))))
+    def to_quaternion(self, shift: float = 0.0) -> Quaternion:
+        """The root p - shift: the reduced root itself by default."""
+        p0, x, y, z, u, v = self
+        w = _cross(u, v)
+        return Quaternion(p0 - shift, x * u[0] + y * v[0] + z * w[0],
+                          x * u[1] + y * v[1] + z * w[1], x * u[2] + y * v[2] + z * w[2])
 
 
 @dataclass(frozen=True)
@@ -139,8 +130,8 @@ class RootSet:
     coordinates: tuple[BasisCoordinates, ...] = ()
 
     def __post_init__(self):
-        if not all(map(math.isfinite,
-                       (v for q in self.roots for v in (q.w, q.x, q.y, q.z)))):
+        # x * 0.0 is 0.0 for a finite x and nan otherwise
+        if sum(q.w * 0.0 + q.x * 0.0 + q.y * 0.0 + q.z * 0.0 for q in self.roots) != 0.0:
             raise OverflowError("a root overflows")
 
     def sphere_samples(self, count: int = 16) -> list[Quaternion]:
@@ -165,7 +156,7 @@ class RootSet:
 
 def normalize(a0: float, a_vec, b0: float, b_vec) -> QuadraticCoeffs:
     """Record coefficients and the reduced-equation data."""
-    return QuadraticCoeffs(float(a0), a_vec, float(b0), b_vec)
+    return QuadraticCoeffs(a0, a_vec, b0, b_vec)
 
 
 def classify(c: QuadraticCoeffs) -> CaseTag:
@@ -274,10 +265,12 @@ def _order_roots(roots) -> tuple[Quaternion, ...]:
     return tuple(sorted(roots, key=_root_key, reverse=True))
 
 
-def _order_with_coords(pairs) -> tuple[tuple[Quaternion, ...],
-                                       tuple[BasisCoordinates, ...]]:
-    pairs = sorted(pairs, key=lambda rc: _root_key(rc[0]), reverse=True)
-    return tuple(r for r, _ in pairs), tuple(k for _, k in pairs)
+def _order_with_coords(coords, shift: float) -> tuple[tuple[Quaternion, ...], tuple]:
+    """The two roots p - shift, ordered, and their coordinates in that order."""
+    roots = [k.to_quaternion(shift) for k in coords]
+    if _root_key(roots[1]) > _root_key(roots[0]):   # as the stable _order_roots
+        roots, coords = roots[::-1], coords[::-1]
+    return tuple(roots), tuple(coords)
 
 
 def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
@@ -285,7 +278,7 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
     scale = 1.0 + c.c0 ** 2 + an2 ** 2 + cn2
     if abs(c.delta) <= _DELTA_EPS * scale:
         coord = BasisCoordinates(0.0, -0.5, 0.0, 1.0 / an2, c._a, c._c)
-        root = coord.to_quaternion() - c.shift
+        root = coord.to_quaternion(c.shift)
         return RootSet(kind=RootKind.REPEATED, case=CaseTag.ORTHOGONAL,
                        roots=(root,), coordinates=(coord,))
     if c.delta > 0.0:
@@ -306,26 +299,19 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
                              1.0 / (4.0 * p0 * p0 + an2),
                              c._a, c._c)
             for sgn in (+1.0, -1.0))
-    roots, coords = _order_with_coords(
-        [(k.to_quaternion() - c.shift, k) for k in coords])
+    roots, coords = _order_with_coords(coords, c.shift)
     return RootSet(kind=RootKind.DISTINCT, case=CaseTag.ORTHOGONAL,
                    roots=roots, coordinates=coords)
 
 
 def _generic_roots(c: QuadraticCoeffs) -> RootSet:
     an2 = _dot(c._a, c._a)
-    w = cubic_resolvent(c)
-    coords = []
-    for sgn in (+1.0, -1.0):
-        p0 = sgn * math.sqrt(w)
-        coords.append(BasisCoordinates(
-            p0,
-            -(p0 + c.d0) / (2.0 * p0),
-            -2.0 * p0 / (4.0 * p0 * p0 + an2),
-            1.0 / (4.0 * p0 * p0 + an2),
-            c._a, c._d))
-    roots, coords = _order_with_coords(
-        [(k.to_quaternion() - c.shift, k) for k in coords])
+    r = math.sqrt(cubic_resolvent(c))
+    coords = [BasisCoordinates(p0, -(p0 + c.d0) / (2.0 * p0),
+                               -2.0 * p0 / (4.0 * p0 * p0 + an2),
+                               1.0 / (4.0 * p0 * p0 + an2), c._a, c._d)
+              for p0 in (r, -r)]
+    roots, coords = _order_with_coords(coords, c.shift)
     return RootSet(kind=RootKind.DISTINCT, case=CaseTag.GENERIC,
                    roots=roots, coordinates=coords)
 
@@ -373,4 +359,4 @@ def solve_coeffs(a0: float, a_vec, b0: float, b_vec) -> RootSet:
 
 def solve_quaternion(a: Quaternion, b: Quaternion) -> RootSet:
     """Roots of q**2 + a q + b = 0 with quaternionic a, b."""
-    return solve_coeffs(a.w, (a.x, a.y, a.z), b.w, (b.x, b.y, b.z))
+    return solve(QuadraticCoeffs(a.w, (a.x, a.y, a.z), b.w, (b.x, b.y, b.z)))

@@ -394,6 +394,19 @@ def per_entry_counterpart(m) -> np.ndarray:
     return c
 
 
+def counterpart_solve(m: Matrix2H, rhs):
+    """Matrix2H.solve as one complex solve on the 4x4 counterpart, or None
+    where sqrt(det) of the counterpart is at most 1e-12 |M|^2; both sides of
+    that test are taken at the power of two that takes the largest modulus
+    into [0.5, 1), where |c|^2 = 2 |M|^2."""
+    c = per_entry_counterpart(m)
+    s = c * math.ldexp(1.0, -math.frexp(np.abs(c).max())[1])
+    if math.sqrt(max(np.linalg.det(s).real, 0.0)) <= 1e-12 * np.vdot(s, s).real / 2.0:
+        return None
+    x = np.linalg.solve(c, np.array([q.symplectic()[k] for k in range(2) for q in rhs]))
+    return Quaternion.from_symplectic(x[0], x[2]), Quaternion.from_symplectic(x[1], x[3])
+
+
 # the scattering CLI's earlier row formatter and current check ----------------
 
 

@@ -436,6 +436,19 @@ def test_solver_error_is_one_stderr_line(capsys, argv, cause):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["quad", "1e200", "0", "0", "0", "1e200", "0", "0", "0"], "quad"),
+    (["ode", "h", "--a", "1e308,0,0,0", "--b", "0,0,0,0", "--phi0", "1,0,0,0",
+      "--dphi0", "0,0,0,0", "--points", "0.5"], "ode"),
+])
+def test_reduced_coefficient_overflow_names_its_cause(capsys, argv, command):
+    # a0^2 overflows: the finiteness check names it, not a bare errno message
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"quatode {command}: OverflowError: reduced coefficients overflow\n"
+
+
 def test_eig_jordan_output(capsys):
     code, out = run(capsys, "eig", "0", "0", "0", "0", "1", "0", "0", "0",
                     "0", "0", "1", "0", "0", "1", "0", "-1")

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from quatode import hode, qmat2
+from quatode import clode, hode, qmat2
 from quatode.qmat2 import (DefectiveMatrixError, Matrix2CL, Matrix2H,
                            dieudonne, lift, svec)
-from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
+from quatode.quatcore import I, J, K, ONE, ZERO, Quaternion, RightLinearScalarOp
 
-from helpers import (per_entry_counterpart, rand_quaternion,
+from helpers import (counterpart_solve, per_entry_counterpart, rand_quaternion,
                      reconstruct_antihermitian, spy_eigen_calls, svd_right_eigenpairs,
                      term_scale)
 
@@ -359,6 +359,116 @@ def test_diagonalize_is_scale_free(scale):
         # the same complex ray; the phase rule ties on equal components
         overlap = rv[0].conjugate() * v[0] + rv[1].conjugate() * v[1]
         assert abs(overlap.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e11, 1e12, 1e50, 1e150])
+def test_jordanize_is_scale_free(scale):
+    # the generalized eigenvector shrinks like 1/|M|: independence is judged
+    # on unit columns, and J^-1 comes without the |J|^2 singularity rule
+    m = Matrix2H([[e * scale for e in row] for row in APPC.m])
+    dec = qmat2.jordanize(m)
+    assert abs(dec.eigenvalues[0] / scale - 1j) < 1e-9
+    blk = Matrix2H([[dec.eigenvalues[0], 1], [0, dec.eigenvalues[0]]])
+    assert (dec.transform @ blk @ dec.transform_inv - m).norm() <= 1e-12 * m.norm()
+
+
+def test_closed_form_solve_matches_counterpart_solve():
+    # block elimination against one complex solve on the 4x4 counterpart: the
+    # same singular verdict everywhere, the same solution and inverse elsewhere
+    rng = np.random.default_rng(54)
+    kinds = ("regular", "m00_zero", "m00_small", "rank_one", "near_singular")
+    for n in range(600):
+        kind = kinds[n % len(kinds)]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        rows = [[rand_quaternion(rng, scale) for _ in range(2)] for _ in range(2)]
+        if kind == "m00_zero":
+            rows[0][0] = Quaternion()
+        elif kind == "m00_small":     # the pivot row is the second one
+            rows[0][0] = rand_quaternion(rng, 1e-3 * scale)
+        elif kind != "regular":       # row 2 = q row 1, then 1e-6 from it
+            q = rand_quaternion(rng)
+            rows[1] = [q * e + (rand_quaternion(rng, 1e-6 * scale)
+                                if kind == "near_singular" else ZERO) for e in rows[0]]
+        m = Matrix2H(rows)
+        rhs = (rand_quaternion(rng), rand_quaternion(rng))
+        ref = counterpart_solve(m, rhs)
+        assert (ref is None) == (kind == "rank_one"), kind
+        if ref is None:
+            for call in (lambda: m.solve(rhs), m.inverse):
+                with pytest.raises(ValueError, match="singular"):
+                    call()
+            continue
+        # two backward-stable solves differ by up to the condition number
+        # times their rounding: ~1e7 for the near-singular matrices
+        tol = 1e-12 * (np.linalg.cond(per_entry_counterpart(m)) if kind == "near_singular" else 1.0)
+        got = m.solve(rhs)
+        size = math.hypot(*(r.norm() for r in ref))
+        assert math.hypot(*((g - r).norm() for g, r in zip(got, ref))) <= tol * size, kind
+        inv = m.inverse()
+        for col, e in zip(zip(*inv.m), ((ONE, ZERO), (ZERO, ONE))):
+            want = counterpart_solve(m, e)
+            size = math.hypot(*(w.norm() for w in want))
+            assert math.hypot(*((g - w).norm() for g, w in zip(col, want))) <= tol * size, kind
+
+
+def _branch_ivp(rng, branch):
+    """(a, b, phi0, phi0') of phi'' + a phi' + b phi = 0 on one solver branch."""
+    if branch == "generic":
+        a, b = rand_quaternion(rng, 1.5), rand_quaternion(rng, 1.5)
+    elif branch == "real_pair":            # two real roots
+        r1, r2 = rng.uniform(-2.0, 2.0, 2)
+        a, b = Quaternion(-(r1 + r2)), Quaternion(r1 * r2)
+    elif branch == "one_real":             # q = r is a root
+        r, a = rng.uniform(-2.0, 2.0), rand_quaternion(rng)
+        b = -(Quaternion(r * r) + a * r)
+    elif branch == "sphere":               # a sphere of roots: a double z
+        a = Quaternion(rng.uniform(-2.0, 2.0))
+        b = Quaternion(rng.uniform(1.0, 3.0) + a.w * a.w / 4.0)
+    elif branch == "real_double":          # one real root twice
+        r = rng.uniform(-2.0, 2.0)
+        a, b = Quaternion(-2.0 * r), Quaternion(r * r)
+    else:                                  # orthogonal vectors, delta = 0
+        u, v = rng.standard_normal(3), rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        w = np.cross(u, v) / np.linalg.norm(np.cross(u, v))
+        an, cn, a0 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+        c0 = cn * cn / (an * an) - an * an / 4.0
+        a = Quaternion(a0, *(an * u))
+        b = Quaternion(c0 + a0 * a0 / 4.0, *(cn * w + a0 / 2.0 * an * u))
+    return a, b, rand_quaternion(rng), rand_quaternion(rng)
+
+
+def test_ivp_solvers_agree_on_every_branch():
+    # hode (quadratic roots), qmat2 (eigenpairs of the 2x2 companion) and
+    # clode (the 4x4 counterpart) share no solve.  clode handles one Jordan
+    # block of the counterpart, and a quaternionic Jordan block is two: on the
+    # repeated-root branches it raises, and hode and qmat2 are compared alone
+    rng = np.random.default_rng(55)
+    branches = ("generic", "real_pair", "one_real", "sphere", "real_double", "repeated")
+    seen = set()
+    for n in range(200):
+        a, b, phi0, dphi0 = _branch_ivp(rng, branches[n % len(branches)])
+        ref = hode.solve_ivp(a, b, phi0, dphi0)
+        sols = [qmat2.solve_ode_via_matrix(a, b, phi0, dphi0)]
+        dec = sols[0].decomposition
+        try:
+            sols.append(clode.solve_clinear_ops(RightLinearScalarOp(a, ZERO),
+                                                RightLinearScalarOp(b, ZERO), phi0, dphi0))
+        except clode.UnsupportedStructureError:
+            assert dec.defective
+        seen.add((ref.roots.kind.value, dec.form, len(set(dec.eigenvalues)),
+                  min(abs(z.imag) for z in dec.eigenvalues) < 1e-9, len(sols)))
+        rate = 1.0 + max(abs(t.z) for t in ref.terms)
+        for x in np.linspace(0.0, 1.5, 5):
+            scale = term_scale(ref, x)
+            for sol in sols:
+                assert (sol.value(x) - ref.value(x)).norm() <= 1e-11 * scale
+                assert (sol.derivative(x) - ref.derivative(x)).norm() <= 1e-11 * scale * rate
+    # diagonal with complex and with real eigenvalues (the SVD nullspace), a
+    # double eigenvalue with two eigenvectors, and the Jordan form
+    assert {("distinct", "diagonal", 2, False, 2), ("real_pair", "diagonal", 2, True, 2),
+            ("distinct", "diagonal", 2, True, 2), ("sphere", "diagonal", 1, False, 2),
+            ("repeated", "jordan", 1, False, 1), ("repeated", "jordan", 1, True, 1)} <= seen
 
 
 # -- anti-hermitian spectral decomposition -----------------------------------
