@@ -23,12 +23,12 @@ import numpy as np
 
 from .qmat2 import (_MERGE_TOL, _RANK_TOL, Matrix2CL, _companion_counterpart, _nullspaces,
                     _scale, lift, svec)
-from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
+from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, Term, exp_term
 from .quatcore import exp as qexp
 
 
 class UnsupportedStructureError(ValueError):
-    """Counterpart defect beyond a single 2x2 Jordan block."""
+    """Counterpart defect beyond Jordan chains of length 2."""
 
 
 class TViolatingError(ValueError):
@@ -63,6 +63,13 @@ def _cluster(lams, tol):
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
+def _column_term(v: list, z: complex, r: complex) -> Term:
+    """exp_term(lift(v)[0], z, r) for a counterpart column v and a complex r,
+    in direct arithmetic: L (1 - I i) r = (v0 r, -I v0 r, v2 r, I v2 r)."""
+    pw, py = v[0] * r, v[2] * r
+    return Term(z, (pw, complex(pw.imag, -pw.real), py, complex(-py.imag, py.real)), None)
+
+
 def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
     """Closed-form solution of the first-order system carried by m_cl."""
     return _solve_counterpart(m_cl.counterpart(), phi0, dphi0)
@@ -74,26 +81,30 @@ def _solve_counterpart(c: np.ndarray, phi0: Quaternion, dphi0: Quaternion) -> CL
     The counterpart spectrum gives four complex exponents; the quaternions
     u_n are lifted from counterpart eigenvectors and the complex coefficients
     solve the 4x4 initial-condition system in symplectic coordinates.  Four
-    simple eigenvalues take eig's columns as they are; only a cluster of
-    merged eigenvalues decides its eigenspace dimension from an SVD.  The
-    only defect handled is a single 2x2 Jordan block, which adds one
-    (u x + u_tilde) basis function.
+    simple eigenvalues take eig's columns as they are, on Python complex;
+    only a cluster of merged eigenvalues decides its eigenspace dimension
+    from an SVD.  A cluster of algebraic multiplicity 2g and geometric g
+    gets g Jordan chains of length 2, each adding one (u x + u_tilde) basis
+    function.
     """
     scale = _scale(c)
     lam, vec = np.linalg.eig(c)
-    clusters = _cluster(lam, _MERGE_TOL * scale)
-    if len(clusters) == 4:
-        order = sorted(range(4), key=lambda k: (lam[k].imag, lam[k].real))
-        basis = vec[:, order]
-        coeff = np.linalg.solve(basis, svec((phi0, dphi0)))
-        return CLSolution(exp_term(lift(basis[:, n])[0], lam[k], coeff[n])
-                          for n, k in enumerate(order))
+    tol = _MERGE_TOL * scale
+    z0, z1, z2, z3 = lams = lam.tolist()
+    # four simple eigenvalues, exactly when _cluster finds four clusters
+    if not (abs(z0 - z1) <= tol or abs(z0 - z2) <= tol or abs(z0 - z3) <= tol
+            or abs(z1 - z2) <= tol or abs(z1 - z3) <= tol or abs(z2 - z3) <= tol):
+        order = sorted(range(4), key=lambda k: (lams[k].imag, lams[k].real))
+        basis = vec.take(order, 1)
+        coeff = np.linalg.solve(basis, svec((phi0, dphi0))).tolist()
+        return CLSolution([_column_term(v, lams[k], r)
+                           for v, k, r in zip(basis.T.tolist(), order, coeff)])
+    clusters = _cluster(lam, tol)
     tols = [max(_RANK_TOL * scale, 2.0 * max(abs(w - z) for w in lam
-                                             if abs(w - z) <= _MERGE_TOL * scale))
+                                             if abs(w - z) <= tol))
             for z, _ in clusters]
     columns = []
     specs = []  # (L, z, Lx) of the term on each column: (L + x Lx) exp(z x)
-    deficient = 0
     for (z, alg), rank_tol, ns in zip(
             clusters, tols, _nullspaces(c, [z for z, _ in clusters], tols)):
         geo = min(ns.shape[1], alg)
@@ -101,20 +112,18 @@ def _solve_counterpart(c: np.ndarray, phi0: Quaternion, dphi0: Quaternion) -> CL
             for k in range(alg):
                 specs.append((lift(ns[:, k])[0], z, None))
                 columns.append(ns[:, k])
-        elif alg == 2 and geo == 1:
-            deficient += 1
-            v = ns[:, 0]
-            w, *_ = np.linalg.lstsq(c - z * np.eye(4), v, rcond=None)
-            if np.linalg.norm((c - z * np.eye(4)) @ w - v) > 1e3 * rank_tol:
-                raise UnsupportedStructureError("broken Jordan chain")
-            u = lift(v)[0]
-            specs += [(u, z, None), (lift(w)[0], z, u)]
-            columns += [v, w]
+        elif alg == 2 * geo:
+            shifted = c - z * np.eye(4)
+            for v in ns.T:
+                w, *_ = np.linalg.lstsq(shifted, v, rcond=None)
+                if np.linalg.norm(shifted @ w - v) > 1e3 * rank_tol:
+                    raise UnsupportedStructureError("broken Jordan chain")
+                u = lift(v)[0]
+                specs += [(u, z, None), (lift(w)[0], z, u)]
+                columns += [v, w]
         else:
             raise UnsupportedStructureError(
                 f"eigenvalue {z}: algebraic {alg}, geometric {geo}")
-    if deficient > 1:
-        raise UnsupportedStructureError("more than one Jordan block")
     coeff = np.linalg.solve(np.column_stack(columns), svec((phi0, dphi0)))
     return CLSolution(exp_term(L, z, k, Lx) for (L, z, Lx), k in zip(specs, coeff))
 
@@ -187,8 +196,13 @@ def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
     E = np.asarray(E, dtype=float)
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=complex)
-    sigma = (np.sqrt(E * E - np.hypot(W.real, W.imag) ** 2, dtype=complex)
-             * np.where(E < 0.0, -1.0, 1.0))
+    w_abs, sign = np.hypot(W.real, W.imag), np.where(E < 0.0, -1.0, 1.0)
+    if E.size == 0 or np.abs(E).min() >= 1e-150:
+        sigma = np.sqrt(E * E - w_abs ** 2, dtype=complex) * sign
+    else:  # E * E underflows: divide E and |W| by p = +-2^e > max(|E|, |W|)
+        p = np.ldexp(sign, np.frexp(np.maximum(np.abs(E), w_abs))[1])
+        e_s, w_s = E / p, w_abs / p
+        sigma = np.sqrt(e_s * e_s - w_s * w_s, dtype=complex) * p
     denom = E + sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wfrac, wbar = W / denom, np.conj(W) / denom

@@ -157,7 +157,7 @@ def _companion_counterpart(a, b) -> np.ndarray:
     (a00, a01), (a10, a11) = a._counterpart_rows()
     (b00, b01), (b10, b11) = b._counterpart_rows()
     return np.array([[0j, 1, 0j, 0j], [-b00, -a00, -b01, -a01],
-                     [0j, 0j, 0j, 1], [-b10, -a10, -b11, -a11]])
+                     [0j, 0j, 0j, 1], [-b10, -a10, -b11, -a11]], dtype=complex)
 
 
 def _as_quaternion(e) -> Quaternion:

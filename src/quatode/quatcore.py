@@ -366,9 +366,10 @@ class RightLinearScalarOp:
         return np.array(self._counterpart_rows())
 
     def _counterpart_rows(self) -> tuple:
-        # right multiplication by i is the scalar i on both symplectic slots
-        return tuple(tuple(x + 1j * y for x, y in zip(ra, rb)) for ra, rb in
-                     zip(self.A._counterpart_rows(), self.B._counterpart_rows()))
+        # A's rows plus i times B's: right multiplication by i is i on both slots
+        a, b = self.A, self.B
+        return ((complex(a.w - b.x, a.x + b.w), complex(b.z - a.y, -a.z - b.y)),
+                (complex(a.y + b.z, b.y - a.z), complex(a.w + b.x, b.w - a.x)))
 
     def matrix4(self) -> np.ndarray:
         """4x4 real matrix of the action on (w, x, y, z)."""

@@ -706,7 +706,7 @@ def svd_solve_clinear(c: np.ndarray, phi0: Quaternion,
     tols = [max(_RANK_TOL * scale, 2.0 * max(abs(w - z) for w in lam
                                              if abs(w - z) <= 1e-6 * scale))
             for z, _ in clusters]
-    columns, specs, deficient = [], [], 0
+    columns, specs = [], []
     for (z, alg), rank_tol, ns in zip(
             clusters, tols, _nullspaces(c, [z for z, _ in clusters], tols)):
         geo = min(ns.shape[1], alg)
@@ -714,20 +714,19 @@ def svd_solve_clinear(c: np.ndarray, phi0: Quaternion,
             for k in range(alg):
                 specs.append((lift(ns[:, k])[0], z, None))
                 columns.append(ns[:, k])
-        elif alg == 2 and geo == 1:
-            deficient += 1
-            v = ns[:, 0]
-            w, *_ = np.linalg.lstsq(c - z * np.eye(4), v, rcond=None)
-            if np.linalg.norm((c - z * np.eye(4)) @ w - v) > 1e3 * rank_tol:
-                raise UnsupportedStructureError("broken Jordan chain")
-            u = lift(v)[0]
-            specs += [(u, z, None), (lift(w)[0], z, u)]
-            columns += [v, w]
+        elif alg == 2 * geo:
+            # one Jordan chain of length 2 per null vector
+            for k in range(geo):
+                v = ns[:, k]
+                w, *_ = np.linalg.lstsq(c - z * np.eye(4), v, rcond=None)
+                if np.linalg.norm((c - z * np.eye(4)) @ w - v) > 1e3 * rank_tol:
+                    raise UnsupportedStructureError("broken Jordan chain")
+                u = lift(v)[0]
+                specs += [(u, z, None), (lift(w)[0], z, u)]
+                columns += [v, w]
         else:
             raise UnsupportedStructureError(
                 f"eigenvalue {z}: algebraic {alg}, geometric {geo}")
-    if deficient > 1:
-        raise UnsupportedStructureError("more than one Jordan block")
     coeff = np.linalg.solve(np.column_stack(columns), svec((phi0, dphi0)))
     sol = CLSolution(exp_term(L, z, k, Lx) for (L, z, Lx), k in zip(specs, coeff))
     return sol, len(clusters)

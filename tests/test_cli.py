@@ -400,7 +400,8 @@ def test_non_finite_number_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (["ode", "c", "--a", "0,0,0,0,0,0,0,0", "--b", "0,0,0,0,0,0,0,0",
+    # b's counterpart is nilpotent: one Jordan chain of length 4
+    (["ode", "c", "--a", "0,0,0,0,0,0,0,0", "--b", "0,0,-0.5,0,0,0,0,0.5",
       "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0", "--points", "0.5"],
      "quatode ode: UnsupportedStructureError: "),
     (["ode", "h", "--a", "1e308,0,0,0", *_ODE_TAIL, "--points", "0.5"],

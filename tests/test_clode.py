@@ -127,6 +127,22 @@ def _agrees_with_svd_route(a_op, b_op, phi0, dphi0, tol=1e-12):
     return sol
 
 
+def test_one_jordan_block_at_any_eig_position():
+    # a double root s in one sector, t and 1.5 in the other, turned by a
+    # quaternion u: eig returns the merged pair at varying index pairs, and
+    # each must leave the four-simple-eigenvalue path
+    rng = np.random.default_rng(69)
+    for _ in range(30):
+        s, t = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+        u = rand_quaternion(rng)
+        u_inv = u.inverse()
+        ops = [RightLinearScalarOp(u * op.A * u_inv, u * op.B * u_inv) for op in
+               (_sector_diag_op(-2.0 * s, -(t + 1.5)), _sector_diag_op(s * s, 1.5 * t))]
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        sol = _agrees_with_svd_route(*ops, phi0, dphi0)
+        assert sum(term.px is not None for term in sol.terms) == 1
+
+
 def test_eig_route_matches_svd_route_random():
     # with and without right-i parts: four simple eigenvalues take eig's columns
     rng = np.random.default_rng(64)
@@ -181,6 +197,17 @@ def test_one_eig_and_no_svd_per_generic_solve(monkeypatch):
     assert calls == ["eig"]
 
 
+def test_generic_solve_terms_are_python_complex():
+    # after its one eig, the four-simple-eigenvalue path works on built-in
+    # complex (np.complex128 is a subclass, so the type is compared exactly)
+    sol = solve_clinear_ops(RightLinearScalarOp(0.3 + I, 0.2 * K),
+                            RightLinearScalarOp(0.7 * J, -0.4 * ONE), ONE, K)
+    assert len(sol.terms) == 4
+    for t in sol.terms:
+        assert type(t.z) is complex
+        assert [type(c) for c in t.p] == [complex] * 4
+
+
 def test_huge_coefficient_keeps_the_initial_data():
     # phi'' + 1e300 phi' + (i + j) phi = 0: a plain Frobenius norm of the
     # counterpart overflows, and an infinite merge tolerance merged every
@@ -192,11 +219,49 @@ def test_huge_coefficient_keeps_the_initial_data():
     assert (sol.value(0.5) - ONE).norm() < 1e-12
 
 
-def test_double_block_defect_unsupported():
-    # real repeated characteristic root is defective in both sectors at once
-    a_op = q_op(Quaternion(2))
-    b_op = q_op(Quaternion(1))
-    with pytest.raises(UnsupportedStructureError):
+@pytest.mark.parametrize("a, b", [(Quaternion(2), ONE), (K - I, -J)],
+                         ids=["critically-damped", "jordan-example"])
+def test_two_jordan_blocks_match_hode(a, b):
+    # a repeated characteristic root is a Jordan block in both sectors at
+    # once: phi'' + 2 phi' + phi = 0 has one cluster of algebraic multiplicity
+    # 4 and geometric 2, and the Jordan worked example two defective clusters
+    rng = np.random.default_rng(67)
+    phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+    sol = _agrees_with_svd_route(q_op(a), q_op(b), phi0, dphi0)
+    ref = hode.solve_ivp(a, b, phi0, dphi0)
+    assert sum(t.px is not None for t in sol.terms) == 2
+    for x in np.linspace(0.0, 1.5, 7):
+        assert (sol.value(x) - ref.value(x)).norm() <= 1e-12 * term_scale(ref, x)
+        assert (sol.derivative(x) - ref.derivative(x)).norm() <= 1e-11 * term_scale(ref, x)
+        assert clode.residual(sol, q_op(a), q_op(b), x) < 1e-10
+
+
+def test_jordan_blocks_with_right_i_parts():
+    # sectors y'' + 2y' + y = 0 and y'' - 2s y' + s^2 y = 0: two defective
+    # clusters, and the operators have right-i parts
+    s = 0.4 + 0.7j
+    a_op, b_op = _sector_diag_op(2.0 + 0j, -2.0 * s), _sector_diag_op(1.0 + 0j, s * s)
+    rng = np.random.default_rng(68)
+    phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+    sol = _agrees_with_svd_route(a_op, b_op, phi0, dphi0)
+    assert sum(t.px is not None for t in sol.terms) == 2
+    c, y0 = _companion_counterpart(a_op, b_op), svec((phi0, dphi0))
+    for x in np.linspace(0.0, 1.5, 7):
+        exact = lift(expm_series(c * x) @ y0)[0]
+        assert (sol.value(x) - exact).norm() <= 1e-12 * term_scale(sol, x)
+
+
+@pytest.mark.parametrize("nilpotent_b, cause", [(True, "algebraic 4, geometric 1"),
+                                                (False, "broken Jordan chain")])
+def test_jordan_chain_longer_than_two_unsupported(nilpotent_b, cause):
+    # N = [[0, 1], [0, 0]] is the counterpart of n: psi -> -j psi / 2 + k psi i / 2.
+    # phi'' + n(phi) = 0 has one Jordan chain of length 4, and phi'' + n(phi') = 0
+    # chains of lengths 3 and 1 (lambda^2 I + lambda N has invariant factors
+    # lambda, lambda^3): two null vectors, but only one starts a chain
+    n = RightLinearScalarOp(-0.5 * J, 0.5 * K)
+    assert np.array_equal(n.counterpart(), [[0, 1], [0, 0]])
+    a_op, b_op = (ZERO_OP, n) if nilpotent_b else (n, ZERO_OP)
+    with pytest.raises(UnsupportedStructureError, match=cause):
         solve_clinear_ops(a_op, b_op, ONE, Quaternion())
 
 

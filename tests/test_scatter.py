@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quatode import scatter, well
+from quatode.clode import schrodinger_mode_arrays
 from quatode.quatcore import Quaternion, RightLinearScalarOp
 from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              current_residual, find_bound_states, schrodinger_modes,
@@ -692,6 +693,19 @@ def test_non_finite_constants_are_rejected(hbar, m):
         solve_rows("barrier", 1.0, 5.0, 0.0, 1.0, hbar=hbar, m=m)
     with pytest.raises(ValueError):
         schrodinger_modes(1.0, 5.0, 0.0, hbar=hbar, m=m)
+
+
+@pytest.mark.parametrize("E", [1e-170, 1e-200, 1e-300])
+def test_tiny_energy_free_step_transmits(E):
+    # E * E underflows below about 1e-160: sigma is formed on E and |W|
+    # scaled by a power of two, so a step with no potential transmits all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_rows("step", E, 0.0, 0.0)
+        modes = schrodinger_mode_arrays(E, 0.0, 0.5 * E)
+    assert got.errors[0] is None
+    assert abs(got.R[0]) <= 1e-12 and abs(got.T[0] - 1.0) <= 1e-12
+    assert abs(modes.sigma - E * math.sqrt(0.75)) <= 1e-15 * E
 
 
 def test_subnormal_energy_fails_without_warnings():
