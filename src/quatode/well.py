@@ -5,18 +5,20 @@ homogeneous 8x8 matching system of the four decaying exterior modes and the
 four interior modes is singular: scatter's barrier system at E < 0, without
 its incident wave.  Its residual is the smallest singular value after an
 orthonormal basis of the interior columns' span takes their place, so the
-coinciding interior modes at E = -|W| give no state.  find_bound_states scans
-that residual over a grid of energies in closed form, by the mirror symmetry
-of the well (_folded_residual, elementwise numpy).  At each local minimum it
-then searches both parity blocks for a real root of a determinant
+coinciding interior modes at E = -|W| give no state.  One closed-form kernel
+computes that residual, by the mirror symmetry of the well and the principal
+angle between the exterior and the interior span (_folded_residual,
+elementwise numpy on unit-size columns, so thick wells do not overflow).
+find_bound_states scans it over a grid of energies.  At each local minimum
+it then searches both parity blocks for a real root of a determinant
 (_parity_determinants) by a secant, all searches in lock step
-(_secant_roots); one QR and SVD of the unfolded systems (_certificate) then
-certifies each refined energy and alone decides acceptance.  A secant step
-that would leave the scan bracket goes halfway from the current point to the
-end it crossed.  A search stops when its step is within xtol, after two
-consecutive such exits, when the step's zero lies far off the real axis
-(a near miss, not a root), or after _MAX_STEPS steps.  The scattering module
-re-exports find_bound_states and BoundStateSet.
+(_secant_roots); the same kernel then certifies each refined energy and
+alone decides acceptance.  A secant step that would leave the scan bracket
+goes halfway from the current point to the end it crossed.  A search stops
+when its step is within xtol, after two consecutive such exits, when the
+step's zero lies far off the real axis (a near miss, not a root), or after
+_MAX_STEPS steps.  The scattering module re-exports find_bound_states and
+BoundStateSet.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clode import schrodinger_mode_arrays
-from .scatter import PhysicalParams, Regime, _matching
+from .scatter import PhysicalParams, Regime
 
 
 @dataclass(frozen=True)
@@ -53,102 +55,71 @@ _MAX_STEPS = 12
 _OFF_AXIS = 1e6
 
 
-def _bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Homogeneous matching systems for the well -V + jW on (0, a): (n, 8, 8).
-
-    The barrier system of scatter._matching at E < 0 on 0 | -V + jW | 0,
-    without its right-hand side and with unit-norm columns: the two modes
-    decaying to the left, the four interior ones, the two decaying to the
-    right; rows hold value and slope in symplectic coordinates at 0, at a.
-    """
-    es = np.asarray(es, dtype=float)
-    mat = np.ascontiguousarray(_matching(
-        es, np.array([[0.0, -params.V]]), np.array([[0.0, -params.W]]),
-        np.array([[params.a]]), params.hbar, params.m)[3][:, :, 1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    # a column that overflows, or underflows to zero, leaves the float range
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise OverflowError("well matching system overflows at this width")
-    return np.divide(mat, norms, out=mat)
-
-
-def _certificate(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """The acceptance residual of each energy, by QR and SVD of _bound_matrices.
-
-    The smallest singular value of the system after an orthonormal basis of
-    the interior columns' span takes their place: a state stays singular, but
-    the residual does not fall like sqrt|E + |W|| at E = -|W|, where those
-    columns turn parallel.
-    """
-    mat = _bound_matrices(es, params)
-    mat[:, :, 2:6] = np.linalg.qr(mat[:, :, 2:6])[0]
-    return np.linalg.svd(mat, compute_uv=False)[:, -1]
-
-
 def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """_certificate's residual in closed form, elementwise: (n,), in [0, 1].
+    """The residual of each energy, in closed form and elementwise: (n,), in [0, 1].
 
-    Both column sets of the certified system are orthonormal, so its smallest
-    singular value is sqrt(1 - cos theta), theta the smallest principal angle
-    between the exterior and the interior span.  The mirror x -> a - x splits
-    the system: the rows at 0 plus or minus diag(-1, -1, 1, 1) times the rows
-    at a give an even and an odd 4x4 block.  Both blocks have the exterior
+    The residual is the smallest singular value of the 8x8 matching system
+    with unit exterior columns and an orthonormal basis of the interior span.
+    Both column sets are orthonormal, so it is sqrt(1 - cos theta), theta the
+    smallest principal angle between the exterior and the interior span.  The
+    mirror x -> a - x is unitary and maps each span onto itself, so theta is
+    the smaller of the two parity blocks' angles: the rows at 0 plus or minus
+    diag(-1, -1, 1, 1) times the rows at a.  Both blocks have the exterior
     columns (1, 0, kappa, 0) and (0, 1, 0, -i kappa), whose complement N is
     spanned by (-kappa, 0, 1, 0) and (0, -i kappa, 0, 1).  Each interior pair
-    u exp(+-g x) gives one column (u (1 +- e), g u (1 -+ e)), e = exp(g a) with
-    Re g <= 0.  For these two columns C, sin^2 theta is the smaller root
-    lambda of det(A^H A - lambda C^H C) = 0 with A = N^H C; columns and A are
-    scaled to unit size first, so no scale of hbar or a over- or underflows.
-    The residual sqrt(lambda / (1 + sqrt(1 - lambda))) is the smaller of the
-    two blocks'.
+    u exp(+-g x) gives one column (u alpha, u beta), alpha = 1 +- e and
+    beta = g (1 -+ e), e = exp(g a) with Re g <= 0, scaled to unit size, so
+    no scale of hbar or a over- or underflows.  With c1 the u- column and q2
+    the u+ column orthonormalised against it, sin theta = s is the smaller
+    singular value of the 2x2 A = N^H [c1 q2], |det A| / sigma_max(A); a
+    block whose u+ column is parallel to c1 counts as s = 1.  The residual is
+    s / sqrt(1 + sqrt(1 - s^2)).
     """
-    modes = schrodinger_mode_arrays(es[:, None], -params.V, -params.W)
-    g = np.concatenate([modes.z_minus, modes.z_plus], 1) * (-math.sqrt(2.0 * params.m)
-                                                             / params.hbar)
+    modes = schrodinger_mode_arrays(es, -params.V, -params.W)
+    g = np.array((modes.z_minus, modes.z_plus)) * (-math.sqrt(2.0 * params.m) / params.hbar)
     em = np.expm1(g * params.a)
-    # (parity, n, pair): value and slope factors of the even and the odd column
+    # (parity, pair, n): value and slope factors of the even and the odd column
     alpha, beta = np.array((2.0 + em, -em)), np.array((-em, 2.0 + em)) * g
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     alpha, beta = alpha / scale, beta / scale
-    kappa = np.sqrt(-2.0 * params.m * es)[:, None] / params.hbar
+    # (component, pair, n): u- = (1, wfrac), u+ = (wbar, 1), both of length
+    # sqrt(1 + |wfrac|^2)
+    length = np.sqrt(1.0 + np.square(np.abs(modes.wfrac)))
+    one = np.ones_like(length)
+    u = np.array(((one, modes.wbar), (modes.wfrac, one))) / length
+    # (entry, parity, pair, n): the unit columns, then u+'s orthonormalised
+    c = np.array((u[0] * alpha, u[1] * alpha, u[0] * beta, u[1] * beta))
+    c1, c2 = c[:, :, 0], c[:, :, 1]
+    c2 = c2 - (c1.conj() * c2).sum(0) * c1
+    rho = np.sqrt(np.square(np.abs(c2)).sum(0))
+    kappa = np.sqrt(-2.0 * params.m * es) / params.hbar
     hyp = np.hypot(1.0, kappa)
-    slope, value = beta / hyp, alpha * (kappa / hyp)
-    # (row, parity, n, pair): A for u- = (1, wfrac), u+ = (wbar, 1), each of
-    # squared length 1 + |wfrac|^2
-    ones = np.ones_like(modes.wfrac)
-    mat = np.array((np.concatenate([ones, modes.wbar], 1) * (slope - value),
-                    np.concatenate([modes.wfrac, ones], 1) * (slope + 1j * value)))
-    length2 = 1.0 + np.abs(modes.wfrac[:, 0]) ** 2
-    gram = ((modes.wbar[:, 0] + np.conj(modes.wfrac[:, 0])) / length2
-            * (np.conj(alpha[..., 0]) * alpha[..., 1] + np.conj(beta[..., 0]) * beta[..., 1]))
-    size = np.abs(mat).max(axis=(0, 3))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mat /= size[:, :, None]
-        det = np.abs(mat[0, ..., 0] * mat[1, ..., 1] - mat[0, ..., 1] * mat[1, ..., 0])
-        cross = (np.conj(mat[..., 0]) * mat[..., 1]).sum(0)
-        b = np.square(np.abs(mat)).sum(axis=(0, 3)) - 2.0 * (cross * np.conj(gram)).real
-        root = b + np.sqrt(np.maximum(b * b - 4.0 * (1.0 - np.abs(gram) ** 2) * det * det, 0.0))
-        # nan, so 1, where root = 0: there the interior columns coincide
-        sin_theta = np.fmin(size / np.sqrt(length2) * det * np.sqrt(2.0 / root), 1.0)
-    sin_theta = np.where(size > 0.0, sin_theta, 0.0).min(0)
-    return sin_theta / np.sqrt(1.0 + np.sqrt(1.0 - sin_theta ** 2))
+        c[:, :, 1] = c2 / rho
+        # (parity, column, n): the rows of A
+        a0, a1 = (c[2] - kappa * c[0]) / hyp, (c[3] + 1j * kappa * c[1]) / hyp
+        det = np.abs(a0[:, 0] * a1[:, 1] - a0[:, 1] * a1[:, 0])
+        frob2 = (np.square(np.abs(a0)) + np.square(np.abs(a1))).sum(1)
+        smax2 = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0)))
+        s = np.fmin(det / np.sqrt(smax2), 1.0)
+    s = np.where(rho > 0.0, s, 1.0).min(0)
+    return s / np.sqrt(1.0 + np.sqrt(1.0 - s * s))
 
 
 def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """det A of each parity block over factors without real zeros: (parity, n).
 
     In _folded_residual's notation, the block is singular where det A = 0,
-    A = N^H C the 2x2 matrix of the two interior columns C (u- and u+)
-    against the complement N of the exterior span.  This returns the Schur
-    complement A00 - A01 A10 / A11 = det A / A11; A11 = u+'s row of
-    (beta + i kappa alpha) has no zero below E = -|W|.  At W = 0 the
-    complement is u-'s factor alone: det A is that times A11, whose modulus
-    swings by a decade within a scan step wherever the u+ pair's phase
-    passes a multiple of 2 pi, and there the secant on det A lost states.
-    Rates are in units of sqrt(2 m) / hbar and the columns are not scaled,
-    so no scale of hbar over- or underflows; scaled to unit size, the
-    function turned steep where cos(g a / 2) = 0.  Factors without real
+    here A = N^H C the 2x2 matrix of the two interior columns C (u- and u+,
+    not orthonormalised) against the complement N of the exterior span.
+    This returns the Schur complement A00 - A01 A10 / A11 = det A / A11;
+    A11 = u+'s row of (beta + i kappa alpha) has no zero below E = -|W|.
+    At W = 0 the complement is u-'s factor alone: det A is that times A11,
+    whose modulus swings by a decade within a scan step wherever the u+
+    pair's phase passes a multiple of 2 pi, and there the secant on det A
+    lost states.  Rates are in units of sqrt(2 m) / hbar and the columns are
+    not scaled, so no scale of hbar over- or underflows; scaled to unit size,
+    the function turned steep where cos(g a / 2) = 0.  Factors without real
     zeros are taken out:
     - the u- column's phase exp(i Im(g) a / 2), so that at W = 0 the even
       block is real and the odd one imaginary;
@@ -216,7 +187,7 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     """Scan E in (-sqrt(V^2+|W|^2), 0) for singular matching systems.
 
     Each local minimum of the residual is refined by _secant_roots, once per
-    parity; energies whose residual (_certificate) is below `accept` are
+    parity; energies whose residual (_folded_residual) is below `accept` are
     returned in ascending order.
     """
     if not (0.0 < params.V < math.inf and 0.0 < params.a < math.inf
@@ -238,7 +209,7 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     # refine every local minimum; acceptance happens after refinement
     n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
     e_star = _secant_roots(es, sv, n, 1e-12 * max(1.0, vmax), params)
-    res = _certificate(e_star, params)
+    res = _folded_residual(e_star, params)
     keep = res < accept
     found = list(zip(e_star[keep].tolist(), res[keep].tolist()))
     # merge refinements that converged to the same energy

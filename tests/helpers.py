@@ -20,8 +20,8 @@ from quatode.qmat2 import (_INDEP_TOL, _RANK_TOL, EigenDecomposition, Matrix2H,
                            _canonical_pairs, _nullspaces, _outer_sum,
                            dieudonne, lift, svec)
 from quatode.quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
-from quatode.scatter import PhysicalParams, current_kernel
-from quatode.well import _bound_matrices, _certificate, _folded_residual
+from quatode.scatter import PhysicalParams, _matching, current_kernel
+from quatode.well import _folded_residual
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
 
@@ -233,7 +233,7 @@ def seeded_rows(rng, kind, count):
 def well_matrix(E, V, W, a, hbar=1.0, m=1.0):
     """The 8x8 matching system of the well -V + jW on (0, a) at one E < 0.
 
-    The per-energy reference for well._bound_matrices, built with cmath.
+    The per-energy reference for bound_matrices, built with cmath.
     Columns, each scaled to unit norm: (1, 0) exp(kappa x) and
     j exp(-i kappa x) decaying to the left; the interior modes
     u exp(+-g x), where u spans the null space of the singular coupling
@@ -522,14 +522,50 @@ def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,
     return j.max(axis=(1, 2)) - j.min(axis=(1, 2))
 
 
+# the well's unfolded 8x8 matching systems ----------------------------------
+
+
+def bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """Homogeneous matching systems for the well -V + jW on (0, a): (n, 8, 8).
+
+    The barrier system of scatter._matching at E < 0 on 0 | -V + jW | 0,
+    without its right-hand side and with unit-norm columns: the two modes
+    decaying to the left, the four interior ones, the two decaying to the
+    right; rows hold value and slope in symplectic coordinates at 0, at a.
+    """
+    es = np.asarray(es, dtype=float)
+    mat = np.ascontiguousarray(_matching(
+        es, np.array([[0.0, -params.V]]), np.array([[0.0, -params.W]]),
+        np.array([[params.a]]), params.hbar, params.m)[3][:, :, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    # a column that overflows, or underflows to zero, leaves the float range
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise OverflowError("well matching system overflows at this width")
+    return np.divide(mat, norms, out=mat)
+
+
+def bound_certificate(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """The acceptance residual of each energy, by QR and SVD of bound_matrices.
+
+    The smallest singular value of the system after an orthonormal basis of
+    the interior columns' span takes their place: a state stays singular, but
+    the residual does not fall like sqrt|E + |W|| at E = -|W|, where those
+    columns turn parallel.  The reference for well._folded_residual.
+    """
+    mat = bound_matrices(es, params)
+    mat[:, :, 2:6] = np.linalg.qr(mat[:, :, 2:6])[0]
+    return np.linalg.svd(mat, compute_uv=False)[:, -1]
+
+
 # the bound-state refinement's earlier golden-section search ----------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def smallest_singular_values(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """The plain residual: the smallest singular value of well._bound_matrices."""
-    return np.linalg.svd(_bound_matrices(es, params), compute_uv=False)[:, -1]
+    """The plain residual: the smallest singular value of bound_matrices."""
+    return np.linalg.svd(bound_matrices(es, params), compute_uv=False)[:, -1]
 
 
 def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
@@ -654,7 +690,7 @@ def brent_bound_states(params: PhysicalParams, grid: int,
     sv = _folded_residual(es, params)
     n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
     e_star = lockstep_brent_minima(es, sv, n, 1e-12 * max(1.0, vmax), params)
-    return _merged_states(e_star, _certificate(e_star, params), accept, vmax)
+    return _merged_states(e_star, bound_certificate(e_star, params), accept, vmax)
 
 
 # the eigenvalue routes before eig's own eigenvectors: eigvals, then one SVD

@@ -13,10 +13,10 @@ from quatode.scatter import (PhysicalParams, Regime, current_kernel,
                              current_residual, find_bound_states, schrodinger_modes,
                              solve_barrier, solve_rows, solve_step)
 
-from helpers import (barrier_transmission, current_samples, current_spread_per_region,
-                     brent_bound_states, golden_bound_states, probability_current,
-                     scattering_row, seeded_rows, stationary_b_op, step_reflection,
-                     wave_current_residual, well_bound_energies, well_matrix)
+from helpers import (barrier_transmission, bound_certificate, bound_matrices, current_samples,
+                     current_spread_per_region, brent_bound_states, golden_bound_states,
+                     probability_current, scattering_row, seeded_rows, stationary_b_op,
+                     step_reflection, wave_current_residual, well_bound_energies, well_matrix)
 
 ZERO_OP = RightLinearScalarOp(Quaternion(), Quaternion())
 
@@ -387,7 +387,7 @@ def test_bound_interior_null_vectors_solve_coupling(W):
     V = 10.0
     params = PhysicalParams(E=1.0, V=V, W=W, a=2.0)
     es = np.linspace(-params.threshold, 0.0, 2001)[1:-1]
-    mat = well._bound_matrices(es, params)
+    mat = bound_matrices(es, params)
     v, w = -V, -complex(W)
     for col in (2, 3, 4, 5):
         # the column is (u1, u2, g u1, g u2) exp(g x) at x = 0: its own rate g
@@ -404,7 +404,7 @@ def test_bound_interior_null_vectors_solve_coupling(W):
 def test_bound_matrices_match_hand_built_reference(W):
     params = PhysicalParams(E=1.0, V=10.0, W=W, a=2.0)
     es = np.linspace(-params.threshold, 0.0, 402)[1:-1]
-    got = np.linalg.svd(well._bound_matrices(es, params), compute_uv=False)[:, -1]
+    got = np.linalg.svd(bound_matrices(es, params), compute_uv=False)[:, -1]
     want = [np.linalg.svd(well_matrix(e, params.V, params.W, params.a),
                           compute_uv=False)[-1] for e in es.tolist()]
     assert np.max(np.abs(got - want)) < 1e-13
@@ -413,8 +413,8 @@ def test_bound_matrices_match_hand_built_reference(W):
 def test_bound_stacked_matches_single_energy_systems():
     params = PhysicalParams(E=1.0, V=6.0, W=0.7 - 0.9j, a=1.7)
     es = np.linspace(-params.threshold, 0.0, 52)[1:-1]
-    stacked = np.linalg.svd(well._bound_matrices(es, params), compute_uv=False)[:, -1]
-    single = [np.linalg.svd(well._bound_matrices(es[n:n + 1], params),
+    stacked = np.linalg.svd(bound_matrices(es, params), compute_uv=False)[:, -1]
+    single = [np.linalg.svd(bound_matrices(es[n:n + 1], params),
                             compute_uv=False)[0, -1] for n in range(es.size)]
     assert np.max(np.abs(stacked - single)) < 1e-15
 
@@ -427,6 +427,18 @@ def test_bound_states_ten_state_well_at_coarse_grid():
     assert len(got.energies) == len(expected)
     for g, e in zip(got.energies, expected):
         assert abs(g - e) < 1e-9
+
+
+def test_bound_states_of_a_thick_well():
+    # exp(g a) reaches 1e194 across this well, and the squared norms of the
+    # unfolded 8x8 system's columns overflow; the kernel's unit-size columns
+    # do not.  The grid limits how many of its 143 states are found.
+    got = find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=100.0), grid=2000)
+    expected = well_bound_energies(10.0, 100.0)
+    assert got.energies
+    for e in got.energies:
+        assert min(abs(e - w) for w in expected) <= 1e-9
+    assert all(r < 1e-8 for r in got.residuals)
 
 
 def seeded_well(rng, wabs):
@@ -503,7 +515,7 @@ def test_bound_refinement_matches_brent_reference(hbar, m):
                 params, grid, e)
         new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], merge)
         energies = np.array([e for e, _ in new])
-        assert np.all(well._certificate(energies, params) < 1e-8), (params, grid, new)
+        assert np.all(bound_certificate(energies, params) < 1e-8), (params, grid, new)
 
 
 @pytest.mark.parametrize("V, W, a, hbar, m, grid, state", [
@@ -525,33 +537,45 @@ def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400: one scan call, one certificate, and at most five calls of the
-    # secant's function.  These wells took 5, 3 and 2 calls, where the Brent
-    # refinement on the residual took 11, 8 and 9 lock steps; without the
-    # stop on an off-axis secant step the sizable-|W| wells took 4 and 13.
-    calls, built, searched = [], [], []
-    objective, build, search = (well._folded_residual, well._bound_matrices,
-                                well._parity_determinants)
+    # grid 400: the closed-form residual scans the grid and certifies the
+    # refined energies, one call each, and the secant's function takes at
+    # most five calls (these wells took 5, 3 and 2); no numpy.linalg routine
+    # runs at all.  Without the stop on an off-axis secant step the
+    # sizable-|W| wells took 4 and 13 calls.
+    calls, searched, roots, linalg = [], [], [], []
+    objective, search, refine = (well._folded_residual, well._parity_determinants,
+                                 well._secant_roots)
 
     def counted(es, params):
-        calls.append(es.size)
+        calls.append(es.copy())
         return objective(es, params)
-
-    def counted_build(es, params):
-        built.append(es.size)
-        return build(es, params)
 
     def counted_search(es, params):
         searched.append(es.size)
         return search(es, params)
 
+    def kept_roots(*args):
+        roots.append(refine(*args))
+        return roots[-1]
+
+    def counted_linalg(name, fn):
+        def wrapper(*args, **kwargs):
+            linalg.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(well, "_folded_residual", counted)
-    monkeypatch.setattr(well, "_bound_matrices", counted_build)
     monkeypatch.setattr(well, "_parity_determinants", counted_search)
+    monkeypatch.setattr(well, "_secant_roots", kept_roots)
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted_linalg(name, fn))
     find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
-    assert calls == [400]
-    assert len(built) == 1
+    assert len(calls) == 2 and calls[0].size == 400
+    assert np.array_equal(calls[1], roots[0])
     assert len(searched) <= 5
+    assert linalg == []
 
 
 @pytest.mark.parametrize("V, W, a, where", [(6.0, 0.7 - 0.9j, 1.7, "wabs"),
@@ -584,6 +608,27 @@ def test_bound_no_state_where_interior_modes_coincide(V, a, wabs, warg, grid):
     assert find_bound_states(params, grid=grid).energies == ()
 
 
+@pytest.mark.parametrize("V, W, a", [
+    (6.0, 0.7 - 0.9j, 1.7),
+    (16.522987482791073, 2.1838127032618453 * cmath.exp(2.2537636247604382j), 0.1417499841944505),
+    (6.906180277444374, 2.3833143584525365 * cmath.exp(-1.7049448436783115j), 1.5296913177746458),
+    (2.8076495272615762, 0.6837317967800727 * cmath.exp(2.1867305379901936j), 1.9303434086278226)],
+    ids=["V6", "V16.5", "V6.9", "V2.8"])
+def test_bound_residual_stays_up_where_interior_modes_coincide(V, W, a):
+    # at E = -|W| the two interior pairs coincide; the u+ column is
+    # orthonormalised against the u- one as a 4-vector, not through two
+    # vanishing determinants, so the residual keeps its size there, as the
+    # QR of the 8x8 reference does
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a)
+    edge = -abs(params.W)
+    es = [edge]
+    for _ in range(4):
+        es = [np.nextafter(es[0], -math.inf), *es, np.nextafter(es[-1], math.inf)]
+    es = np.array(es)
+    assert np.all(bound_certificate(es, params) >= 1e-4)
+    assert np.all(well._folded_residual(es, params) >= 1e-4)
+
+
 @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.1, 1.0), (0.3, 2.0), (3.0, 0.5)])
 def test_bound_folded_residual_matches_certificate(hbar, m):
     # the parity-folded closed form against QR and SVD of the unfolded system,
@@ -596,7 +641,7 @@ def test_bound_folded_residual_matches_certificate(hbar, m):
         params = replace(seeded_well(rng, wabs)[1], hbar=hbar, m=m)
         vmax = params.threshold
         es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
-        want = well._certificate(es, params)
+        want = bound_certificate(es, params)
         diff = np.abs(well._folded_residual(es, params) - want)
         assert np.max(diff[want < 1e-2], initial=0.0) <= 1e-14, params
         far = np.abs(es + wabs) >= 1e-3 * max(1.0, wabs)
@@ -607,9 +652,9 @@ def test_bound_folded_residual_matches_certificate(hbar, m):
 @pytest.mark.parametrize("V, W, a", [(5.0, 0.0, 1.0), (5.0, 0.8 - 1.1j, 1.0),
                                      (10.0, 10.0, 500.0)])
 def test_bound_folded_residual_is_scale_free(V, W, a, hbar):
-    # columns are scaled to unit size before the Gram matrix, and the
-    # secant's function is in units of sqrt(2 m) / hbar, so no hbar over- or
-    # underflows; the a = 500 well's certificate overflows
+    # columns are scaled to unit size before the angle is taken, and the
+    # secant's function is in units of sqrt(2 m) / hbar, so no hbar or
+    # width over- or underflows
     params = PhysicalParams(E=1.0, V=V, W=W, a=a, hbar=hbar)
     vmax = params.threshold
     es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
