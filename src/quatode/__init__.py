@@ -47,7 +47,6 @@ from .clode import (
     CLSolution,
     ModeNormalizationError,
     SchrodingerModes,
-    TViolatingError,
     UnsupportedStructureError,
     schrodinger_modes,
     solve_clinear,
@@ -76,7 +75,7 @@ __all__ = [
     "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
     "QuadraticCoeffs", "Quaternion", "Regime", "RightLinearScalarOp",
     "RootKind", "RootSet", "ScatteringResult", "ScatteringRows",
-    "SchrodingerModes", "TViolatingError",
+    "SchrodingerModes",
     "UnsupportedStructureError",
     "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
     "find_bound_states", "general_solution", "jordanize", "normalize",

@@ -64,16 +64,18 @@ def cmd_quad(args) -> int:
     coeffs = quadsolve.normalize(args.values[0], args.values[1:4],
                                  args.values[4], args.values[5:8])
     roots = quadsolve.solve(coeffs)
-    print(f"case: {roots.case.value}")
-    print(f"kind: {roots.kind.value}")
     if roots.kind is quadsolve.RootKind.SPHERE:
-        print(f"sphere: alpha={_fmt(roots.alpha)} center={_fmt(roots.center)}")
         worst = max(quadsolve.residual(coeffs, s) for s in roots.sphere_samples())
-        print(f"residual: {_fmt(worst)}")
+        numbers = [roots.alpha, roots.center, worst]
+        form = "sphere: alpha=%s center=%s\nresidual: %s"
     else:
-        for root in roots.roots:
-            quad = " ".join(_fmt(v) for v in (root.w, root.x, root.y, root.z))
-            print(f"root: {quad}  residual: {_fmt(quadsolve.residual(coeffs, root))}")
+        numbers = [v for q in roots.roots
+                   for v in (q.w, q.x, q.y, q.z, quadsolve.residual(coeffs, q))]
+        form = "\n".join(["root: %s %s %s %s  residual: %s"] * len(roots.roots))
+    if not all(map(math.isfinite, numbers)):
+        raise OverflowError("a root or residual is not finite")
+    print(f"case: {roots.case.value}\nkind: {roots.kind.value}")
+    print(form % tuple(map(_fmt, numbers)))
     return 0
 
 

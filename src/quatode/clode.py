@@ -31,10 +31,6 @@ class UnsupportedStructureError(ValueError):
     """Counterpart defect beyond Jordan chains of length 2."""
 
 
-class TViolatingError(ValueError):
-    """Time reversal has no quaternionic implementation for this potential."""
-
-
 class ModeNormalizationError(ZeroDivisionError):
     """The unit-complex-part mode gauge is singular: E = 0 and W = 0."""
 
@@ -233,22 +229,16 @@ def schrodinger_modes(E: float, V: float, W: complex,
 
 
 def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:
-    """Left-multiply by j (real W) or k (imaginary W) to reverse time.
+    """Left-multiply by j exp(i theta), theta = arg W mod pi in [-pi/2, pi/2).
 
-    The result solves the equation with the sign of the right-acting i
-    flipped.  A fully complex W admits no such map: the physics is
-    T-violating.
+    The result solves the equation with the right-acting i flipped, for
+    every W: j reverses time at W = |W|, and arg W is a gauge (see
+    scatter).  The factor is j for real W and k for imaginary W.
     """
-    W = complex(W)
-    mag = abs(W)
-    tol = 1e-12 * (mag + 1.0)
-    if abs(W.imag) <= tol:
-        factor = Quaternion(0, 0, 1, 0)
-    elif abs(W.real) <= tol:
-        factor = Quaternion(0, 0, 0, 1)
-    else:
-        raise TViolatingError(
-            "W has both real and imaginary parts: T-violating potential")
+    turn = W / abs(W) if W else 1.0     # exp(i arg W), exact on the axes
+    if turn.real < 0.0 or turn.real == 0.0 and turn.imag > 0.0:
+        turn = -turn
+    factor = Quaternion(0.0, 0.0, turn.real, -turn.imag)     # j exp(i theta)
     return CLSolution((factor * solution).terms)
 
 

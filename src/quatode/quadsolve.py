@@ -180,10 +180,9 @@ def classify(c: QuadraticCoeffs) -> CaseTag:
 
 
 def residual(c: QuadraticCoeffs, q: Quaternion) -> float:
-    """|q**2 + a q + b| for the original equation."""
-    a = c.a_quaternion()
-    b = c.b_quaternion()
-    return (q * q + a * q + b).norm()
+    """|q**2 + a q + b| for the original equation, finite up to the float range."""
+    r = q * q + c.a_quaternion() * q + c.b_quaternion()
+    return math.hypot(r.w, r.x, r.y, r.z)
 
 
 def cubic_resolvent(c: QuadraticCoeffs) -> float:

@@ -1,6 +1,8 @@
 """1D scattering on quaternionic constant potentials (bound states: .well).
 
 Potentials are piecewise constant with value V - jW (real V, complex W).
+arg W is a gauge (conjugation by exp(-i arg W/2) takes the equation of |W|
+to that of W), so rows are solved at |W| and r~, t~ turn by exp(i arg W).
 Wavefunctions are sums of modes u * exp(g x) * k with a quaternion u, a
 complex spatial rate g, and a complex coefficient k; matching the value and
 slope of the wavefunction at each discontinuity turns into an ordinary
@@ -213,10 +215,10 @@ class ScatteringRows:
     numbers are nan and its regime is None.  E holds the energies after the
     boundary nudge and kin the wave number outside the potential.  u1, u2, g
     and amplitudes, of shape (n, unknowns), give each unknown's mode
-    (u1 + j u2) exp(g x) and amplitude, so the wave of a row can be rebuilt;
-    the unknowns are (r, r~, t, t~) for the step and (r, r~, k1..k4, t, t~)
-    for the barrier, where k1..k4 multiply u- exp(+-g- x), u+ exp(+-g+ x)
-    inside it, g-+ the principal rates.
+    (u1 + j u2) exp(g x) and amplitude at |W| (u2 W / |W| for u2 at W), so
+    the wave of a row can be rebuilt; the unknowns are (r, r~, t, t~) for the
+    step and (r, r~, k1..k4, t, t~) for the barrier, where k1..k4 multiply
+    u- exp(+-g- x), u+ exp(+-g+ x) inside it, g-+ the principal rates.
     """
 
     kind: str
@@ -307,15 +309,15 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     (step at 0) or 0 | V - jW | 0 (barrier on (0, a)).  The unknowns are r,
     r~ (reflected, and evanescent on j), the barrier's four interior
     amplitudes, and t, t~ on the last region's rightward modes u- and u+.
-    _matching gives one (n, 4, 4) or (n, 8, 8) complex system, solved by
-    one stacked np.linalg.solve; if one system is singular the rows are
+    _matching gives one (n, 4, 4) or (n, 8, 8) complex system at |W|, solved
+    by one stacked np.linalg.solve; if one system is singular the rows are
     solved one at a time to find it.  current_spread is max - min of the
     probability current at three points per region (_current_spread).
 
     Errors are per row: ValueError for E <= 0, a <= 0 (barrier) or a
-    non-finite input; OverflowError when the matching system is not finite
-    (a thick barrier); DegenerateConfigurationError for a singular system;
-    UnitarityError when |R + T - 1| > 1e-6 on a barrier.
+    non-finite input or |W|; OverflowError when the matching system is not
+    finite (a thick barrier); DegenerateConfigurationError for a singular
+    system; UnitarityError when |R + T - 1| > 1e-6 on a barrier.
     """
     if kind not in _REGIONS:
         raise ValueError(f"unknown scattering geometry {kind!r}")
@@ -324,8 +326,11 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
     barrier = kind == "barrier"
     E, V, W, a = [np.asarray(x, dtype=t) for x, t in
                   ((E, float), (V, float), (W, complex), (a, float))]
+    with np.errstate(over="ignore"):
+        wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex), or inf
+        threshold = np.hypot(V, wabs)
     # one mask over every input; a step ignores a but takes its shape
-    valid = ((E > 0.0) & np.isfinite(E) & np.isfinite(V) & np.isfinite(W)
+    valid = ((E > 0.0) & np.isfinite(E) & np.isfinite(V) & np.isfinite(wabs)
              & ((a > 0.0) & np.isfinite(a) | (not barrier)))
     if valid.ndim > 1:
         raise ValueError("solve_rows takes scalars and 1-D arrays")
@@ -340,20 +345,20 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
         for i in np.flatnonzero(invalid).tolist():
             errors[i] = ValueError("scattering needs E > 0" if bad_e[i] else
                                    "barrier needs a > 0" if barrier and bad_a[i] else
-                                   "E, V, W and a must be finite")
+                                   "E, V, |W| and a must be finite")
         # invalid rows are solved on harmless stand-in values, then discarded
-        E, V = np.where(invalid, 1.0, E), np.where(invalid, 0.0, V)
-        W, a = np.where(invalid, 0.0, W), np.where(invalid, 1.0, a)
+        E, a = np.where(invalid, 1.0, E), np.where(invalid, 1.0, a)
+        V, W, wabs, threshold = [np.where(invalid, 0.0, x) for x in (V, W, wabs, threshold)]
 
     boundaries = np.empty((2, n))
-    wabs = np.hypot(W.real, W.imag, out=boundaries[0])    # bit for bit abs(complex)
-    threshold = np.hypot(V, wabs, out=boundaries[1])
+    boundaries[0], boundaries[1] = wabs, threshold
     E = _nudge_off_threshold(E, boundaries)
     above = E > threshold
-    pot_v, pot_w = np.zeros((n, 2)), np.zeros((n, 2), dtype=complex)
-    pot_v[:, 1], pot_w[:, 1] = V, W
+    pot_v, pot_w = np.zeros((n, 2)), np.zeros((n, 2))
+    pot_v[:, 1], pot_w[:, 1] = V, wabs
     x = np.full((n, 1), a[..., None]) if barrier else np.empty((n, 0))
-    modes, layout, table, mat = _matching(E, pot_v, pot_w, x, hbar, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes, layout, table, mat = _matching(E, pot_v, pot_w, x, hbar, m)
     terms = table[:, layout.columns]
     # 0 - v, not -v: zeros stay +0, so a W = 0 row prints r~ as 0, not -0
     rhs, mat = 0.0 - mat[:, :, 0], mat[:, :, 1:]
@@ -376,6 +381,10 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
             except np.linalg.LinAlgError as exc:
                 errors[i] = DegenerateConfigurationError(str(exc))
     r, rt, t, tt = amp[:, 1], amp[:, 2], amp[:, -2], amp[:, -1]
+    turned = W != wabs      # arg W != 0: r~ and t~ turn by exp(i arg W) = W / |W|
+    if turned.any():
+        turn = W / np.where(turned, wabs, 1.0)
+        rt, tt = np.where(turned, rt * turn, rt), np.where(turned, tt * turn, tt)
     big_r, big_t = np.abs(r) ** 2, np.abs(t) ** 2
     if barrier:
         for i in np.flatnonzero(~(np.abs(big_r + big_t - 1.0) <= 1e-6)).tolist():
@@ -405,14 +414,15 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
 
 
 def _wave(rows: ScatteringRows, params: PhysicalParams) -> PiecewiseWave:
-    """The wave of the single row of `rows` as ExpSum regions."""
+    """The wave of the single row of `rows` as ExpSum regions, u2 turned by W / |W|."""
     layout = _LAYOUTS[_REGIONS[rows.kind]]
     edges = (0.0, params.a)[:len(layout.first) - 1]
     bounds = (-math.inf, *edges, math.inf)
     potentials = ((0.0, 0.0), (params.V, params.W), (0.0, 0.0))
+    turn = params.W / abs(params.W) if params.W else 1.0
     regions = []
     for k in range(len(layout.first)):
-        terms = [exp_term(Quaternion.from_symplectic(rows.u1[0, c], rows.u2[0, c]),
+        terms = [exp_term(Quaternion.from_symplectic(rows.u1[0, c], rows.u2[0, c] * turn),
                           complex(rows.g[0, c]), complex(rows.amplitudes[0, c]))
                  for c in np.flatnonzero(layout.region[1:] == k).tolist()]
         if k == 0:

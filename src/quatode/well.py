@@ -3,12 +3,13 @@
 A bound state is an energy in (-sqrt(V^2 + |W|^2), 0) at which the
 homogeneous 8x8 matching system of the four decaying exterior modes and the
 four interior modes is singular: scatter's barrier system at E < 0, without
-its incident wave.  Its residual is the smallest singular value after an
-orthonormal basis of the interior columns' span takes their place, so the
-coinciding interior modes at E = -|W| give no state.  One closed-form kernel
-computes that residual, by the mirror symmetry of the well and the principal
-angle between the exterior and the interior span (_folded_residual,
-elementwise numpy on unit-size columns, so thick wells do not overflow).
+its incident wave, at |W| (arg W is a gauge, see scatter).  Its residual is
+the smallest singular value after an orthonormal basis of the interior
+columns' span takes their place, so the coinciding interior modes at
+E = -|W| give no state.  One closed-form kernel computes that residual, by
+the mirror symmetry of the well and the principal angle between the
+exterior and the interior span (_folded_residual, elementwise numpy on
+unit-size columns, so thick wells do not overflow).
 find_bound_states scans it over a grid of energies.  At each local minimum
 it then searches both parity blocks for a real root of a determinant
 (_parity_determinants) by a secant, all searches in lock step
@@ -23,7 +24,6 @@ BoundStateSet.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -75,7 +75,7 @@ def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     block whose u+ column is parallel to c1 counts as s = 1.  The residual is
     s / sqrt(1 + sqrt(1 - s^2)).
     """
-    modes = schrodinger_mode_arrays(es, -params.V, -params.W)
+    modes = schrodinger_mode_arrays(es, -params.V, -abs(params.W))
     g = np.array((modes.z_minus, modes.z_plus)) * (-math.sqrt(2.0 * params.m) / params.hbar)
     em = np.expm1(g * params.a)
     # (parity, pair, n): value and slope factors of the even and the odd column
@@ -128,7 +128,7 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     - 1 - wbar wfrac = 2 sigma / (E + sigma), the spurious zero at
       E = -|W| where the two interior pairs coincide.
     """
-    modes = schrodinger_mode_arrays(es, -params.V, -params.W)
+    modes = schrodinger_mode_arrays(es, -params.V, -abs(params.W))
     z = np.array((modes.z_minus, modes.z_plus))
     za = math.sqrt(2.0 * params.m) * params.a / params.hbar     # g a = -za z
     em = np.expm1(z * -za)
@@ -190,13 +190,12 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
     parity; energies whose residual (_folded_residual) is below `accept` are
     returned in ascending order.
     """
+    with np.errstate(over="ignore"):     # abs(W) bit for bit, or inf where it overflows
+        wabs = float(np.hypot(params.W.real, params.W.imag))
     if not (0.0 < params.V < math.inf and 0.0 < params.a < math.inf
-            and cmath.isfinite(params.W) and grid >= 3):
-        raise ValueError("well needs finite V > 0, a > 0 and W, and the scan grid >= 3")
-    try:
-        vmax = params.threshold
-    except OverflowError:       # abs(W) is not a float
-        vmax = math.inf
+            and wabs < math.inf and grid >= 3):
+        raise ValueError("well needs finite V > 0, a > 0 and |W|, and the scan grid >= 3")
+    vmax = math.hypot(params.V, wabs)
     # the modes take E^2 - |W|^2 for |E| up to V_max, and the interior rates
     # sqrt(2 m) z / hbar have |z|^2 <= 2 V_max
     if not vmax * vmax < math.inf:
@@ -223,7 +222,7 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
             merged.append((e, res))
     energies = tuple(e for e, _ in merged)
     residuals = tuple(res for _, res in merged)
-    regimes = tuple(Regime.SUBW if abs(e) < abs(params.W) else Regime.EVANESCENT
+    regimes = tuple(Regime.SUBW if abs(e) < wabs else Regime.EVANESCENT
                     for e in energies)
     return BoundStateSet(energies=energies, residuals=residuals,
                          regimes=regimes, params=params)

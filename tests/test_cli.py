@@ -49,6 +49,43 @@ def test_quad_repeated(capsys):
     assert max(abs(a - b) for a, b in zip(vals, (0, -0.5, -0.5, 0))) < 1e-12
 
 
+def _quad_numbers(out: str) -> list[float]:
+    """Every number quad printed: the lines after case and kind, labels dropped."""
+    return [float(t.split("=")[-1]) for line in out.splitlines()[2:]
+            for t in line.split() if not t.endswith(":")]
+
+
+def test_quad_huge_residual_is_finite(capsys):
+    # the residual's components are about 1e172: their squares overflowed, and
+    # quad printed "residual: inf" with exit 0
+    b = (1.0677826347714362e+188, 1.8210158282776135e-262, 19.606121149928832, 0.0)
+    code, out = run(capsys, "quad", "--", "0.0", "0.013000118104168507",
+                    "-2.570731076201115e-293", "-0.0071383735172707895", *map(repr, b))
+    assert code == 0
+    residual = _quad_numbers(out)[-1]
+    assert math.isfinite(residual) and residual <= 1e-12 * math.hypot(*b)
+
+
+def test_quad_prints_only_finite_numbers(capsys):
+    # 500 seeded draws, each coefficient zero or log-uniform in 1e-300..1e300:
+    # a solved one prints finite numbers only, a failed one one stderr line
+    rng = np.random.default_rng(113)
+    solved = 0
+    for _ in range(500):
+        values = np.where(rng.uniform(size=8) < 0.25, 0.0,
+                          rng.choice((-1.0, 1.0), 8) * 10.0 ** rng.uniform(-300.0, 300.0, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["quad", "--", *map(repr, values.tolist())])
+        out, err = capsys.readouterr()
+        if code == 0:
+            solved += 1
+            assert err == "" and all(map(math.isfinite, _quad_numbers(out))), values
+        else:
+            assert (code, out) == (1, "") and len(err.splitlines()) == 1, values
+    assert solved >= 50
+
+
 def test_quad_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["quad", "1", "2", "3"])

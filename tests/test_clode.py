@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from quatode import clode, hode, oracle
-from quatode.clode import (ModeNormalizationError, TViolatingError,
-                           UnsupportedStructureError, schrodinger_modes,
-                           solve_clinear_ops, stationary_phase,
+from quatode.clode import (ModeNormalizationError, UnsupportedStructureError,
+                           schrodinger_modes, solve_clinear_ops, stationary_phase,
                            time_reversal_map)
 from quatode.qmat2 import Matrix2CL, _companion_counterpart, lift, svec
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
@@ -400,11 +399,20 @@ def test_time_reversal_imaginary_potential():
             1.0 + rev.value(x).norm() + rev.second(x).norm())
 
 
-def test_time_reversal_violating_potential():
+def test_time_reversal_complex_potential():
+    # arg W is a gauge, so j exp(i arg W) reverses time for every W; 60
+    # seeded (E, V, W) with W off both axes, under the real and imaginary
+    # tests' bound
     rng = np.random.default_rng(68)
-    sol, _ = _stationary_solution(rng, 2.0, 0.7, 1.0 + 1.0j)
-    with pytest.raises(TViolatingError):
-        time_reversal_map(sol, 1.0 + 1.0j)
+    for _ in range(60):
+        E, V = rng.uniform(0.2, 4.0), rng.uniform(-3.0, 3.0)
+        w = rng.uniform(0.1, 2.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        sol, _ = _stationary_solution(rng, E, V, w)
+        rev = time_reversal_map(sol, w)
+        flipped = _flipped_b_op(V, w, E)
+        for x in (0.0, 0.4, 1.1):
+            assert clode.residual(rev, ZERO_OP, flipped, x) < 1e-12 * (
+                1.0 + rev.value(x).norm() + rev.second(x).norm()), (E, V, w)
 
 
 # -- stationary phase ----------------------------------------------------------

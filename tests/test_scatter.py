@@ -341,6 +341,55 @@ def test_current_kernel_matches_quaternion_reference():
             assert abs(j - probability_current(psi, dpsi, params)) <= 1e-14 * scale
 
 
+# -- arg W is a gauge ------------------------------------------------------------
+
+
+def _gauge_rows(rows):
+    return (rows.R, rows.T, rows.r, rows.t, rows.current_spread)
+
+
+@pytest.mark.parametrize("kind", ["step", "barrier"])
+def test_arg_w_turns_only_the_j_amplitudes(kind):
+    # conjugating psi by exp(-i phi/2) turns jW into jW exp(i phi): arg W
+    # leaves every row's R, T, r, t, current, regime and error as at W = |W|,
+    # bit for bit, and multiplies r~ and t~ by exp(i arg W).  600 seeded rows
+    # in all regimes, a tenth of them at W = 0, each at 8 seeded arg W
+    rng = np.random.default_rng(110 if kind == "step" else 111)
+    n = 600
+    E, V = rng.uniform(0.05, 9.0, n), rng.uniform(-6.0, 6.0, n)
+    wabs = np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.0, 2.5, n))
+    a = rng.uniform(0.1, 5.0, n)
+    for warg in rng.uniform(-math.pi, math.pi, 8):
+        W = wabs * cmath.exp(1j * warg)
+        got = solve_rows(kind, E, V, W, a)
+        want = solve_rows(kind, E, V, np.hypot(W.real, W.imag), a)
+        for x, y in zip(_gauge_rows(got), _gauge_rows(want)):
+            assert x.tobytes() == y.tobytes()
+        assert got.regimes == want.regimes
+        assert [repr(e) for e in got.errors] == [repr(e) for e in want.errors]
+        turn = np.exp(1j * np.angle(W))
+        for x, y in ((got.r_tilde, want.r_tilde), (got.t_tilde, want.t_tilde)):
+            y = turn * y
+            ok = np.isfinite(y)
+            assert np.all(np.abs(x[ok] - y[ok]) <= 2e-15 * np.maximum(1.0, np.abs(y[ok])))
+            assert np.array_equal(np.isnan(x), np.isnan(y))
+
+
+def test_arg_w_leaves_well_spectra_alone():
+    # 24 seeded wells, |W| from 1e-6 to 2, each at 3 seeded arg W: energies
+    # and residuals bit for bit those of W = |W|
+    rng = np.random.default_rng(112)
+    for _ in range(24):
+        V, a = rng.uniform(0.5, 30.0), rng.uniform(0.2, 4.0)
+        wabs = 10.0 ** rng.uniform(-6.0, math.log10(2.0))
+        for warg in rng.uniform(-math.pi, math.pi, 3):
+            W = wabs * cmath.exp(1j * warg)
+            got = find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
+            want = find_bound_states(PhysicalParams(E=1.0, V=V, W=abs(W), a=a), grid=400)
+            assert got.energies == want.energies and got.residuals == want.residuals
+            assert got.regimes == want.regimes
+
+
 # -- bound states ----------------------------------------------------------------
 
 
@@ -759,3 +808,17 @@ def test_subnormal_energy_fails_without_warnings():
         warnings.simplefilter("error")
         got = solve_rows("step", 1e-320, 0.0, 0.0)
     assert isinstance(got.errors[0], OverflowError)
+
+
+@pytest.mark.parametrize("W, want", [(complex(1e308, 1e308), OverflowError),
+                                     (complex(1.5e308, 1.5e308), ValueError)])
+def test_overflowing_w_fails_without_warnings(W, want):
+    # |W| = 1.4e308 overflows the modes, an OverflowError row; |W| = 2.1e308
+    # is not a float, a ValueError row.  No numpy warning reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("step", "barrier"):
+            got = solve_rows(kind, 1.0, 1.0, W, 1.0)
+            assert type(got.errors[0]) is want, got.errors[0]
+        with pytest.raises(ValueError):
+            find_bound_states(PhysicalParams(E=1.0, V=1.0, W=W, a=1.0))
