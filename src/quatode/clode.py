@@ -186,14 +186,16 @@ def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
     """Exponents and mode components of the stationary equation, row by row.
 
     E, V (real) and W (complex) broadcast together.  sigma has the sign of
-    E, the other roots are principal.  Rows with E = 0 = W come out
-    non-finite; schrodinger_modes turns that into ModeNormalizationError.
+    E, the other roots are principal.  Rows with W = 0 have wfrac = wbar = 0,
+    also where E + sigma is 0 or subnormal; schrodinger_modes turns E = 0 = W
+    into ModeNormalizationError.
     """
     E = np.asarray(E, dtype=float)
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=complex)
     w_abs, sign = np.hypot(W.real, W.imag), np.where(E < 0.0, -1.0, 1.0)
-    if E.size == 0 or np.abs(E).min() >= 1e-150:
+    tiny = E.size > 0 and np.abs(E).min() < 1e-150
+    if not tiny:
         sigma = np.sqrt(E * E - w_abs ** 2, dtype=complex) * sign
     else:  # E * E underflows: divide E and |W| by p = +-2^e > max(|E|, |W|)
         p = np.ldexp(sign, np.frexp(np.maximum(np.abs(E), w_abs))[1])
@@ -202,6 +204,8 @@ def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
     denom = E + sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wfrac, wbar = W / denom, np.conj(W) / denom
+    if tiny:    # numpy's complex division forms 1 / denom, which overflows for a subnormal E
+        wfrac, wbar = np.where(w_abs == 0.0, 0j, wfrac), np.where(w_abs == 0.0, 0j, wbar)
     return ModeArrays(sigma, denom, np.sqrt(V - sigma), np.sqrt(V + sigma), wfrac, wbar)
 
 
@@ -233,8 +237,14 @@ def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:
 
     The result solves the equation with the right-acting i flipped, for
     every W: j reverses time at W = |W|, and arg W is a gauge (see
-    scatter).  The factor is j for real W and k for imaginary W.
+    scatter).  The factor is j for real W and k for imaginary W.  A
+    non-finite W is a ValueError.
     """
+    if not (math.isfinite(W.real) and math.isfinite(W.imag)):
+        raise ValueError(f"time reversal needs a finite W, not {W!r}")
+    # by a power of two, so that abs(W) neither overflows nor goes subnormal
+    e = math.frexp(max(abs(W.real), abs(W.imag)))[1]
+    W = complex(math.ldexp(W.real, -e), math.ldexp(W.imag, -e))
     turn = W / abs(W) if W else 1.0     # exp(i arg W), exact on the axes
     if turn.real < 0.0 or turn.real == 0.0 and turn.imag > 0.0:
         turn = -turn

@@ -392,8 +392,9 @@ def solve_rows(kind: str, E, V, W, a=0.0, hbar: float = 1.0,
                 errors[i] = UnitarityError(f"R + T = {float(big_r[i] + big_t[i])!r}: "
                                            "matching ill-conditioned")
     else:
-        # current per |t|^2 of the propagating transmitted mode over p/m
-        with np.errstate(invalid="ignore"):
+        # current per |t|^2 of the propagating transmitted mode over p/m; a
+        # row below threshold (its value unused) may overflow at a subnormal E
+        with np.errstate(over="ignore", invalid="ignore"):
             flux = (np.sqrt((modes.sigma[:, 1].real - V) / E)
                     * (1.0 - np.abs(modes.wfrac[:, 1]) ** 2))
         big_t = np.where(above, flux * big_t, 0.0)

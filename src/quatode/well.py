@@ -3,23 +3,25 @@
 A bound state is an energy in (-sqrt(V^2 + |W|^2), 0) at which the
 homogeneous 8x8 matching system of the four decaying exterior modes and the
 four interior modes is singular: scatter's barrier system at E < 0, without
-its incident wave, at |W| (arg W is a gauge, see scatter).  Its residual is
-the smallest singular value after an orthonormal basis of the interior
-columns' span takes their place, so the coinciding interior modes at
-E = -|W| give no state.  One closed-form kernel computes that residual, by
-the mirror symmetry of the well and the principal angle between the
-exterior and the interior span (_folded_residual, elementwise numpy on
-unit-size columns, so thick wells do not overflow).
-find_bound_states scans it over a grid of energies.  At each local minimum
-it then searches both parity blocks for a real root of a determinant
-(_parity_determinants) by a secant, all searches in lock step
-(_secant_roots); the same kernel then certifies each refined energy and
-alone decides acceptance.  A secant step that would leave the scan bracket
+its incident wave, at |W| (arg W is a gauge, see scatter).  The mirror
+x -> a - x splits it into an even and an odd 4x4 block, each singular where
+a 2x2 determinant vanishes (_parity_determinants).  At W = 0 both
+determinants are real and change sign once at each state of their parity.
+find_bound_states evaluates them over a grid of energies, and every sign
+change of the real part between two neighbouring grid energies, in either
+block, is one bracket.  One secant search per bracket, all in lock step
+(_secant_roots), refines it.  A secant step that would leave the bracket
 goes halfway from the current point to the end it crossed.  A search stops
 when its step is within xtol, after two consecutive such exits, when the
 step's zero lies far off the real axis (a near miss, not a root), or after
-_MAX_STEPS steps.  The scattering module re-exports find_bound_states and
-BoundStateSet.
+_MAX_STEPS steps.  A closed-form residual (_folded_residual) then certifies
+the refined energies and alone decides acceptance: the smallest singular
+value of the 8x8 system after an orthonormal basis of the interior columns'
+span takes their place, so the coinciding interior modes at E = -|W| give
+no state.  It follows from the same fold and the principal angle between
+the exterior and the interior span, in elementwise numpy on unit-size
+columns, so thick wells do not overflow.  The scattering module re-exports
+find_bound_states and BoundStateSet.
 """
 
 from __future__ import annotations
@@ -41,18 +43,20 @@ class BoundStateSet:
     params: PhysicalParams
 
 
-# At most this many secant steps per search.  On 3164 wells (the 80
-# benchmark spectra, the tests' 104, 2080 seeded regular and 800 dense ones,
-# 100 unit wells; 121,552 searches) one search reached it, and found no state.
+# At most this many secant steps per search.  On 1580 wells (the 80
+# benchmark spectra and 1500 seeded ones of 1-40 states, with |W| zero,
+# small and sizable; 30,193 searches) none reached it.
 _MAX_STEPS = 12
 # A search stops as a near miss when its complex secant step s has
 # |Im s| > 10 |Re s| and |Im s| > _OFF_AXIS xtol: the zero of the secant line
 # is then off the real axis by more than 1e-6 max(1, V_max), and the real
 # part of the step is within a tenth of that distance of its foot, where the
-# search stops.  On the wells above this rule stopped 8914 searches, 2 of
-# them at states the certificate then accepted, and lost none; the 80
-# benchmark spectra took 309 calls of the function instead of 522.
+# search stops.  On the wells above this rule stopped 6418 searches, none at
+# a state, and lost none; without it 1640 searches reached _MAX_STEPS, and
+# the 80 benchmark spectra took 515 calls of the function instead of 311.
 _OFF_AXIS = 1e6
+# A refined energy is a state when its residual is below this.
+_ACCEPT = 1e-8
 
 
 def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -121,8 +125,8 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     not scaled, so no scale of hbar over- or underflows; scaled to unit size,
     the function turned steep where cos(g a / 2) = 0.  Factors without real
     zeros are taken out:
-    - the u- column's phase exp(i Im(g) a / 2), so that at W = 0 the even
-      block is real and the odd one imaginary;
+    - the u- column's phase exp(i Im(g) a / 2), so that at W = 0 both
+      blocks are real;
     - the odd column's factor z, so it does not vanish at E = -V_max
       (there z- = 0 and the column is 0, or 0/0 at unit size);
     - 1 - wbar wfrac = 2 sigma / (E + sigma), the spurious zero at
@@ -142,31 +146,22 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
         return schur * (np.exp(0.5j * za * z[0].imag) / (1.0 - t))
 
 
-def _secant_roots(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
-                  params: PhysicalParams) -> np.ndarray:
-    """One secant search per parity block at each scan minimum es[k], k in n.
+def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarray,
+                  xtol: float, params: PhysicalParams) -> np.ndarray:
+    """One secant search on the block `parity` in each bracket [es[n], es[n+1]].
 
-    A search starts from es[k] and the neighbour beyond which
-    _parity_determinants changes sign, or else the lower-residual neighbour,
-    and stays in [es[k-1], es[k+1]].  Each step is the real part of the
-    complex secant step; see the module docstring for the bracket rule and
-    the stop rules.  All live searches are evaluated in one call per step.
-    Returns the last iterate of each search, even parities first: (2 len(n),).
+    f holds _parity_determinants at es.  A search starts from both ends of
+    its bracket and stays in it.  Each step is the real part of the complex
+    secant step; see the module docstring for the bracket rule and the stop
+    rules.  All live searches are evaluated in one call per step.  Returns
+    the last iterate of each search.
     """
-    m = n.size
-    xs = es[n + np.array([[-1], [0], [1]])]
-    lo, mid, hi = np.tile(xs, 2)
-    f_lo, f_mid, f_hi = (_parity_determinants(xs.ravel(), params)
-                         .reshape(2, 3, m).swapaxes(0, 1).reshape(3, 2 * m))
-    pick = (np.repeat((0, 1), m), np.arange(2 * m))
+    lo, hi = es[n], es[n + 1]
+    x0, f0, x1, f1 = lo, f[parity, n], hi, f[parity, n + 1]
+    pick = (parity, np.arange(n.size))
     with np.errstate(all="ignore"):
-        # a sign change: the values at least a right angle apart
-        low, high = (f_lo * f_mid.conj()).real <= 0.0, (f_mid * f_hi.conj()).real <= 0.0
-        left = np.where(low ^ high, low, np.tile(sv[n - 1] <= sv[n + 1], 2))
-        x0, f0 = np.where(left, lo, hi), np.where(left, f_lo, f_hi)
-        x1, f1 = mid, f_mid
-        out, live = mid, np.ones(2 * m, dtype=bool)
-        exits = np.zeros(2 * m, dtype=int)
+        out, live = hi, np.ones(n.size, dtype=bool)
+        exits = np.zeros(n.size, dtype=int)
         for _ in range(_MAX_STEPS):
             s = f1 * ((x1 - x0) / (f1 - f0))
             x2 = x1 - s.real
@@ -182,13 +177,12 @@ def _secant_roots(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: float,
     return out
 
 
-def find_bound_states(params: PhysicalParams, grid: int = 2000,
-                      accept: float = 1e-8) -> BoundStateSet:
+def find_bound_states(params: PhysicalParams, grid: int = 2000) -> BoundStateSet:
     """Scan E in (-sqrt(V^2+|W|^2), 0) for singular matching systems.
 
-    Each local minimum of the residual is refined by _secant_roots, once per
-    parity; energies whose residual (_folded_residual) is below `accept` are
-    returned in ascending order.
+    Each sign change of a parity determinant's real part on the grid is
+    refined by _secant_roots; energies whose residual (_folded_residual) is
+    below _ACCEPT are returned in ascending order.
     """
     with np.errstate(over="ignore"):     # abs(W) bit for bit, or inf where it overflows
         wabs = float(np.hypot(params.W.real, params.W.imag))
@@ -204,24 +198,13 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000,
         raise ValueError("well phase 2 a sqrt(m sqrt(V^2 + |W|^2)) / hbar overflows")
     margin = 1e-6 * vmax
     es = np.linspace(-vmax + margin, -margin, grid)
-    sv = _folded_residual(es, params)
-    # refine every local minimum; acceptance happens after refinement
-    n = 1 + np.flatnonzero((sv[1:-1] <= sv[:-2]) & (sv[1:-1] <= sv[2:]))
-    e_star = _secant_roots(es, sv, n, 1e-12 * max(1.0, vmax), params)
+    f = _parity_determinants(es, params)
+    sign = np.signbit(f.real)
+    parity, n = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    e_star = np.sort(_secant_roots(es, f, parity, n, 1e-12 * max(1.0, vmax), params))
     res = _folded_residual(e_star, params)
-    keep = res < accept
-    found = list(zip(e_star[keep].tolist(), res[keep].tolist()))
-    # merge refinements that converged to the same energy
-    found.sort()
-    merged: list[tuple[float, float]] = []
-    for e, res in found:
-        if merged and abs(e - merged[-1][0]) < 1e-9 * max(1.0, vmax):
-            if res < merged[-1][1]:
-                merged[-1] = (e, res)
-        else:
-            merged.append((e, res))
-    energies = tuple(e for e, _ in merged)
-    residuals = tuple(res for _, res in merged)
+    keep = res < _ACCEPT
+    energies, residuals = tuple(e_star[keep].tolist()), tuple(res[keep].tolist())
     regimes = tuple(Regime.SUBW if abs(e) < wabs else Regime.EVANESCENT
                     for e in energies)
     return BoundStateSet(energies=energies, residuals=residuals,

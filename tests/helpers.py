@@ -101,46 +101,41 @@ def barrier_transmission(E, V, a, m=1.0, hbar=1.0):
 
 
 def well_bound_energies(V, a, m=1.0, hbar=1.0):
-    """Finite-well energies by bisection on the even/odd matching conditions."""
+    """Finite-well energies by bisection on the even/odd matching conditions.
 
-    def even(E):
-        el = math.sqrt(2.0 * m * (V - abs(E))) / hbar
-        k = math.sqrt(2.0 * m * abs(E)) / hbar
-        return el * math.tan(el * a / 2.0) - k
+    With t = k a / 2 for the interior wave number k, t0 = a sqrt(2 m V) /
+    (2 hbar) and kappa a / 2 = sqrt(t0^2 - t^2), the conditions
+    k tan(k a / 2) = kappa (even) and -k cot(k a / 2) = kappa (odd) take the
+    pole-free forms t sin t = sqrt(t0^2 - t^2) cos t and
+    t cos t = -sqrt(t0^2 - t^2) sin t.  Their roots are about pi apart in t,
+    so a grid uniform in t brackets each one, at the bottom of a dense well
+    as well as at its top.
+    """
+    t0 = a * math.sqrt(2.0 * m * V) / (2.0 * hbar)
 
-    def odd(E):
-        el = math.sqrt(2.0 * m * (V - abs(E))) / hbar
-        k = math.sqrt(2.0 * m * abs(E)) / hbar
-        t = math.tan(el * a / 2.0)
-        if t == 0.0:
-            return math.inf
-        return -el / t - k
+    def even(t):
+        return t * math.sin(t) - math.sqrt((t0 - t) * (t0 + t)) * math.cos(t)
 
+    def odd(t):
+        return t * math.cos(t) + math.sqrt((t0 - t) * (t0 + t)) * math.sin(t)
+
+    # E from -V (1 - 1e-12) to -V 1e-12
+    grid = np.linspace(1e-6 * t0, t0 * math.sqrt(1.0 - 1e-12), 40001).tolist()
     roots = []
     for f in (even, odd):
-        grid = np.linspace(-V * (1.0 - 1e-12), -V * 1e-12, 40001)
-        vals = []
-        for e in grid:
-            try:
-                vals.append(f(float(e)))
-            except ValueError:
-                vals.append(math.nan)
+        vals = [f(t) for t in grid]
         for n in range(len(grid) - 1):
-            v0, v1 = vals[n], vals[n + 1]
-            if not (math.isfinite(v0) and math.isfinite(v1)) or v0 * v1 > 0:
+            if (vals[n] > 0.0) == (vals[n + 1] > 0.0):
                 continue
-            lo, hi, flo = float(grid[n]), float(grid[n + 1]), v0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
+            lo, hi, flo = grid[n], grid[n + 1], vals[n]
             mid = 0.5 * (lo + hi)
-            # discard tan-pole sign flips
-            if abs(f(mid)) < 1e-4 * (1.0 + 2.0 * m * V / hbar ** 2):
-                roots.append(mid)
+            while lo < mid < hi:
+                if (flo > 0.0) == (f(mid) > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            roots.append((2.0 * hbar * mid / a) ** 2 / (2.0 * m) - V)
     return sorted(roots)
 
 
@@ -595,7 +590,8 @@ def golden_minima(lo: np.ndarray, hi: np.ndarray, xtol: float,
 
 def _merged_states(e_star: np.ndarray, res: np.ndarray, accept: float,
                    vmax: float) -> list[tuple[float, float]]:
-    """find_bound_states' acceptance and merge of refined energies."""
+    """The acceptance of refined energies, and the merge of those within
+    1e-9 max(1, V_max), of the residual-minimum searches below."""
     merged: list[tuple[float, float]] = []
     for e, r in sorted(zip(e_star[res < accept].tolist(), res[res < accept].tolist())):
         if merged and abs(e - merged[-1][0]) < 1e-9 * max(1.0, vmax):
@@ -607,9 +603,9 @@ def _merged_states(e_star: np.ndarray, res: np.ndarray, accept: float,
 
 def golden_bound_states(params: PhysicalParams, grid: int,
                         accept: float = 1e-8) -> list[tuple[float, float]]:
-    """(energy, residual) of each state as well.find_bound_states found them
-    by golden section: the same scan, minima, acceptance and merge, with the
-    plain smallest singular value as the residual.
+    """(energy, residual) of each state as an earlier well.find_bound_states
+    found them: golden section from each minimum of the residual on the same
+    scan grid, with the plain smallest singular value as the residual.
 
     The reference for well._folded_residual and the acceptance residual.
     """
@@ -679,9 +675,9 @@ def lockstep_brent_minima(es: np.ndarray, sv: np.ndarray, n: np.ndarray, xtol: f
 
 def brent_bound_states(params: PhysicalParams, grid: int,
                        accept: float = 1e-8) -> list[tuple[float, float]]:
-    """(energy, residual) of each state as well.find_bound_states found them
-    by Brent minimisation of the residual: the same scan, certificate and
-    merge, one refinement per scan minimum.
+    """(energy, residual) of each state as an earlier well.find_bound_states
+    found them: Brent minimisation from each minimum of the residual on the
+    same scan grid, with the same certificate.
 
     The reference for well._secant_roots.
     """

@@ -415,6 +415,25 @@ def test_time_reversal_complex_potential():
                 1.0 + rev.value(x).norm() + rev.second(x).norm()), (E, V, w)
 
 
+def test_time_reversal_of_huge_tiny_and_non_finite_w():
+    # W is scaled by a power of two before its phase is taken, so a W whose
+    # abs overflows or is subnormal still gives j exp(i arg W), exactly j
+    # for real W and k for imaginary W; a non-finite W is refused
+    rng = np.random.default_rng(69)
+    sol, _ = _stationary_solution(rng, 2.0, 0.7, 0.9)
+    half = math.sqrt(0.5)
+    for w, factor in ((complex(1.5e308, 1.5e308), Quaternion(0.0, 0.0, half, -half)),
+                      (complex(-1.7e308, 0.0), J), (complex(0.0, 1.7e308), K),
+                      (complex(5e-324, 0.0), J), (complex(0.0, -5e-324), K),
+                      (complex(-3e-320, 3e-320), Quaternion(0.0, 0.0, half, half))):
+        rev = time_reversal_map(sol, w)
+        for x in (0.3, 0.8):
+            assert (rev.value(x) - factor * sol.value(x)).norm() <= 1e-15 * sol.value(x).norm(), w
+    for w in (complex(math.inf, 0.0), complex(math.nan, 0.0), complex(0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            time_reversal_map(sol, w)
+
+
 # -- stationary phase ----------------------------------------------------------
 
 

@@ -470,18 +470,19 @@ def test_bound_stacked_matches_single_energy_systems():
 
 def test_bound_states_ten_state_well_at_coarse_grid():
     V, a = 36.76473671903387, 3.5392552744385
-    got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=400)
     expected = well_bound_energies(V, a)
     assert len(expected) == 10
-    assert len(got.energies) == len(expected)
-    for g, e in zip(got.energies, expected):
-        assert abs(g - e) < 1e-9
+    for grid in (250, 400):
+        got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=grid)
+        assert len(got.energies) == len(expected), grid
+        for g, e in zip(got.energies, expected):
+            assert abs(g - e) < 1e-9
 
 
 def test_bound_states_of_a_thick_well():
     # exp(g a) reaches 1e194 across this well, and the squared norms of the
     # unfolded 8x8 system's columns overflow; the kernel's unit-size columns
-    # do not.  The grid limits how many of its 143 states are found.
+    # do not.  The grid limits how many of its 143 states are found: 140.
     got = find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=100.0), grid=2000)
     expected = well_bound_energies(10.0, 100.0)
     assert got.energies
@@ -490,9 +491,10 @@ def test_bound_states_of_a_thick_well():
     assert all(r < 1e-8 for r in got.residuals)
 
 
-def seeded_well(rng, wabs):
-    """A well -V + jW whose W = 0 count of states is k, drawn in 1..10."""
-    k, V = int(rng.integers(1, 11)), rng.uniform(0.5, 50.0)
+def seeded_well(rng, wabs, states=10, depth=50.0):
+    """A well -V + jW whose W = 0 count of states is k, drawn in 1..states,
+    with V drawn in 0.5..depth."""
+    k, V = int(rng.integers(1, states + 1)), rng.uniform(0.5, depth)
     a = math.pi * (k - 1 + rng.uniform(0.2, 0.9)) / math.sqrt(2.0 * V)
     W = wabs * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
     return k, PhysicalParams(E=1.0, V=V, W=W, a=a)
@@ -527,12 +529,13 @@ def test_bound_refinement_matches_golden_reference(wclass):
         scale, wabs = max(1.0, params.threshold), abs(params.W)
         want = golden_bound_states(params, grid)
         got = find_bound_states(params, grid=grid)
-        merge = 1e-9 * scale    # find_bound_states' merge distance
+        near = 1e-9 * scale     # energies this close are one state
+        assert np.all(np.diff(got.energies) >= near), (params, grid, got.energies)
         assert all(abs(g - e) <= 1e-11 * scale for g in got.energies for e, _ in want
-                   if abs(g - e) < merge)
-        gone = unmatched(want, got.energies, merge)
-        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], merge)
-        assert all(abs(e + wabs) < merge or r >= 5e-9 for e, r in gone), (params, grid, gone)
+                   if abs(g - e) < near)
+        gone = unmatched(want, got.energies, near)
+        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], near)
+        assert all(abs(e + wabs) < near or r >= 5e-9 for e, r in gone), (params, grid, gone)
         assert all(r >= 5e-9 for _, r in new), (params, grid, new)
         assert all(r < 1e-8 for r in got.residuals)
 
@@ -540,9 +543,10 @@ def test_bound_refinement_matches_golden_reference(wclass):
 @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (0.1, 1.0), (0.3, 2.0), (3.0, 0.5)])
 def test_bound_refinement_matches_brent_reference(hbar, m):
     # 25 wells per (hbar, m), |W| zero, small and sizable, against lock-step
-    # Brent minimisation of the residual with the same scan, certificate and
-    # merge.  The secant searches both parities at every scan minimum, so it
-    # may find a state that the one minimisation there missed; it loses none.
+    # Brent minimisation of the residual from each minimum on the same scan
+    # grid, with the same certificate.  The secant searches every sign change
+    # of either parity determinant, so it may find a state that the one
+    # minimisation at a scan minimum missed; it loses none.
     # The W = 0 well below has a state at a steep residual (sigma = 2.3e-6 at
     # 2e5 xtol from it).
     rng = np.random.default_rng(round(91 + 10 * hbar + m))
@@ -558,11 +562,12 @@ def test_bound_refinement_matches_brent_reference(hbar, m):
         scale = max(1.0, params.threshold)
         want = brent_bound_states(params, grid)
         got = find_bound_states(params, grid=grid)
-        merge = 1e-9 * scale    # find_bound_states' merge distance
+        near = 1e-9 * scale     # energies this close are one state
+        assert np.all(np.diff(got.energies) >= near), (params, grid, got.energies)
         for e, _ in want:
             assert min((abs(g - e) for g in got.energies), default=math.inf) <= 1e-11 * scale, (
                 params, grid, e)
-        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], merge)
+        new = unmatched(zip(got.energies, got.residuals), [e for e, _ in want], near)
         energies = np.array([e for e, _ in new])
         assert np.all(bound_certificate(energies, params) < 1e-8), (params, grid, new)
 
@@ -586,11 +591,11 @@ def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400: the closed-form residual scans the grid and certifies the
-    # refined energies, one call each, and the secant's function takes at
-    # most five calls (these wells took 5, 3 and 2); no numpy.linalg routine
+    # grid 400: the secant's function scans the grid and takes at most four
+    # more calls (these wells took 4, 2 and 1), and the closed-form residual
+    # certifies the refined energies in one call; no numpy.linalg routine
     # runs at all.  Without the stop on an off-axis secant step the
-    # sizable-|W| wells took 4 and 13 calls.
+    # sizable-|W| wells took 3 and 12 more calls.
     calls, searched, roots, linalg = [], [], [], []
     objective, search, refine = (well._folded_residual, well._parity_determinants,
                                  well._secant_roots)
@@ -621,9 +626,8 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted_linalg(name, fn))
     find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
-    assert len(calls) == 2 and calls[0].size == 400
-    assert np.array_equal(calls[1], roots[0])
-    assert len(searched) <= 5
+    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(roots[0]))
+    assert searched[0] == 400 and len(searched) <= 5
     assert linalg == []
 
 
@@ -728,15 +732,27 @@ def test_bound_no_spurious_states_at_huge_hbar(hbar):
 
 
 def test_bound_state_count_at_zero_w():
-    # at W = 0 the well holds ceil(a sqrt(2 m V) / (pi hbar)) states
+    # at W = 0 the well holds ceil(a sqrt(2 m V) / (pi hbar)) states, and
+    # each changes the sign of its parity's determinant once, so the scan
+    # grid does not decide the count: 100 seeded wells of 1-10 states and
+    # 200 dense ones of 1-40 states with V in 0.5-80, at grids 400 and 2000
     rng = np.random.default_rng(90)
-    for _ in range(100):
-        k, params = seeded_well(rng, 0.0)
+    wells = [seeded_well(rng, 0.0) for _ in range(100)]
+    wells += [seeded_well(rng, 0.0, states=40, depth=80.0) for _ in range(200)]
+    for k, params in wells:
         count = math.ceil(params.a * math.sqrt(2.0 * params.m * params.V)
                           / (math.pi * params.hbar))
         assert count == k
-        assert len(find_bound_states(params, grid=400).energies) == count, params
-        assert len(find_bound_states(params).energies) == count, params
+        for grid in (400, 2000):
+            assert len(find_bound_states(params, grid=grid).energies) == count, (params, grid)
+    # and four wells with two states a few steps of a 400-point grid apart,
+    # where one minimum of the residual holds both
+    for V, a, count in ((40.75108040556594, 5.131634629044028, 15),
+                        (33.10069832918325, 2.7061896993881773, 8),
+                        (43.1596244060708, 5.7693685568062145, 18),
+                        (30.81339368615535, 5.086959614934046, 13)):
+        got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=400)
+        assert len(got.energies) == count, (V, a)
 
 
 def test_bound_states_need_well_geometry():
@@ -802,12 +818,16 @@ def test_tiny_energy_free_step_transmits(E):
     assert abs(modes.sigma - E * math.sqrt(0.75)) <= 1e-15 * E
 
 
-def test_subnormal_energy_fails_without_warnings():
-    # the row is reported as OverflowError; no numpy warning may reach stderr
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = solve_rows("step", 1e-320, 0.0, 0.0)
-    assert isinstance(got.errors[0], OverflowError)
+def test_subnormal_energy_solves_without_warnings():
+    # conj(W) / (E + sigma) with W = 0 is exactly 0, where numpy's complex
+    # division would form 1 / (E + sigma) first, which overflows: a free
+    # step transmits all, and a step with V > 0 reflects all
+    for E, V, W, R in ((1e-320, 0.0, 0.0, 0.0), (1e-310, 1.0, 0.5, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solve_rows("step", E, V, W)
+        assert got.errors[0] is None, (E, V, W)
+        assert abs(got.R[0] - R) <= 1e-12 and abs(got.T[0] - (1.0 - R)) <= 1e-12, (E, V, W)
 
 
 @pytest.mark.parametrize("W, want", [(complex(1e308, 1e308), OverflowError),
