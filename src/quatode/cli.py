@@ -96,7 +96,7 @@ def cmd_ode(args) -> int:
         def resid(x):
             return clode.residual(sol, a_op, b_op, x)
 
-    points = []
+    points, phis = [], []
     for x in xs:
         phi = sol.value(x)
         dphi = sol.derivative(x)
@@ -106,15 +106,16 @@ def cmd_ode(args) -> int:
         if not all(map(math.isfinite, (*point["phi"], *point["dphi"], point["residual"]))):
             raise OverflowError(f"solution or residual is not finite at x = {x!r}")
         points.append(point)
+        phis.append(phi)
     payload = {"kind": args.kind, "points": points}
     if args.oracle:
-        ends = [x for x in xs if x != 0.0]
+        ends = [(x, phi) for x, phi in zip(xs, phis) if x != 0.0]
         worst = 0.0
         if ends:
-            states = oracle.rk4_endpoint(rhs, args.phi0, args.dphi0, 0.0, np.array(ends),
-                                         args.oracle_steps)
-            for x, end in zip(ends, states):
-                worst = max(worst, (Quaternion.from_array(end[:4]) - sol.value(x)).norm())
+            states = oracle.rk4_endpoint(rhs, args.phi0, args.dphi0, 0.0,
+                                         np.array([x for x, _ in ends]), args.oracle_steps)
+            for (_, phi), end in zip(ends, states):
+                worst = max(worst, (Quaternion.from_array(end[:4]) - phi).norm())
         payload["oracle_max_err"] = worst
     print(json.dumps(payload))
     return 0

@@ -7,25 +7,31 @@ its incident wave, at |W| (arg W is a gauge, see scatter).  The mirror
 x -> a - x splits it into an even and an odd 4x4 block, each singular where
 a 2x2 determinant vanishes (_parity_determinants).  At W = 0 both
 determinants are real and change sign once at each state of their parity.
-find_bound_states evaluates them over a grid of energies, and every sign
-change of the real part between two neighbouring grid energies, in either
-block, is one bracket.  One secant search per bracket, all in lock step
-(_secant_roots), refines it.  A secant step that would leave the bracket
-goes halfway from the current point to the end it crossed.  A search stops
-when its step is within xtol, after two consecutive such exits, when the
-step's zero lies far off the real axis (a near miss, not a root), or after
-_MAX_STEPS steps.  A closed-form residual (_folded_residual) then certifies
-the refined energies and alone decides acceptance: the smallest singular
-value of the 8x8 system after an orthonormal basis of the interior columns'
-span takes their place, so the coinciding interior modes at E = -|W| give
-no state.  It follows from the same fold and the principal angle between
-the exterior and the interior span, in elementwise numpy on unit-size
-columns, so thick wells do not overflow.  The scattering module re-exports
-find_bound_states and BoundStateSet.
+find_bound_states evaluates them over a grid of energies in one numpy call,
+and every sign change of the real part between two neighbouring grid
+energies, in either block, is one bracket.  One secant search per bracket
+(_secant_roots) refines it: a plain Python loop on _parity_determinant, one
+entry of the same function on Python complex, since a search needs only a
+handful of evaluations.  Each search keeps a sign bracket [blo, bhi] inside
+its scan bracket: an iterate inside it with a finite value replaces the end
+whose real part has its sign.  A secant step that would leave the scan
+bracket goes to the middle of the sign bracket, so a secant through two
+points of one sign cannot walk away from the state.  A search stops when its
+step is within xtol, when the step's zero lies far off the real axis (a near
+miss, not a root), or after _MAX_STEPS steps.  A closed-form residual
+(_folded_residual, one numpy call on the sorted energies) then certifies
+them and alone decides acceptance: the smallest singular value of the 8x8
+system after an orthonormal basis of the interior columns' span takes their
+place, so the coinciding interior modes at E = -|W| give no state.  It
+follows from the same fold and the principal angle between the exterior and
+the interior span, in elementwise numpy on unit-size columns, so thick wells
+do not overflow.  The scattering module re-exports find_bound_states and
+BoundStateSet.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,18 +51,21 @@ class BoundStateSet:
 
 # At most this many secant steps per search.  On 1580 wells (the 80
 # benchmark spectra and 1500 seeded ones of 1-40 states, with |W| zero,
-# small and sizable; 30,193 searches) none reached it.
+# small and sizable, at grids 250, 400 and 2000; 30,990 searches) 211
+# reached it, all in sizable-|W| wells and none at a state: a sign change of
+# the real part with no real zero, which the searches bisect.
 _MAX_STEPS = 12
 # A search stops as a near miss when its complex secant step s has
 # |Im s| > 10 |Re s| and |Im s| > _OFF_AXIS xtol: the zero of the secant line
 # is then off the real axis by more than 1e-6 max(1, V_max), and the real
 # part of the step is within a tenth of that distance of its foot, where the
-# search stops.  On the wells above this rule stopped 6418 searches, none at
-# a state, and lost none; without it 1640 searches reached _MAX_STEPS, and
-# the 80 benchmark spectra took 515 calls of the function instead of 311.
+# search stops.  On the wells above this rule stopped 6536 searches, none at
+# a state, and lost none; without it 1925 searches reached _MAX_STEPS, and
+# the 80 benchmark spectra took 1461 evaluations instead of 1030.
 _OFF_AXIS = 1e6
 # A refined energy is a state when its residual is below this.
 _ACCEPT = 1e-8
+_NAN = complex(math.nan, math.nan)
 
 
 def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -146,35 +155,85 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
         return schur * (np.exp(0.5j * za * z[0].imag) / (1.0 - t))
 
 
+def _interior_rows(z: complex, odd: bool, za: float, k: float) -> tuple[complex, complex]:
+    """x and y of the block's interior column of the pair of rate z, as in
+    _parity_determinants, with k = sqrt(-E)."""
+    x = z * -za
+    h = math.sin(x.imag / 2)     # numpy's complex expm1, term for term
+    em = complex(math.expm1(x.real) * math.cos(x.imag) - 2 * h * h,
+                 math.exp(x.real) * math.sin(x.imag))
+    if odd:
+        alpha, beta = -em / z, -2.0 - em
+    else:
+        alpha, beta = 2.0 + em, em * z
+    kalpha = k * alpha
+    return beta - kalpha, beta + 1j * kalpha
+
+
+def _parity_determinant(e: float, odd: bool, V: float, w: float, za: float) -> complex:
+    """One entry of _parity_determinants on Python complex: block `odd` at e < 0.
+
+    V is the well's depth, w = |W| and za = sqrt(2 m) a / hbar.  The u+ pair
+    is evaluated only at w != 0; at w = 0, t = wbar wfrac = 0.  Returns
+    complex(nan, nan) wherever the value is not finite, as at E = -|W|
+    exactly, where 1 - t = 0.
+    """
+    if abs(e) < 1e-150:     # e * e underflows: scale as schrodinger_mode_arrays does
+        p = math.ldexp(-1.0, math.frexp(max(-e, w))[1])
+        sigma = cmath.sqrt((e / p) * (e / p) - (w / p) * (w / p)) * p
+    else:
+        sigma = -cmath.sqrt(e * e - w * w)
+    k = math.sqrt(-e)
+    zm = cmath.sqrt(-V - sigma)
+    phase = 0.5 * za * zm.imag
+    phase = complex(math.cos(phase), math.sin(phase))
+    try:
+        x0, y0 = _interior_rows(zm, odd, za, k)
+        if w:
+            wfrac = -w / (e + sigma)
+            t = wfrac * wfrac
+            x1, y1 = _interior_rows(cmath.sqrt(-V + sigma), odd, za, k)
+            x0, phase = x0 - t * x1 * y0 / y1, phase / (1.0 - t)
+    except ZeroDivisionError:
+        return _NAN
+    f = x0 * phase
+    return f if cmath.isfinite(f) else _NAN
+
+
 def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarray,
                   xtol: float, params: PhysicalParams) -> np.ndarray:
     """One secant search on the block `parity` in each bracket [es[n], es[n+1]].
 
-    f holds _parity_determinants at es.  A search starts from both ends of
-    its bracket and stays in it.  Each step is the real part of the complex
-    secant step; see the module docstring for the bracket rule and the stop
-    rules.  All live searches are evaluated in one call per step.  Returns
+    f holds _parity_determinants at es.  Each search is a Python loop over
+    _parity_determinant; see the module docstring for its rules.  Returns
     the last iterate of each search.
     """
-    lo, hi = es[n], es[n + 1]
-    x0, f0, x1, f1 = lo, f[parity, n], hi, f[parity, n + 1]
-    pick = (parity, np.arange(n.size))
-    with np.errstate(all="ignore"):
-        out, live = hi, np.ones(n.size, dtype=bool)
-        exits = np.zeros(n.size, dtype=int)
+    V, w = params.V, abs(params.W)
+    za = math.sqrt(2.0 * params.m) * params.a / params.hbar
+    es, f = es.tolist(), f.tolist()
+    out = []
+    for odd, k in zip(parity.tolist(), n.tolist()):
+        lo, hi = es[k], es[k + 1]
+        x0, f0, x1, f1 = lo, f[odd][k], hi, f[odd][k + 1]
+        # the sign bracket: Re f at blo has the sign of Re f at lo, at bhi not
+        blo, bhi, neg = lo, hi, math.copysign(1.0, f0.real) < 0.0
         for _ in range(_MAX_STEPS):
-            s = f1 * ((x1 - x0) / (f1 - f0))
+            df = f1 - f0
+            s = f1 * ((x1 - x0) / df) if df else _NAN
             x2 = x1 - s.real
-            inside = (lo <= x2) & (x2 <= hi)
-            x2 = np.where(inside, x2, 0.5 * (x1 + np.where(x2 < lo, lo, hi)))
-            exits = np.where(inside, 0, exits + 1)
-            out = np.where(live, x2, out)
-            live &= ((np.abs(x2 - x1) > xtol) & (exits < 2)
-                     & (np.abs(s.imag) <= np.maximum(10.0 * np.abs(s.real), _OFF_AXIS * xtol)))
-            if not live.any():
+            if not lo <= x2 <= hi:
+                x2 = 0.5 * (blo + bhi)
+            if not (abs(x2 - x1) > xtol
+                    and abs(s.imag) <= max(10.0 * abs(s.real), _OFF_AXIS * xtol)):
                 break
-            x0, f0, x1, f1 = x1, f1, x2, _parity_determinants(x2, params)[pick]
-    return out
+            x0, f0, x1, f1 = x1, f1, x2, _parity_determinant(x2, odd, V, w, za)
+            if cmath.isfinite(f1) and blo < x2 < bhi:
+                if (math.copysign(1.0, f1.real) < 0.0) == neg:
+                    blo = x2
+                else:
+                    bhi = x2
+        out.append(x2)
+    return np.array(out)
 
 
 def find_bound_states(params: PhysicalParams, grid: int = 2000) -> BoundStateSet:

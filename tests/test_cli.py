@@ -408,6 +408,30 @@ def test_ode_quaternionic_with_oracle(capsys):
     assert isinstance(x0, float)
 
 
+@pytest.mark.parametrize("kind, a, b", [("h", "0,1,0,0", "0.25,0.5,0,0.5"),
+                                        ("c", "0.3,-0.7,0.2,0.5,0.4,0.1,-0.6,0.9",
+                                         "-0.8,0.6,1.1,-0.2,0.3,-0.5,0.7,0.2")])
+def test_ode_oracle_evaluates_the_solution_once_per_point(capsys, monkeypatch, kind, a, b):
+    # the RK4 comparison reuses the payload's phi(x): --oracle adds no
+    # evaluation of the solution, and the payload is unchanged
+    argv = ["ode", kind, f"--a={a}", f"--b={b}", "--phi0=0.5,-0.1,0.8,0.3",
+            "--dphi0=-0.4,0.9,0.2,-0.7", "--points=0,0.5,1"]
+    xs = []
+    value = quatode.quatcore.ExpSum.value
+
+    def counted(self, x):
+        xs.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(quatode.quatcore.ExpSum, "value", counted)
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    without, xs[:] = list(xs), []
+    code, out = run(capsys, *argv, "--oracle")
+    assert code == 0 and json.loads(out)["points"] == json.loads(plain)["points"]
+    assert xs == without
+
+
 def test_ode_complex_linear(capsys):
     code, out = run(capsys, "ode", "c", "--a", "0,0,0,0,0,0,0,0",
                     "--b", "0,0,0,0,0,0,-1,0", "--phi0", "0,0,1,0",

@@ -482,7 +482,7 @@ def test_bound_states_ten_state_well_at_coarse_grid():
 def test_bound_states_of_a_thick_well():
     # exp(g a) reaches 1e194 across this well, and the squared norms of the
     # unfolded 8x8 system's columns overflow; the kernel's unit-size columns
-    # do not.  The grid limits how many of its 143 states are found: 140.
+    # do not.  The grid limits how many of its 143 states are found: 141.
     got = find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=100.0), grid=2000)
     expected = well_bound_energies(10.0, 100.0)
     assert got.energies
@@ -591,26 +591,33 @@ def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400: the secant's function scans the grid and takes at most four
-    # more calls (these wells took 4, 2 and 1), and the closed-form residual
-    # certifies the refined energies in one call; no numpy.linalg routine
-    # runs at all.  Without the stop on an off-axis secant step the
-    # sizable-|W| wells took 3 and 12 more calls.
-    calls, searched, roots, linalg = [], [], [], []
-    objective, search, refine = (well._folded_residual, well._parity_determinants,
-                                 well._secant_roots)
+    # grid 400: one array call of the parity determinants scans the grid,
+    # each bracket's search takes at most _MAX_STEPS scalar evaluations on
+    # Python floats, and the closed-form residual certifies the sorted
+    # refined energies in one call; no numpy.linalg routine runs at all
+    scans, scalars, certified, roots, linalg = [], [], [], [], []
+    objective, scan, scalar, refine = (well._folded_residual, well._parity_determinants,
+                                       well._parity_determinant, well._secant_roots)
 
     def counted(es, params):
-        calls.append(es.copy())
+        certified.append(es.copy())
         return objective(es, params)
 
-    def counted_search(es, params):
-        searched.append(es.size)
-        return search(es, params)
+    def counted_scan(es, params):
+        scans.append(es.copy())
+        return scan(es, params)
 
-    def kept_roots(*args):
-        roots.append(refine(*args))
-        return roots[-1]
+    def counted_scalar(e, *args):
+        value = scalar(e, *args)
+        scalars.append((type(e), type(value)))
+        return value
+
+    def counted_roots(es, f, parity, n, xtol, params):
+        for k in range(n.size):
+            before = len(scalars)
+            roots.append(refine(es, f, parity[k:k + 1], n[k:k + 1], xtol, params)[0])
+            assert len(scalars) - before <= well._MAX_STEPS
+        return np.array(roots)
 
     def counted_linalg(name, fn):
         def wrapper(*args, **kwargs):
@@ -619,16 +626,116 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
         return wrapper
 
     monkeypatch.setattr(well, "_folded_residual", counted)
-    monkeypatch.setattr(well, "_parity_determinants", counted_search)
-    monkeypatch.setattr(well, "_secant_roots", kept_roots)
+    monkeypatch.setattr(well, "_parity_determinants", counted_scan)
+    monkeypatch.setattr(well, "_parity_determinant", counted_scalar)
+    monkeypatch.setattr(well, "_secant_roots", counted_roots)
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted_linalg(name, fn))
-    find_bound_states(PhysicalParams(E=1.0, V=V, W=W, a=a), grid=400)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(roots[0]))
-    assert searched[0] == 400 and len(searched) <= 5
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a)
+    vmax = params.threshold
+    find_bound_states(params, grid=400)
+    assert len(scans) == 1
+    assert np.array_equal(scans[0], np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400))
+    assert roots and set(scalars) <= {(float, complex)}
+    assert len(certified) == 1 and np.array_equal(certified[0], np.sort(roots))
     assert linalg == []
+
+
+def test_bound_scalar_determinant_matches_array_form():
+    # the searches' scalar entry against the scan's array form on the scan
+    # grid of 102 seeded wells (|W| zero, small and sizable, hbar in
+    # 1e-3..1e3, 1-40 states), the thick well a = 500 and a well so shallow
+    # that E * E underflows.  They round differently (numpy's complex
+    # products may fuse a multiply-add), so they agree to rounding of the
+    # scan's scale, not of each entry: an entry 1e-5 of the scan maximum is
+    # 1e5 times worse conditioned.  Within 1e-3 max(1, |W|) of E = -|W| both
+    # lose digits to the cancellation in 1 - wbar wfrac (1.5e-9 against a
+    # 60-digit value at the thick well's last scan energy); there the scalar
+    # entry is only finite.
+    rng = np.random.default_rng(230)
+    wells = []
+    for n in range(102):
+        wabs = (0.0, 10.0 ** rng.uniform(-6.0, -2.0), rng.uniform(0.5, 2.5))[n % 3]
+        hbar = 10.0 ** rng.uniform(-3.0, 3.0)
+        params = seeded_well(rng, wabs, states=40, depth=80.0)[1]
+        wells.append(replace(params, a=hbar * params.a, hbar=hbar))
+    wells += [PhysicalParams(E=1.0, V=10.0, W=W, a=500.0) for W in (0.0, 1e-5, 10.0)]
+    wells.append(PhysicalParams(E=1.0, V=1e-155, W=3e-156, a=3e78))
+    for params in wells:
+        vmax, wabs = params.threshold, abs(params.W)
+        za = math.sqrt(2.0 * params.m) * params.a / params.hbar
+        es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
+        want = well._parity_determinants(es, params)
+        got = np.array([[well._parity_determinant(e, odd, params.V, wabs, za)
+                         for e in es.tolist()] for odd in (False, True)])
+        assert np.all(np.isfinite(got)), params
+        far = np.abs(es + wabs) >= 1e-3 * max(1.0, wabs)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want)[:, far] <= 1e-14 * scale), params
+
+
+@pytest.mark.parametrize("V, W, a", [(6.0, 0.7 - 0.9j, 1.7), (10.0, 10.0, 500.0),
+                                     (36.76473671903387, 0.0, 3.5392552744385)])
+def test_bound_scalar_determinant_at_singular_points(V, W, a):
+    # at E = -|W| exactly 1 - wbar wfrac = 0, where Python's complex division
+    # raises and the array form is not finite: the scalar entry is nan.  At
+    # the scan ends both forms are finite and agree.
+    params = PhysicalParams(E=1.0, V=V, W=W, a=a)
+    vmax, wabs = params.threshold, abs(params.W)
+    za = math.sqrt(2.0 * params.m) * params.a / params.hbar
+    ends = np.array([-vmax + 1e-6 * vmax, -1e-6 * vmax])
+    want = well._parity_determinants(ends, params)
+    for odd in (False, True):
+        if wabs:
+            with np.errstate(all="ignore"):
+                edge = well._parity_determinants(np.array([-wabs]), params)[int(odd), 0]
+            assert not np.isfinite(edge)
+            assert cmath.isnan(well._parity_determinant(-wabs, odd, V, wabs, za))
+        got = [well._parity_determinant(e, odd, V, wabs, za) for e in ends.tolist()]
+        assert np.allclose(got, want[int(odd)], rtol=1e-13, atol=0.0)
+
+
+def test_bound_search_ignores_non_finite_values(monkeypatch):
+    # an iterate whose value is not finite moves neither end of the sign
+    # bracket: the search's next step is nan, so it stops at the middle of
+    # the scan bracket
+    params = PhysicalParams(E=1.0, V=36.76473671903387, W=0.0, a=3.5392552744385)
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
+    f = well._parity_determinants(es, params)
+    sign = np.signbit(f.real)
+    parity, n = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    monkeypatch.setattr(well, "_parity_determinant", lambda *args: complex(math.nan, math.nan))
+    got = well._secant_roots(es, f, parity, n, 1e-12 * vmax, params)
+    assert np.array_equal(got, 0.5 * (es[n] + es[n + 1]))
+
+
+def test_bound_states_where_a_secant_leaves_the_sign_change():
+    # W = 0 and 39 states at grid 250: the ground state's search evaluates a
+    # first iterate of the sign of the bracket's upper end, and the secant
+    # through two points of one sign leaves the scan bracket; it bisects the
+    # sign bracket instead of walking toward the upper end
+    V, a = 16.467135098975135, 21.073241599084962
+    expected = well_bound_energies(V, a)
+    assert len(expected) == 39
+    got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=250)
+    assert len(got.energies) == 39
+    for g, e in zip(got.energies, expected):
+        assert abs(g - e) < 1e-9
+
+
+def test_bound_state_count_of_dense_wells_at_a_coarse_grid():
+    # 150 seeded W = 0 wells of 25-40 states at grid 250, where some states
+    # of one parity lie in neighbouring scan steps
+    rng = np.random.default_rng(66)
+    for _ in range(150):
+        k, V = int(rng.integers(25, 41)), rng.uniform(0.5, 80.0)
+        a = math.pi * (k - 1 + rng.uniform(0.2, 0.9)) / math.sqrt(2.0 * V)
+        params = PhysicalParams(E=1.0, V=V, W=0.0, a=a)
+        assert math.ceil(a * math.sqrt(2.0 * V) / math.pi) == k
+        assert len(find_bound_states(params, grid=250).energies) == k, params
 
 
 @pytest.mark.parametrize("V, W, a, where", [(6.0, 0.7 - 0.9j, 1.7, "wabs"),
