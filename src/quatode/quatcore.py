@@ -250,6 +250,7 @@ def exp_term(L, q, R=ONE, Lx=None) -> Term:
     exp(q x) = Re(e^{zx}) + Im(e^{zx}) u for the complex z = w + i|v|.  So
     with the complex unit I of the biquaternions, the term is
     Re(e^{zx} (P + x Px)) with P = L (1 - I u) R and Px = Lx (1 - I u) R.
+    A factor that is the constant ONE is not multiplied out.
     """
     if isinstance(q, Quaternion):
         vn = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
@@ -258,9 +259,9 @@ def exp_term(L, q, R=ONE, Lx=None) -> Term:
                 if vn else _AXIS_I)
     else:
         z, axis = complex(q), _AXIS_I
-    right = _hamilton(axis, _components(R))
-    px = None if Lx is None else _hamilton(_components(Lx), right)
-    return Term(z, _hamilton(_components(L), right), px)
+    right = axis if R is ONE else _hamilton(axis, _components(R))
+    px = None if Lx is None else right if Lx is ONE else _hamilton(_components(Lx), right)
+    return Term(z, right if L is ONE else _hamilton(_components(L), right), px)
 
 
 class ExpSum:

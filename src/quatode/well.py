@@ -206,7 +206,8 @@ def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarr
 
     f holds _parity_determinants at es.  Each search is a Python loop over
     _parity_determinant; see the module docstring for its rules.  Returns
-    the last iterate of each search.
+    the last iterate of each search, which is not evaluated: a search makes
+    at most _MAX_STEPS - 1 scalar evaluations.
     """
     V, w = params.V, abs(params.W)
     za = math.sqrt(2.0 * params.m) * params.a / params.hbar
@@ -217,7 +218,14 @@ def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarr
         x0, f0, x1, f1 = lo, f[odd][k], hi, f[odd][k + 1]
         # the sign bracket: Re f at blo has the sign of Re f at lo, at bhi not
         blo, bhi, neg = lo, hi, math.copysign(1.0, f0.real) < 0.0
-        for _ in range(_MAX_STEPS):
+        for step in range(_MAX_STEPS):
+            if step:    # the previous step's iterate; the last step's is not evaluated
+                x0, f0, x1, f1 = x1, f1, x2, _parity_determinant(x2, odd, V, w, za)
+                if cmath.isfinite(f1) and blo < x2 < bhi:
+                    if (math.copysign(1.0, f1.real) < 0.0) == neg:
+                        blo = x2
+                    else:
+                        bhi = x2
             df = f1 - f0
             s = f1 * ((x1 - x0) / df) if df else _NAN
             x2 = x1 - s.real
@@ -226,12 +234,6 @@ def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarr
             if not (abs(x2 - x1) > xtol
                     and abs(s.imag) <= max(10.0 * abs(s.real), _OFF_AXIS * xtol)):
                 break
-            x0, f0, x1, f1 = x1, f1, x2, _parity_determinant(x2, odd, V, w, za)
-            if cmath.isfinite(f1) and blo < x2 < bhi:
-                if (math.copysign(1.0, f1.real) < 0.0) == neg:
-                    blo = x2
-                else:
-                    bhi = x2
         out.append(x2)
     return np.array(out)
 

@@ -791,3 +791,63 @@ def spy_eigen_calls(monkeypatch) -> list[str]:
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, _f=func, _n=name: calls.append(_n) or _f(*args))
     return calls
+
+
+def matrix2h_ivp(a: Quaternion, b: Quaternion, phi0: Quaternion, dphi0: Quaternion):
+    """The IVP fitted by the general 2x2 elimination: hode.general_solution's
+    basis evaluated at 0, solved by Matrix2H.solve (ValueError when its
+    singularity rule holds), and the coefficients applied to the basis."""
+    from quatode import hode
+    sol = hode.general_solution(a, b)
+    rows = [[f.value(0.0) for f in sol.basis], [f.derivative(0.0) for f in sol.basis]]
+    return sol.with_coefficients(*Matrix2H(rows).solve((phi0, dphi0)))
+
+
+def _unit(rng, n: int = 3) -> np.ndarray:
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def branch_coefficients(rng, branch: str) -> tuple[Quaternion, Quaternion]:
+    """(a, b) of q^2 + a q + b = 0 on one quadsolve branch, with sizes A and
+    B log-uniform in 1e-3..1e3.
+
+    Built from the reduced form p = q + a0/2: c0 = b0 - a0^2/4 and
+    c = b_vec - (a0/2) a_vec.  a is A times a random unit quaternion, or +-A
+    on the branches with a_vec = 0 (sphere, real_pair, both_zero_repeated,
+    a_zero).  Where c is free (generic, a_zero), b is B times a random unit
+    quaternion; parallel has b = B (cos t + sin t a_vec / |a_vec|).
+    Otherwise B sizes the reduced form: c0 = B, -B, 0 and +-B with c = 0 for
+    sphere, real_pair, both_zero_repeated and c_zero; c = B w with w a unit
+    vector orthogonal to a_vec and c0 = B^2/|a_vec|^2 - |a_vec|^2/4 (delta
+    = 0) for orthogonal_repeated, and c0 moved off that by 0.2-1.5 |a_vec|^2
+    for orthogonal.  The orthogonal branches take |a0| <= B / |a_vec|: the
+    rounding of b_vec - (a0/2) a_vec then keeps c orthogonal to a_vec within
+    quadsolve's 1e-12 classification gate.
+    """
+    size_a, size_b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+    a0, *a_vec = size_a * _unit(rng, 4)
+    a_vec = np.array(a_vec)
+    an = float(np.linalg.norm(a_vec))
+    if branch in ("sphere", "real_pair", "both_zero_repeated", "a_zero"):
+        a0, a_vec = math.copysign(size_a, a0), np.zeros(3)
+    if branch in ("generic", "a_zero"):
+        return Quaternion(a0, *a_vec), Quaternion(*(size_b * _unit(rng, 4)))
+    if branch == "parallel":
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return (Quaternion(a0, *a_vec),
+                Quaternion(size_b * math.cos(t), *(size_b * math.sin(t) / an * a_vec)))
+    c_vec = np.zeros(3)
+    if branch in ("orthogonal", "orthogonal_repeated"):
+        scale = math.sqrt(size_b)
+        a0, an, cn = scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(0.5, 2.0), size_b * rng.uniform(0.5, 2.0)
+        a_vec = an * _unit(rng)
+        w = np.cross(a_vec, _unit(rng))
+        c_vec = cn * w / np.linalg.norm(w)
+        c0 = cn * cn / (an * an) - an * an / 4.0
+        if branch == "orthogonal":
+            c0 += rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5) * an * an
+    else:
+        c0 = {"sphere": size_b, "real_pair": -size_b, "both_zero_repeated": 0.0,
+              "c_zero": rng.choice((-1.0, 1.0)) * size_b}[branch]
+    return Quaternion(a0, *a_vec), Quaternion(c0 + a0 * a0 / 4.0, *(c_vec + a0 / 2.0 * a_vec))

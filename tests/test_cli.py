@@ -412,24 +412,30 @@ def test_ode_quaternionic_with_oracle(capsys):
                                         ("c", "0.3,-0.7,0.2,0.5,0.4,0.1,-0.6,0.9",
                                          "-0.8,0.6,1.1,-0.2,0.3,-0.5,0.7,0.2")])
 def test_ode_oracle_evaluates_the_solution_once_per_point(capsys, monkeypatch, kind, a, b):
-    # the RK4 comparison reuses the payload's phi(x): --oracle adds no
-    # evaluation of the solution, and the payload is unchanged
+    # the residual and the RK4 comparison reuse the payload's phi(x) and
+    # phi'(x): each is evaluated once per point, with or without --oracle,
+    # and the solve evaluates nothing; the payload is unchanged
     argv = ["ode", kind, f"--a={a}", f"--b={b}", "--phi0=0.5,-0.1,0.8,0.3",
             "--dphi0=-0.4,0.9,0.2,-0.7", "--points=0,0.5,1"]
-    xs = []
-    value = quatode.quatcore.ExpSum.value
+    calls = []
 
-    def counted(self, x):
-        xs.append(x)
-        return value(self, x)
+    def counting(method):
+        original = getattr(quatode.quatcore.ExpSum, method)
 
-    monkeypatch.setattr(quatode.quatcore.ExpSum, "value", counted)
+        def counted(self, x):
+            calls.append((method, x))
+            return original(self, x)
+        return counted
+
+    for method in ("value", "derivative"):
+        monkeypatch.setattr(quatode.quatcore.ExpSum, method, counting(method))
+    once = [(method, x) for x in (0.0, 0.5, 1.0) for method in ("value", "derivative")]
     code, plain = run(capsys, *argv)
-    assert code == 0
-    without, xs[:] = list(xs), []
+    assert code == 0 and calls == once
+    calls.clear()
     code, out = run(capsys, *argv, "--oracle")
     assert code == 0 and json.loads(out)["points"] == json.loads(plain)["points"]
-    assert xs == without
+    assert calls == once
 
 
 def test_ode_complex_linear(capsys):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from quatode import hode, oracle, quadsolve
+from quatode import hode, oracle, qmat2, quadsolve
+from quatode.qmat2 import _canonical_pairs
 from quatode.quatcore import I, J, K, ONE, ExpSum, Quaternion, exp_term
 
-from helpers import (QI, QJ, QK, as_tuple, exponential_wronskian, qadd, qdist,
-                     qexp_series, qmul, qscale, rand_quaternion,
-                     repeated_root_cancellation, wronskian_all_forms)
+from helpers import (QI, QJ, QK, as_tuple, branch_coefficients, exponential_wronskian,
+                     expm_series, matrix2h_ivp, qadd, qdist, qexp_series, qmul, qscale,
+                     rand_quaternion, repeated_root_cancellation, term_scale,
+                     wronskian_all_forms)
 
 S2 = math.sqrt(2.0)
 SAMPLE_XS = (0.0, 0.25, 0.5, 1.0)
@@ -231,12 +233,54 @@ def test_evaluate_vs_rk4():
             assert (traj.phi(n) - sol.value(x)).norm() < 1e-6
 
 
-def test_degenerate_basis_error(monkeypatch):
-    bf = ExpSum([exp_term(ONE, Quaternion())])
-    fake = hode.GeneralSolution(basis=(bf, bf))
-    monkeypatch.setattr(hode, "general_solution", lambda a, b: fake)
+def test_degenerate_real_pair_basis_error():
+    # real roots +-1e-13: the basis columns (1, +-1e-13) agree to well below
+    # the 1e-12 singularity rule, and the general elimination says so too
+    a, b = Quaternion(), Quaternion(-1e-26)
+    roots = quadsolve.solve_quaternion(a, b)
+    assert roots.kind is quadsolve.RootKind.REAL_PAIR
+    assert [q.w for q in roots.roots] == [1e-13, -1e-13]
     with pytest.raises(hode.DegenerateBasisError):
-        hode.solve_ivp(Quaternion(), Quaternion(), ONE, ONE)
+        hode.solve_ivp(a, b, ONE, ONE)
+    with pytest.raises(ValueError):
+        matrix2h_ivp(a, b, ONE, ONE)
+
+
+def test_degenerate_basis_rule_matches_the_general_elimination():
+    # the closed form's rule |d| <= 1e-12 |M|^2 against Matrix2H.solve of the
+    # basis at 0, on IVPs around the rule's boundary:
+    # - 600 nearly repeated roots -R/2 +- s u (a = R real, b = R^2/4 + s^2 u:
+    #   the a_zero branch, whose reduction p = q + R/2 is exact), 1e-15..1e-9
+    #   apart relative to R, R log-uniform in 1e-2..1e2 (closer than 1e-14
+    #   absolute, quadsolve returns one repeated root, whose basis is regular);
+    # - 600 two-root equations of every branch scaled (a -> l a, b -> l^2 b)
+    #   so that their roots are 1e-15..1e-9 apart and smaller than 1
+    rng = np.random.default_rng(40)
+    raised = 0
+    branches = ("generic", "parallel", "orthogonal", "sphere", "real_pair", "a_zero", "c_zero")
+    for n in range(1200):
+        gap = 10.0 ** rng.uniform(-15.0, -9.0)
+        if n < 600:
+            r = 10.0 ** rng.uniform(-2.0, 2.0)
+            s = gap * r / 4.0
+            u = rng.standard_normal(3)
+            a, b = Quaternion(r), Quaternion(r * r / 4.0, *(s * s * u / np.linalg.norm(u)))
+        else:
+            a, b = branch_coefficients(rng, branches[n % len(branches)])
+            roots = quadsolve.solve_quaternion(a, b)
+            q1, q2 = roots.roots or (Quaternion(0.0, roots.alpha), Quaternion(0.0, -roots.alpha))
+            scale = gap / (q1 - q2).norm()
+            a, b = a * scale, b * (scale * scale)
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        try:
+            matrix2h_ivp(a, b, phi0, dphi0)
+        except ValueError:
+            raised += 1
+            with pytest.raises(hode.DegenerateBasisError):
+                hode.solve_ivp(a, b, phi0, dphi0)
+        else:
+            hode.solve_ivp(a, b, phi0, dphi0)
+    assert 300 < raised < 900
 
 
 def test_degenerate_sphere_basis_error():
@@ -246,6 +290,86 @@ def test_degenerate_sphere_basis_error():
     assert roots.kind is quadsolve.RootKind.SPHERE
     with pytest.raises(hode.DegenerateBasisError):
         hode.solve_ivp(Quaternion(), Quaternion(1e-26), ONE, ONE)
+
+
+# -- the closed-form fit ------------------------------------------------------
+
+BRANCHES = {
+    "generic": (quadsolve.RootKind.DISTINCT, quadsolve.CaseTag.GENERIC),
+    "parallel": (quadsolve.RootKind.DISTINCT, quadsolve.CaseTag.PARALLEL),
+    "orthogonal": (quadsolve.RootKind.DISTINCT, quadsolve.CaseTag.ORTHOGONAL),
+    "orthogonal_repeated": (quadsolve.RootKind.REPEATED, quadsolve.CaseTag.ORTHOGONAL),
+    "sphere": (quadsolve.RootKind.SPHERE, quadsolve.CaseTag.BOTH_ZERO),
+    "real_pair": (quadsolve.RootKind.REAL_PAIR, quadsolve.CaseTag.BOTH_ZERO),
+    "both_zero_repeated": (quadsolve.RootKind.REPEATED, quadsolve.CaseTag.BOTH_ZERO),
+    "a_zero": (quadsolve.RootKind.DISTINCT, quadsolve.CaseTag.A_ZERO),
+    "c_zero": (quadsolve.RootKind.DISTINCT, quadsolve.CaseTag.C_ZERO),
+}
+
+
+def _derivative_scale(sol) -> float:
+    """Sum of the norms of sol's terms' derivatives at 0."""
+    return sum(ExpSum((t,)).derivative(0.0).norm() for t in sol.terms)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_closed_form_fit_matches_the_references(branch):
+    # 70 seeded IVPs per branch (630 in all), |a| and |b| log-uniform in
+    # 1e-3..1e3 where the branch leaves them free (helpers.branch_coefficients),
+    # at x max(|a|, sqrt|b|) in {0, 0.5, 1}.  Errors are relative to the sum of
+    # the terms' norms (term_scale), the size of what value() sums: on the
+    # sphere and real pairs with |a| >> sqrt|b| the basis matrix has a
+    # condition number up to 3e4, and there the references and the closed
+    # form differ by up to 1e-12 of max(1, |phi|), 2e-14 of the terms.
+    # The references:
+    # - the Matrix2H fit of the same basis;
+    # - the matrix exponential of the companion counterpart (expm_series);
+    # - qmat2.solve_ode_via_matrix where right_eigenpairs takes its simple
+    #   path: canonical eigenvalues farther than its merge tolerance from each
+    #   other and from the real axis.  Nearer, it decides by that tolerance
+    #   and errs by up to 2e-5 of the terms on this family (c_zero with a
+    #   root near the real axis), which the stiff-family item of the ROADMAP
+    #   covers.
+    rng = np.random.default_rng(41 + list(BRANCHES).index(branch))
+    compared = 0
+    for _ in range(70):
+        a, b = branch_coefficients(rng, branch)
+        roots = quadsolve.solve_quaternion(a, b)
+        assert (roots.kind, roots.case) == BRANCHES[branch]
+        phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
+        sol = hode.solve_ivp(a, b, phi0, dphi0)
+        assert (sol.value(0.0) - phi0).norm() <= 1e-13 * term_scale(sol, 0.0)
+        assert (sol.derivative(0.0) - dphi0).norm() <= 1e-13 * _derivative_scale(sol)
+        refs = [matrix2h_ivp(a, b, phi0, dphi0).value]
+        c = qmat2.companion_matrix(a, b).counterpart()
+        y0 = qmat2.svec((phi0, dphi0))
+        refs.append(lambda x: qmat2.lift(expm_series(c * x) @ y0)[0])
+        z1, z2 = (z for z, _ in _canonical_pairs(np.linalg.eigvals(c)))
+        if min(abs(z1 - z2), z1.imag, z2.imag) > qmat2._MERGE_TOL * qmat2._scale(c):
+            refs.append(qmat2.solve_ode_via_matrix(a, b, phi0, dphi0).value)
+            compared += 1
+        rate = max(a.norm(), math.sqrt(b.norm()))
+        for x in (0.0, 0.5 / rate, 1.0 / rate):
+            for ref in refs:
+                assert (sol.value(x) - ref(x)).norm() <= 1e-12 * term_scale(sol, x)
+    if branch in ("generic", "parallel", "orthogonal", "a_zero", "c_zero"):
+        assert compared >= 50
+
+
+def test_solve_ivp_cost(monkeypatch):
+    # one quadsolve.solve per IVP, no general 2x2 elimination and no
+    # evaluation of the basis, on every branch
+    calls = []
+    for module, name in ((quadsolve, "solve"), (qmat2, "_eliminate"), (ExpSum, "_eval")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name:
+                            calls.append(_n) or _f(*args))
+    rng = np.random.default_rng(50)
+    for branch in BRANCHES:
+        a, b = branch_coefficients(rng, branch)
+        calls.clear()
+        hode.solve_ivp(a, b, rand_quaternion(rng), rand_quaternion(rng))
+        assert calls == ["solve"]
 
 
 # -- Wronskian functional ----------------------------------------------------

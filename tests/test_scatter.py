@@ -592,9 +592,10 @@ def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
                                      (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
     # grid 400: one array call of the parity determinants scans the grid,
-    # each bracket's search takes at most _MAX_STEPS scalar evaluations on
-    # Python floats, and the closed-form residual certifies the sorted
-    # refined energies in one call; no numpy.linalg routine runs at all
+    # each bracket's search takes at most _MAX_STEPS - 1 scalar evaluations
+    # on Python floats (its last iterate is not evaluated), and the
+    # closed-form residual certifies the sorted refined energies in one
+    # call; no numpy.linalg routine runs at all
     scans, scalars, certified, roots, linalg = [], [], [], [], []
     objective, scan, scalar, refine = (well._folded_residual, well._parity_determinants,
                                        well._parity_determinant, well._secant_roots)
@@ -616,7 +617,7 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
         for k in range(n.size):
             before = len(scalars)
             roots.append(refine(es, f, parity[k:k + 1], n[k:k + 1], xtol, params)[0])
-            assert len(scalars) - before <= well._MAX_STEPS
+            assert len(scalars) - before <= well._MAX_STEPS - 1
         return np.array(roots)
 
     def counted_linalg(name, fn):
