@@ -167,46 +167,42 @@ class SchrodingerModes:
 
 
 class ModeArrays(NamedTuple):
-    """Stationary modes for arrays of (E, V, W), one row per entry.
+    """Stationary modes for arrays of (E, V, w) at a real w, one row per entry.
 
-    sigma = +-sqrt(E^2 - |W|^2) with the sign of E, denom = E + sigma and
-    z-+ = sqrt(V -+ sigma); u_- = 1 + j wfrac and u_+ = wbar + j, with
-    wfrac = W / denom and wbar = conj(W) / denom.
+    sigma = +-sqrt(E^2 - w^2) with the sign of E and z-+ = sqrt(V -+ sigma);
+    u_- = 1 + j wfrac and u_+ = wfrac + j, with wfrac = w / (E + sigma).
     """
 
     sigma: np.ndarray
-    denom: np.ndarray
     z_minus: np.ndarray
     z_plus: np.ndarray
     wfrac: np.ndarray
-    wbar: np.ndarray
 
 
-def schrodinger_mode_arrays(E, V, W) -> ModeArrays:
+def schrodinger_mode_arrays(E, V, w) -> ModeArrays:
     """Exponents and mode components of the stationary equation, row by row.
 
-    E, V (real) and W (complex) broadcast together.  sigma has the sign of
-    E, the other roots are principal.  Rows with W = 0 have wfrac = wbar = 0,
-    also where E + sigma is 0 or subnormal; schrodinger_modes turns E = 0 = W
-    into ModeNormalizationError.
+    E, V and w (all real) broadcast together; the solvers pass w = +-|W|,
+    since arg W is a gauge.  sigma has the sign of E, the other roots are
+    principal.  Rows with w = 0 have wfrac = 0, also where E + sigma is 0 or
+    subnormal; schrodinger_modes turns E = 0 = W into ModeNormalizationError.
     """
     E = np.asarray(E, dtype=float)
     V = np.asarray(V, dtype=float)
-    W = np.asarray(W, dtype=complex)
-    w_abs, sign = np.hypot(W.real, W.imag), np.where(E < 0.0, -1.0, 1.0)
+    w = np.asarray(w, dtype=float)
+    sign = np.where(E < 0.0, -1.0, 1.0)
     tiny = E.size > 0 and np.abs(E).min() < 1e-150
     if not tiny:
-        sigma = np.sqrt(E * E - w_abs ** 2, dtype=complex) * sign
-    else:  # E * E underflows: divide E and |W| by p = +-2^e > max(|E|, |W|)
-        p = np.ldexp(sign, np.frexp(np.maximum(np.abs(E), w_abs))[1])
-        e_s, w_s = E / p, w_abs / p
+        sigma = np.sqrt(E * E - w * w, dtype=complex) * sign
+    else:  # E * E underflows: divide E and w by p = +-2^e > max(|E|, |w|)
+        p = np.ldexp(sign, np.frexp(np.maximum(np.abs(E), np.abs(w)))[1])
+        e_s, w_s = E / p, w / p
         sigma = np.sqrt(e_s * e_s - w_s * w_s, dtype=complex) * p
-    denom = E + sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wfrac, wbar = W / denom, np.conj(W) / denom
-    if tiny:    # numpy's complex division forms 1 / denom, which overflows for a subnormal E
-        wfrac, wbar = np.where(w_abs == 0.0, 0j, wfrac), np.where(w_abs == 0.0, 0j, wbar)
-    return ModeArrays(sigma, denom, np.sqrt(V - sigma), np.sqrt(V + sigma), wfrac, wbar)
+        wfrac = w / (E + sigma)
+    if tiny:    # numpy's complex division forms 1 / (E + sigma): it overflows at a subnormal E
+        wfrac = np.where(w == 0.0, 0j, wfrac)
+    return ModeArrays(sigma, np.sqrt(V - sigma), np.sqrt(V + sigma), wfrac)
 
 
 def schrodinger_modes(E: float, V: float, W: complex,
@@ -214,22 +210,24 @@ def schrodinger_modes(E: float, V: float, W: complex,
     """Exponents and modes of the constant-potential stationary equation.
 
     z-+ = sqrt(V -+ sigma) with sigma = +-sqrt(E^2 - |W|^2) of the sign of E;
-    u_- = 1 + j W / (E + sigma), u_+ = conj(W) / (E + sigma) + j.
-    One row of schrodinger_mode_arrays.
+    u_- = 1 + j W / (E + sigma), u_+ = conj(W) / (E + sigma) + j.  The row
+    of schrodinger_mode_arrays at |W|, its j-parts turned by t = W / |W|.
     """
     if not (0.0 < hbar < math.inf and 0.0 < m < math.inf):
         raise ValueError("hbar and m must be positive and finite")
     W = complex(W)
-    modes = schrodinger_mode_arrays(E, V, W)
-    sigma, denom = complex(modes.sigma), complex(modes.denom)
-    if abs(denom) <= 1e-15 * (abs(E) + abs(sigma) + 1e-300):
+    w = float(np.hypot(W.real, W.imag))     # bit for bit the solvers' |W|
+    modes = schrodinger_mode_arrays(E, V, w)
+    sigma, wfrac = complex(modes.sigma), complex(modes.wfrac)
+    if abs(E + sigma) <= 1e-15 * (abs(E) + abs(sigma) + 1e-300):
         raise ModeNormalizationError(
             "E = 0 and W = 0: mode gauge is singular")
+    turn = W / w if W else 1.0
     return SchrodingerModes(E=E, V=V, W=W, hbar=hbar, m=m,
                             z_minus=complex(modes.z_minus),
                             z_plus=complex(modes.z_plus),
-                            u_minus=Quaternion.from_symplectic(1.0, modes.wfrac),
-                            u_plus=Quaternion.from_symplectic(modes.wbar, 1.0))
+                            u_minus=Quaternion.from_symplectic(1.0, wfrac * turn),
+                            u_plus=Quaternion.from_symplectic(wfrac * turn.conjugate(), 1.0))
 
 
 def time_reversal_map(solution: CLSolution, W: complex) -> CLSolution:

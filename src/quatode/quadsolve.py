@@ -329,27 +329,25 @@ def solve(c: QuadraticCoeffs) -> RootSet:
                                                Quaternion(-r - c.shift))))
         return RootSet(kind=RootKind.REPEATED, case=case,
                        roots=(Quaternion(-c.shift),))
-    if case is CaseTag.A_ZERO:
-        cn = math.hypot(*c._c)
-        # p**2 = -(c0 + i|c|) in the complex plane of h.unit
-        s = cmath.sqrt(complex(-c.c0, -cn))
-        return _complex_pair_to_rootset(c, case, tuple(x / cn for x in c._c), s, -s)
-    an = math.hypot(*c._a)
-    unit = tuple(x / an for x in c._a)
-    if case is CaseTag.C_ZERO:
-        disc = cmath.sqrt(complex(-an * an - 4.0 * c.c0, 0.0))
-        z1 = (-1j * an + disc) / 2.0
-        z2 = (-1j * an - disc) / 2.0
-        return _complex_pair_to_rootset(c, case, unit, z1, z2)
-    if case is CaseTag.PARALLEL:
-        alpha = _dot(c._a, c._c) / an
-        disc = cmath.sqrt(complex(-an * an - 4.0 * c.c0, -4.0 * alpha))
-        z1 = (-1j * an + disc) / 2.0
-        z2 = (-1j * an - disc) / 2.0
-        return _complex_pair_to_rootset(c, case, unit, z1, z2)
     if case is CaseTag.ORTHOGONAL:
         return _orthogonal_roots(c)
-    return _generic_roots(c)
+    if case is CaseTag.GENERIC:
+        return _generic_roots(c)
+    # a and c lie on one imaginary unit h.unit, so p = z (h.unit) with
+    # z^2 + i|a| z + c0 + i alpha = 0 in its complex plane, alpha = a.c / |a|
+    # (alpha = |c| and unit = c / |c| at a = 0, alpha = 0 at c = 0)
+    if case is CaseTag.A_ZERO:
+        alpha = math.hypot(*c._c)
+        half_a, unit = 0.0, tuple(x / alpha for x in c._c)
+    else:
+        an = math.hypot(*c._a)
+        half_a, unit = an / 2.0, tuple(x / an for x in c._a)
+        alpha = _dot(c._a, c._c) / an if case is CaseTag.PARALLEL else 0.0
+    # the half form: -|a|^2 / 4 overflows later than -|a|^2 - 4 c0; 0.0 - alpha
+    # is +0.0 at alpha = 0, so a repeated root keeps the root of the upper branch
+    disc = cmath.sqrt(complex(-half_a * half_a - c.c0, 0.0 - alpha))
+    return _complex_pair_to_rootset(c, case, unit, complex(0.0, -half_a) + disc,
+                                    complex(0.0, -half_a) - disc)
 
 
 def solve_coeffs(a0: float, a_vec, b0: float, b_vec) -> RootSet:

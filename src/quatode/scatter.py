@@ -8,8 +8,9 @@ complex spatial rate g, and a complex coefficient k; matching the value and
 slope of the wavefunction at each discontinuity turns into an ordinary
 complex linear system through the symplectic split (one quaternionic
 equation = two complex equations).  One engine, _matching, builds these
-systems for step, barrier and well alike; solve_rows solves the systems of
-many rows in one call and solve_step / solve_barrier are its one-row case.
+systems for the step and the barrier (the well has its own fold kernel, see
+.well); solve_rows solves the systems of many rows in one call and
+solve_step / solve_barrier are its one-row case.
 
 Transmission and reflection come from the conserved probability current
 J = (hbar/2m) [(dPsi/dx)~ i Psi - Psi~ i dPsi/dx] = (hbar/m) <dPsi/dx, i Psi>,
@@ -142,7 +143,7 @@ def _layout(regions: int) -> _Layout:
     of each inner region (g-+ the principal rates), the rightward u-, u+ of
     the last region.  The mode table holds the rightward, leftward, principal
     and negated principal rates (blocks 0..3), each as z-, z+ (root 0, 1) of
-    the free medium and the potential (medium 0, 1), then wbar, wfrac, 1.
+    the free medium and the potential (medium 0, 1), then wfrac, 1.
     _current_spread samples each region at lo + reach * steps / parts.
     """
     last = regions - 1
@@ -151,8 +152,8 @@ def _layout(regions: int) -> _Layout:
         + [(k, b, r) for k in range(1, last) for r in (0, 1) for b in (2, 3)]
         + [(last, 0, 0), (last, 0, 1)]).T
     med = np.array((0, 1, 0))[region]       # a third region is free again
-    columns = np.array([4 * block + 2 * root + med, np.where(root == 0, 20, 16 + med),
-                        np.where(root == 0, 18 + med, 20)])
+    columns = np.array([4 * block + 2 * root + med, np.where(root == 0, 18, 16 + med),
+                        np.where(root == 0, 16 + med, 18)])
     term, edge = np.array([(t, e) for e in range(last)
                            for t in range(region.size) if region[t] in (e, e + 1)]).T
     row = 4 * edge + np.arange(4)[:, None]
@@ -171,18 +172,18 @@ def _layout(regions: int) -> _Layout:
 _LAYOUTS = {regions: _layout(regions) for regions in set(_REGIONS.values())}
 
 
-def _matching(E, V, W, x, hbar: float, m: float):
-    """The matching systems of piecewise-constant potentials V - jW.
+def _matching(E, V, w, x, hbar: float, m: float):
+    """The matching systems of piecewise-constant potentials V - jw at a real w.
 
-    E is an (n,) array; V and W are (n, 2) tables of the free medium (zeros)
-    and the potential, x the (n, regions - 2) edges after the first, at 0; a
-    table of one row holds for every energy.  Returns the modes (ModeArrays
+    E is an (n,) array; V and w are real (n, 2) tables of the free medium
+    (zeros) and the potential, w = |W| since arg W is a gauge, x the
+    (n, regions - 2) edges after the first, at 0.  Returns the modes (ModeArrays
     over the table), the layout, the mode table (table[:, layout.columns]
     holds g, u1, u2 of every term) and the (n, 4 edges, terms) systems of
     value and slope in symplectic coordinates at each edge, mat @ (1, c) = 0
     for the unknowns c.  Exponentials may overflow to inf.
     """
-    modes = schrodinger_mode_arrays(E[:, None], V, W)
+    modes = schrodinger_mode_arrays(E[:, None], V, w)
     n = modes.sigma.shape[0]
     layout = _LAYOUTS[2 + x.shape[1]]
     z = np.concatenate([modes.z_minus, modes.z_plus], 1) * (math.sqrt(2.0 * m) / hbar)
@@ -194,7 +195,7 @@ def _matching(E, V, W, x, hbar: float, m: float):
     left = -z
     right = np.conj(z) < 0.0
     table = np.concatenate([np.where(right, z, left), np.where(right, left, z), z,
-                            left, modes.wbar, modes.wfrac, np.ones((n, 1))], axis=1)
+                            left, modes.wfrac, np.ones((n, 1))], axis=1)
     gu = table[:, layout.entries]
     g, u = gu[:, :1], gu[:, 1:] * layout.sign
     values = np.concatenate([u, g * u], axis=1)     # (n, 4, entries)

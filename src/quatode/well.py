@@ -95,11 +95,11 @@ def _folded_residual(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     alpha, beta = np.array((2.0 + em, -em)), np.array((-em, 2.0 + em)) * g
     scale = np.hypot(np.abs(alpha), np.abs(beta))
     alpha, beta = alpha / scale, beta / scale
-    # (component, pair, n): u- = (1, wfrac), u+ = (wbar, 1), both of length
+    # (component, pair, n): u- = (1, wfrac), u+ = (wfrac, 1), both of length
     # sqrt(1 + |wfrac|^2)
     length = np.sqrt(1.0 + np.square(np.abs(modes.wfrac)))
     one = np.ones_like(length)
-    u = np.array(((one, modes.wbar), (modes.wfrac, one))) / length
+    u = np.array(((one, modes.wfrac), (modes.wfrac, one))) / length
     # (entry, parity, pair, n): the unit columns, then u+'s orthonormalised
     c = np.array((u[0] * alpha, u[1] * alpha, u[0] * beta, u[1] * beta))
     c1, c2 = c[:, :, 0], c[:, :, 1]
@@ -138,7 +138,7 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
       blocks are real;
     - the odd column's factor z, so it does not vanish at E = -V_max
       (there z- = 0 and the column is 0, or 0/0 at unit size);
-    - 1 - wbar wfrac = 2 sigma / (E + sigma), the spurious zero at
+    - 1 - wfrac^2 = 2 sigma / (E + sigma), the spurious zero at
       E = -|W| where the two interior pairs coincide.
     """
     modes = schrodinger_mode_arrays(es, -params.V, -abs(params.W))
@@ -149,7 +149,7 @@ def _parity_determinants(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     alpha, beta = np.array((p, q / z)), np.array((q * -z, -p))
     kalpha = np.sqrt(-es) * alpha
     x, y = beta - kalpha, beta + 1j * kalpha
-    t = modes.wbar * modes.wfrac
+    t = modes.wfrac * modes.wfrac
     with np.errstate(divide="ignore", invalid="ignore"):
         schur = x[:, 0] - t * x[:, 1] * y[:, 0] / y[:, 1]
         return schur * (np.exp(0.5j * za * z[0].imag) / (1.0 - t))
@@ -174,7 +174,7 @@ def _parity_determinant(e: float, odd: bool, V: float, w: float, za: float) -> c
     """One entry of _parity_determinants on Python complex: block `odd` at e < 0.
 
     V is the well's depth, w = |W| and za = sqrt(2 m) a / hbar.  The u+ pair
-    is evaluated only at w != 0; at w = 0, t = wbar wfrac = 0.  Returns
+    is evaluated only at w != 0; at w = 0, t = wfrac^2 = 0.  Returns
     complex(nan, nan) wherever the value is not finite, as at E = -|W|
     exactly, where 1 - t = 0.
     """

@@ -20,7 +20,7 @@ from quatode.qmat2 import (_INDEP_TOL, _RANK_TOL, EigenDecomposition, Matrix2H,
                            _canonical_pairs, _nullspaces, _outer_sum,
                            dieudonne, lift, svec)
 from quatode.quatcore import ExpSum, Quaternion, RightLinearScalarOp, exp_term
-from quatode.scatter import PhysicalParams, _matching, current_kernel
+from quatode.scatter import PhysicalParams, current_kernel
 from quatode.well import _folded_residual
 
 # quaternions as plain (w, x, y, z) tuples --------------------------------
@@ -523,16 +523,38 @@ def current_spread_per_region(mask, terms, amp, bounds, hbar: float, m: float,
 def bound_matrices(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Homogeneous matching systems for the well -V + jW on (0, a): (n, 8, 8).
 
-    The barrier system of scatter._matching at E < 0 on 0 | -V + jW | 0,
-    without its right-hand side and with unit-norm columns: the two modes
-    decaying to the left, the four interior ones, the two decaying to the
-    right; rows hold value and slope in symplectic coordinates at 0, at a.
+    well_matrix at every energy at once, at the complex W: the same columns
+    in the same order, the interior u the null vector (-q, p) or (s, -r) of
+    the coupling, whichever is longer, and each column scaled to unit norm.
+    exp(g a) is formed only for the columns that reach x = a.
     """
-    es = np.asarray(es, dtype=float)
-    mat = np.ascontiguousarray(_matching(
-        es, np.array([[0.0, -params.V]]), np.array([[0.0, -params.W]]),
-        np.array([[params.a]]), params.hbar, params.m)[3][:, :, 1:])
+    es = np.asarray(es, dtype=float)[:, None]
+    v, w = -params.V, -complex(params.W)
+    kappa = np.sqrt(2.0 * params.m * np.abs(es)) / params.hbar
+    z2 = v + np.sqrt(es * es - abs(w) ** 2, dtype=complex) * np.array((-1.0, 1.0))
+    p, s = z2 - (v - es), z2 - (v + es)
+    longer = np.abs(p) >= np.abs(s)
+    # (n, 4): u exp(+-g x) of each interior pair
+    u1 = np.repeat(np.where(longer, np.conj(w), s), 2, axis=1)
+    u2 = np.repeat(np.where(longer, p, -w), 2, axis=1)
+    g = np.repeat(math.sqrt(2.0 * params.m) / params.hbar * np.sqrt(z2), 2, axis=1)
+    g[:, 1::2] *= -1.0
+    one, zero = np.ones_like(kappa), np.zeros_like(kappa)
+    ext1, ext2 = np.concatenate([one, zero], 1), np.concatenate([zero, one], 1)
+
+    def rows(c1, c2, rate, x):
+        """(n, 4, columns): value and slope of (c1 + j c2) exp(rate x)."""
+        e = np.exp(rate * x) if x else 1.0
+        return np.stack([c1 * e, c2 * e, rate * c1 * e, rate * c2 * e], axis=1)
+
+    mat = np.zeros((es.shape[0], 8, 8), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        # left of 0: (1, 0) exp(kappa x), j exp(-i kappa x); right of a the
+        # mirror rates; the interior enters both edges, with opposite signs
+        mat[:, :4, :2] = rows(ext1, ext2, np.concatenate([kappa, -1j * kappa], 1), 0.0)
+        mat[:, :4, 2:6] = -rows(u1, u2, g, 0.0)
+        mat[:, 4:, 2:6] = rows(u1, u2, g, params.a)
+        mat[:, 4:, 6:] = -rows(ext1, ext2, np.concatenate([-kappa, 1j * kappa], 1), params.a)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
     # a column that overflows, or underflows to zero, leaves the float range
     if not np.all(np.isfinite(norms) & (norms > 0.0)):

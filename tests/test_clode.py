@@ -344,9 +344,30 @@ def test_modes_negative_energy():
     # E > 0 keeps the principal root, bit for bit
     E = rng.uniform(0.0, 5.0, 300)
     W = rng.standard_normal(300) * 2.0 + 1j * rng.standard_normal(300)
-    sigma = clode.schrodinger_mode_arrays(E, rng.uniform(-2.0, 3.0, 300), W).sigma
+    sigma = clode.schrodinger_mode_arrays(E, rng.uniform(-2.0, 3.0, 300),
+                                          np.hypot(W.real, W.imag)).sigma
     principal = [cmath.sqrt(e * e - abs(w) ** 2) for e, w in zip(E.tolist(), W.tolist())]
     assert np.array_equal(sigma.view(np.uint64), np.array(principal).view(np.uint64))
+
+
+def test_modes_at_w_are_the_modes_at_abs_w_turned():
+    # arg W is a gauge: the modes at W are those at |W|, their j-parts turned
+    # by t = W / |W|; u+ keeps its unit j-part, so its complex part takes conj(t)
+    rng = np.random.default_rng(25)
+    for _ in range(240):
+        wabs = rng.uniform(0.05, 3.0)
+        W = wabs * cmath.exp(1j * (math.pi / 2 * rng.integers(4) + rng.uniform(0.05, 1.52)))
+        E = rng.choice((-1.0, 1.0)) * wabs * rng.uniform(0.05, 3.0)   # |E| < |W| in a third
+        V = rng.uniform(-2.0, 3.0)
+        got, at_abs = schrodinger_modes(E, V, W), schrodinger_modes(E, V, abs(W))
+        assert (got.z_minus, got.z_plus) == (at_abs.z_minus, at_abs.z_plus)
+        t = W / abs(W)
+        (m1, m2), (p1, p2) = at_abs.u_minus.symplectic(), at_abs.u_plus.symplectic()
+        for u, want, z in ((got.u_minus, Quaternion.from_symplectic(m1, m2 * t), got.z_minus),
+                           (got.u_plus, Quaternion.from_symplectic(p1 * t.conjugate(), p2),
+                            got.z_plus)):
+            assert (u - want).norm() <= 2e-15 * max(1.0, want.norm())
+            assert mode_equation_residual(got, u, z) < 1e-12 * (1.0 + u.norm() * (1 + abs(z) ** 2))
 
 
 def test_mode_gauge_singularity():

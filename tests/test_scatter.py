@@ -652,7 +652,7 @@ def test_bound_scalar_determinant_matches_array_form():
     # products may fuse a multiply-add), so they agree to rounding of the
     # scan's scale, not of each entry: an entry 1e-5 of the scan maximum is
     # 1e5 times worse conditioned.  Within 1e-3 max(1, |W|) of E = -|W| both
-    # lose digits to the cancellation in 1 - wbar wfrac (1.5e-9 against a
+    # lose digits to the cancellation in 1 - wfrac^2 (1.5e-9 against a
     # 60-digit value at the thick well's last scan energy); there the scalar
     # entry is only finite.
     rng = np.random.default_rng(230)
@@ -680,7 +680,7 @@ def test_bound_scalar_determinant_matches_array_form():
 @pytest.mark.parametrize("V, W, a", [(6.0, 0.7 - 0.9j, 1.7), (10.0, 10.0, 500.0),
                                      (36.76473671903387, 0.0, 3.5392552744385)])
 def test_bound_scalar_determinant_at_singular_points(V, W, a):
-    # at E = -|W| exactly 1 - wbar wfrac = 0, where Python's complex division
+    # at E = -|W| exactly 1 - wfrac^2 = 0, where Python's complex division
     # raises and the array form is not finite: the scalar entry is nan.  At
     # the scan ends both forms are finite and agree.
     params = PhysicalParams(E=1.0, V=V, W=W, a=a)
@@ -927,7 +927,7 @@ def test_tiny_energy_free_step_transmits(E):
 
 
 def test_subnormal_energy_solves_without_warnings():
-    # conj(W) / (E + sigma) with W = 0 is exactly 0, where numpy's complex
+    # w / (E + sigma) with w = 0 is exactly 0, where numpy's complex
     # division would form 1 / (E + sigma) first, which overflows: a free
     # step transmits all, and a step with V > 0 reflects all
     for E, V, W, R in ((1e-320, 0.0, 0.0, 0.0), (1e-310, 1.0, 0.5, 1.0)):
