@@ -40,24 +40,15 @@ def _finite(text: str) -> float:
     return value
 
 
-def _reals(text: str, count: int) -> list[float]:
-    parts = [_finite(p) for p in text.split(",")]
-    if len(parts) != count:
-        raise argparse.ArgumentTypeError(f"expected {count} comma-separated reals")
-    return parts
+def _points_arg(text: str) -> list[float]:
+    return [_finite(p) for p in text.split(",")]
 
 
 def _quaternion_arg(text: str) -> Quaternion:
-    return Quaternion(*_reals(text, 4))
-
-
-def _op_arg(text: str) -> RightLinearScalarOp:
-    vals = _reals(text, 8)
-    return RightLinearScalarOp(Quaternion(*vals[:4]), Quaternion(*vals[4:]))
-
-
-def _points_arg(text: str) -> list[float]:
-    return [_finite(p) for p in text.split(",")]
+    parts = _points_arg(text)
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError("expected 4 comma-separated reals")
+    return Quaternion(*parts)
 
 
 def cmd_quad(args) -> int:
@@ -82,14 +73,14 @@ def cmd_quad(args) -> int:
 def cmd_ode(args) -> int:
     xs = args.points
     if args.kind == "h":
-        a, b = args.a_quaternion, args.b_quaternion
+        a, b = Quaternion(*args.a), Quaternion(*args.b)
         sol = hode.solve_ivp(a, b, args.phi0, args.dphi0)
-        rhs = oracle.qlinear_rhs(a, b)
         apply_a, apply_b = a.__mul__, b.__mul__
     else:
-        apply_a, apply_b = args.a_op, args.b_op
-        sol = clode.solve_clinear_ops(apply_a, apply_b, args.phi0, args.dphi0)
-        rhs = oracle.clinear_rhs(apply_a, apply_b)
+        a, b = (RightLinearScalarOp(Quaternion(*v[:4]), Quaternion(*v[4:]))
+                for v in (args.a, args.b))
+        sol = clode.solve_clinear_ops(a, b, args.phi0, args.dphi0)
+        apply_a, apply_b = a, b
 
     points, phis = [], []
     for x in xs:
@@ -110,6 +101,7 @@ def cmd_ode(args) -> int:
         ends = [(x, phi) for x, phi in zip(xs, phis) if x != 0.0]
         worst = 0.0
         if ends:
+            rhs = (oracle.qlinear_rhs if args.kind == "h" else oracle.clinear_rhs)(a, b)
             states = oracle.rk4_endpoint(rhs, args.phi0, args.dphi0, 0.0,
                                          np.array([x for x, _ in ends]), args.oracle_steps)
             for (_, phi), end in zip(ends, states):
@@ -140,12 +132,6 @@ def cmd_eig(args) -> int:
 
 def _polar(wabs, warg: float):
     return wabs * complex(math.cos(warg), math.sin(warg))
-
-
-def _params_from(args) -> scatter.PhysicalParams:
-    # bound-state search scans E itself; any positive placeholder works there
-    return scatter.PhysicalParams(E=1.0, V=args.V, W=_polar(args.Wabs, args.Warg),
-                                  a=args.a, hbar=args.hbar, m=args.mass)
 
 
 def _scatter_rows(args, E, V, wabs, a) -> bool:
@@ -207,7 +193,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params = _params_from(args)
+    # bound-state search scans E itself; any positive placeholder works there
+    params = scatter.PhysicalParams(E=1.0, V=args.V, W=_polar(args.Wabs, args.Warg),
+                                    a=args.a, hbar=args.hbar, m=args.mass)
     result = scatter.find_bound_states(params, grid=args.grid)
     payload = {
         "energies": [float(e) for e in result.energies],
@@ -222,16 +210,18 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _add_physical_flags(sub, with_a: bool, e_flag: bool = True, number=float):
-    if e_flag:
-        sub.add_argument("--E", type=number, required=True, help="energy > 0")
-    sub.add_argument("--V", type=number, required=True, help="potential height/depth")
-    sub.add_argument("--Wabs", type=number, default=0.0, help="|W| of the j-part")
-    sub.add_argument("--Warg", type=number, default=0.0, help="arg W in radians")
-    if with_a:
-        sub.add_argument("--a", type=number, required=True, help="width > 0")
-    sub.add_argument("--hbar", type=_finite, default=1.0)
-    sub.add_argument("--mass", type=_finite, default=1.0)
+# each physical flag: its default when not required, and its help
+_PHYSICAL_FLAGS = {"E": (None, "energy > 0"), "V": (None, "potential height/depth"),
+                   "Wabs": (0.0, "|W| of the j-part"), "Warg": (0.0, "arg W in radians"),
+                   "a": (0.0, "barrier or well width > 0"), "hbar": (1.0, None),
+                   "mass": (1.0, None)}
+
+
+def _add_physical_flags(sub, takes, requires):
+    for name in takes:
+        default, text = _PHYSICAL_FLAGS[name]
+        sub.add_argument(f"--{name}", type=_finite, default=default,
+                         required=name in requires, help=text)
 
 
 def _build_parsers():
@@ -250,9 +240,9 @@ def _build_parsers():
     p_ode = subs.add_parser("ode", help="solve an IVP and sample it")
     p_ode.add_argument("kind", choices=("h", "c"),
                        help="h: quaternionic coefficients, c: with right-i parts")
-    p_ode.add_argument("--a", dest="a_raw", required=True,
+    p_ode.add_argument("--a", type=_points_arg, required=True,
                        help="4 reals (h) or 8 reals A,B (c)")
-    p_ode.add_argument("--b", dest="b_raw", required=True,
+    p_ode.add_argument("--b", type=_points_arg, required=True,
                        help="4 reals (h) or 8 reals A,B (c)")
     p_ode.add_argument("--phi0", type=_quaternion_arg, required=True)
     p_ode.add_argument("--dphi0", type=_quaternion_arg, required=True)
@@ -269,8 +259,7 @@ def _build_parsers():
 
     p_sc = subs.add_parser("scatter", help="solve one scattering configuration")
     p_sc.add_argument("kind", choices=("step", "barrier"))
-    _add_physical_flags(p_sc, with_a=False)
-    p_sc.add_argument("--a", type=float, default=0.0, help="barrier width")
+    _add_physical_flags(p_sc, _PHYSICAL_FLAGS, requires=("E", "V"))
     p_sc.set_defaults(func=cmd_scatter)
 
     p_sw = subs.add_parser("sweep", help="sweep one parameter, CSV output")
@@ -280,17 +269,11 @@ def _build_parsers():
     p_sw.add_argument("--stop", type=_finite, required=True)
     p_sw.add_argument("--count", type=int, required=True)
     # fixed values; the swept one may be omitted
-    p_sw.add_argument("--E", type=float, default=None)
-    p_sw.add_argument("--V", type=float, default=None)
-    p_sw.add_argument("--Wabs", type=float, default=0.0)
-    p_sw.add_argument("--Warg", type=float, default=0.0)
-    p_sw.add_argument("--a", type=float, default=0.0)
-    p_sw.add_argument("--hbar", type=_finite, default=1.0)
-    p_sw.add_argument("--mass", type=_finite, default=1.0)
+    _add_physical_flags(p_sw, _PHYSICAL_FLAGS, requires=())
     p_sw.set_defaults(func=cmd_sweep)
 
     p_bd = subs.add_parser("bound", help="bound states of the rectangular well")
-    _add_physical_flags(p_bd, with_a=True, e_flag=False, number=_finite)
+    _add_physical_flags(p_bd, [n for n in _PHYSICAL_FLAGS if n != "E"], requires=("V", "a"))
     p_bd.add_argument("--grid", type=int, default=2000)
     p_bd.set_defaults(func=cmd_bound)
 
@@ -318,21 +301,10 @@ def _validate(args, parser):
         for name in ("E", "V"):
             if args.param != name and getattr(args, name) is None:
                 parser.error(f"--{name} is required when sweeping {args.param}")
-        if args.E is None:
-            args.E = args.start
-        if args.V is None:
-            args.V = args.start
     if args.command == "ode":
         n = 4 if args.kind == "h" else 8
-        try:
-            if args.kind == "h":
-                args.a_quaternion = Quaternion(*_reals(args.a_raw, 4))
-                args.b_quaternion = Quaternion(*_reals(args.b_raw, 4))
-            else:
-                args.a_op = _op_arg(args.a_raw)
-                args.b_op = _op_arg(args.b_raw)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"--a/--b: {exc} (kind {args.kind!r} takes {n})")
+        if len(args.a) != n or len(args.b) != n:
+            parser.error(f"--a/--b: kind {args.kind!r} takes {n} comma-separated reals")
         if args.oracle_steps < 16:
             parser.error("--oracle-steps must be >= 16")
     if args.command == "bound":

@@ -36,15 +36,9 @@ class ModeNormalizationError(ZeroDivisionError):
 
 
 class CLSolution(ExpSum):
-    """Sum of u exp(z x) k and (u x + u~) exp(z x) k with right complex k.
-
-    Right-multiplying by a complex scalar rescales it complex-linearly.
-    """
+    """Sum of u exp(z x) k and (u x + u~) exp(z x) k with right complex k."""
 
     __slots__ = ()
-
-    def scaled(self, factor: complex) -> "CLSolution":
-        return CLSolution((self * factor).terms)
 
 
 def _cluster(lams, tol):

@@ -438,6 +438,28 @@ def test_ode_oracle_evaluates_the_solution_once_per_point(capsys, monkeypatch, k
     assert calls == once
 
 
+@pytest.mark.parametrize("kind, a, b", [("h", "0,1,0,0", "0.25,0.5,0,0.5"),
+                                        ("c", "0.3,-0.7,0.2,0.5,0.4,0.1,-0.6,0.9",
+                                         "-0.8,0.6,1.1,-0.2,0.3,-0.5,0.7,0.2")],
+                         ids=["h", "c"])
+def test_ode_builds_the_rk4_generator_only_to_check_a_point(capsys, monkeypatch, kind, a, b):
+    # without --oracle, or with no sample point but 0, nothing is integrated
+    built = []
+    for name in ("qlinear_rhs", "clinear_rhs"):
+        original = getattr(quatode.oracle, name)
+        monkeypatch.setattr(quatode.oracle, name,
+                            lambda *ops, name=name, original=original:
+                            built.append(name) or original(*ops))
+    argv = ["ode", kind, f"--a={a}", f"--b={b}", "--phi0=0.5,-0.1,0.8,0.3",
+            "--dphi0=-0.4,0.9,0.2,-0.7"]
+    for extra in (["--points=0,0.5"], ["--points=0", "--oracle"]):
+        code, _ = run(capsys, *argv, *extra)
+        assert code == 0 and built == []
+    code, out = run(capsys, *argv, "--points=0,0.5", "--oracle")
+    assert code == 0 and json.loads(out)["oracle_max_err"] < 1e-6
+    assert built == ["qlinear_rhs" if kind == "h" else "clinear_rhs"]
+
+
 def test_ode_complex_linear(capsys):
     code, out = run(capsys, "ode", "c", "--a", "0,0,0,0,0,0,0,0",
                     "--b", "0,0,0,0,0,0,-1,0", "--phi0", "0,0,1,0",
@@ -462,21 +484,44 @@ def test_ode_wrong_arity_is_usage_error():
 _ODE_TAIL = ("--b", "0,0,0,0", "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0")
 
 
-@pytest.mark.parametrize("argv", [
-    ["quad", "0", "0", "0", "0", "nan", "0", "0", "0"],
-    ["bound", "--V", "nan", "--a", "1"],
-    ["bound", "--V", "10", "--a", "1", "--Warg", "inf"],
-    ["eig", "nan"] + ["0"] * 15,
-    ["ode", "h", "--a", "1,0,0,0", *_ODE_TAIL, "--points", "0.5,nan"],
-    ["ode", "h", "--a", "inf,0,0,0", *_ODE_TAIL, "--points", "0.5"],
-    ["sweep", "barrier", "--param", "E", "--start", "1", "--stop", "inf",
-     "--count", "3", "--V", "2", "--a", "1"],
-], ids=["quad", "bound-V", "bound-Warg", "eig", "ode-points", "ode-coeff", "sweep-stop"])
-def test_non_finite_number_is_usage_error(capsys, argv):
+_SWEEP_ONE_TO_TWO = ("--start", "1", "--stop", "2", "--count", "3")
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["quad", "0", "0", "0", "0", "nan", "0", "0", "0"], "C", "nan"),
+    (["bound", "--V", "nan", "--a", "1"], "--V", "nan"),
+    (["bound", "--V", "10", "--a", "1", "--Warg", "inf"], "--Warg", "inf"),
+    (["eig", "nan"] + ["0"] * 15, "M", "nan"),
+    (["ode", "h", "--a", "1,0,0,0", *_ODE_TAIL, "--points", "0.5,nan"], "--points", "nan"),
+    (["ode", "h", "--a", "inf,0,0,0", *_ODE_TAIL, "--points", "0.5"], "--a", "inf"),
+    (["sweep", "barrier", "--param", "E", "--start", "1", "--stop", "inf",
+      "--count", "3", "--V", "2", "--a", "1"], "--stop", "inf"),
+    (["scatter", "step", "--E", "1", "--V", "1", "--Warg", "inf"], "--Warg", "inf"),
+    (["scatter", "step", "--E", "nan", "--V", "1"], "--E", "nan"),
+    (["scatter", "step", "--E", "1", "--V", "1", "--Wabs", "nan"], "--Wabs", "nan"),
+    (["scatter", "barrier", "--E", "1", "--V", "2", "--a", "inf"], "--a", "inf"),
+    (["sweep", "step", "--param", "E", *_SWEEP_ONE_TO_TWO, "--V", "inf"], "--V", "inf"),
+    (["sweep", "barrier", "--param", "V", *_SWEEP_ONE_TO_TWO, "--E", "1", "--a", "nan"],
+     "--a", "nan"),
+], ids=["quad", "bound-V", "bound-Warg", "eig", "ode-points", "ode-coeff", "sweep-stop",
+        "scatter-Warg", "scatter-E", "scatter-Wabs", "scatter-a", "sweep-V", "sweep-a"])
+def test_non_finite_number_is_usage_error(capsys, argv, name, value):
+    # the parser refuses it: nothing on stdout (no CSV header), no solver
+    # cause, and the error names the argument
     with pytest.raises(SystemExit) as info:
         main(argv)
+    out, err = capsys.readouterr()
     assert info.value.code == 2
-    assert "not a finite number" in capsys.readouterr().err
+    assert out == ""
+    assert err.splitlines()[-1] == (f"quatode {argv[0]}: error: argument {name}: "
+                                    f"not a finite number: {value!r}")
+
+
+def test_no_number_flag_takes_a_plain_float():
+    # float() accepts nan and inf; every number goes through _finite
+    for name, sub in cli._parsers()[1].items():
+        for action in sub._actions:
+            assert action.type is not float, (name, action.dest)
 
 
 @pytest.mark.parametrize("argv, cause", [
