@@ -12,14 +12,12 @@ from .quatcore import (
     rebase_sphere_exponential,
 )
 from .quadsolve import (
-    BasisCoordinates,
     CaseTag,
     QuadraticCoeffs,
     RootKind,
     RootSet,
     classify,
     cubic_resolvent,
-    normalize,
     solve,
     solve_coeffs,
     solve_quaternion,
@@ -49,7 +47,6 @@ from .clode import (
     SchrodingerModes,
     UnsupportedStructureError,
     schrodinger_modes,
-    solve_clinear,
     solve_clinear_ops,
     stationary_phase,
     time_reversal_map,
@@ -69,7 +66,7 @@ from . import oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisCoordinates", "BoundStateSet", "CLSolution", "CaseTag",
+    "BoundStateSet", "CLSolution", "CaseTag",
     "DefectiveMatrixError", "DegenerateBasisError", "EigenDecomposition",
     "ExpSum", "GeneralSolution", "I", "J", "K", "Matrix2CL",
     "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
@@ -78,10 +75,10 @@ __all__ = [
     "SchrodingerModes",
     "UnsupportedStructureError",
     "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
-    "find_bound_states", "general_solution", "jordanize", "normalize",
+    "find_bound_states", "general_solution", "jordanize",
     "oracle", "rebase_sphere_exponential",
     "right_eigenpairs", "schrodinger_modes", "solve", "solve_barrier",
-    "solve_clinear", "solve_clinear_ops", "solve_coeffs", "solve_ivp",
+    "solve_clinear_ops", "solve_coeffs", "solve_ivp",
     "solve_ode_via_matrix", "solve_quaternion", "solve_rows", "solve_step",
     "spectral_decompose_antihermitian", "stationary_phase",
     "time_reversal_map", "wronskian",

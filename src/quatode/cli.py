@@ -52,8 +52,8 @@ def _quaternion_arg(text: str) -> Quaternion:
 
 
 def cmd_quad(args) -> int:
-    coeffs = quadsolve.normalize(args.values[0], args.values[1:4],
-                                 args.values[4], args.values[5:8])
+    coeffs = quadsolve.QuadraticCoeffs(args.values[0], args.values[1:4],
+                                       args.values[4], args.values[5:8])
     roots = quadsolve.solve(coeffs)
     if roots.kind is quadsolve.RootKind.SPHERE:
         worst = max(quadsolve.residual(coeffs, s) for s in roots.sphere_samples())
@@ -285,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser):
+    """Checks argparse cannot state; parser is the command's own subparser."""
     if args.command in ("scatter", "sweep", "bound"):
         for flag, value in (("--hbar", args.hbar), ("--mass", args.mass)):
             if not value > 0.0:
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    _validate(args, parser)
+    _validate(args, commands[args.command])
     try:
         # a failure is one stderr line: no numpy floating-point warnings
         with np.errstate(all="ignore"):

@@ -21,8 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .qmat2 import (_MERGE_TOL, _RANK_TOL, Matrix2CL, _companion_counterpart, _nullspaces,
-                    _scale, lift, svec)
+from .qmat2 import (_MERGE_TOL, _RANK_TOL, _companion_counterpart, _nullspaces, _scale,
+                    lift, svec)
 from .quatcore import ExpSum, Quaternion, RightLinearScalarOp, Term, exp_term
 from .quatcore import exp as qexp
 
@@ -58,11 +58,6 @@ def _column_term(v: list, z: complex, r: complex) -> Term:
     in direct arithmetic: L (1 - I i) r = (v0 r, -I v0 r, v2 r, I v2 r)."""
     pw, py = v[0] * r, v[2] * r
     return Term(z, (pw, complex(pw.imag, -pw.real), py, complex(-py.imag, py.real)), None)
-
-
-def solve_clinear(m_cl: Matrix2CL, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:
-    """Closed-form solution of the first-order system carried by m_cl."""
-    return _solve_counterpart(m_cl.counterpart(), phi0, dphi0)
 
 
 def _solve_counterpart(c: np.ndarray, phi0: Quaternion, dphi0: Quaternion) -> CLSolution:

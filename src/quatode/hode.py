@@ -42,10 +42,6 @@ class GeneralSolution(ExpSum):
         self.basis = basis
         self.roots = roots
 
-    def with_coefficients(self, c1: Quaternion, c2: Quaternion) -> "GeneralSolution":
-        combined = self.basis[0] * c1 + self.basis[1] * c2
-        return GeneralSolution(self.basis, self.roots, combined.terms)
-
 
 def _exponents(a: Quaternion, b: Quaternion):
     """The roots, q1, q2 and (u, lx) of the basis e^{q1 x}, (u + x lx) e^{q2 x}:

@@ -1,4 +1,4 @@
-"""Brute-force verification tools: RK4 integration, residuals, companion roots.
+"""Brute-force verification tools: RK4 integration of the ODEs' first-order forms.
 
 Everything here is deliberately independent of the closed-form solvers so it
 can act as a cross-check.  States are carried as flat 8-vectors holding the
@@ -130,31 +130,3 @@ def clinear_rhs(a_op: RightLinearScalarOp, b_op: RightLinearScalarOp
     k[4:, :4] = -b_op.matrix4()
     k[4:, 4:] = -a_op.matrix4()
     return lambda x, y: k @ y
-
-
-def residual_max(evaluator: Callable[[float, int], Quaternion],
-                 op_a: Callable[[Quaternion], Quaternion],
-                 op_b: Callable[[Quaternion], Quaternion],
-                 xs) -> float:
-    """Max |phi'' + op_a(phi') + op_b(phi)| over sample points.
-
-    evaluator(x, k) must return the analytic k-th derivative for k in 0..2.
-    """
-    worst = 0.0
-    for x in xs:
-        r = evaluator(x, 2) + op_a(evaluator(x, 1)) + op_b(evaluator(x, 0))
-        worst = max(worst, r.norm())
-    return worst
-
-
-def companion_roots(coeffs) -> np.ndarray:
-    """Roots of a complex polynomial via the (balanced) companion matrix.
-
-    coeffs are highest-degree first, as for numpy.roots.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    if c[0] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    return np.roots(c)

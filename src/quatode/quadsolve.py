@@ -15,9 +15,6 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from .quatcore import Quaternion
 
@@ -58,64 +55,32 @@ class QuadraticCoeffs:
     """Original coefficients plus the reduced-equation quantities.
 
     The reduced unknown is p = q + a0/2, satisfying
-    p**2 + (h.a_vec) p + c0 + h.c_vec = 0.  OverflowError when c0, |a_vec|^2
-    or |c_vec|^2 is not finite.  The solver computes on the float 3-tuples
-    _a ... _d; a_vec ... d_vec are numpy copies, built on access.
+    p**2 + (h.a_vec) p + c0 + h.c_vec = 0; d_vec = c_vec - d0 a_vec is the
+    part of c_vec orthogonal to a_vec.  Every vector is a float 3-tuple.
+    OverflowError when c0, |a_vec|^2 or |c_vec|^2 is not finite.
     """
 
-    __slots__ = ("a0", "b0", "c0", "d0", "delta", "_a", "_b", "_c", "_d")
+    __slots__ = ("a0", "b0", "c0", "d0", "delta", "a_vec", "b_vec", "c_vec", "d_vec")
 
     def __init__(self, a0: float, a_vec, b0: float, b_vec):
         self.a0, self.b0 = a0, b0 = float(a0), float(b0)
-        self._a, self._b = a, b = tuple(map(float, a_vec)), tuple(map(float, b_vec))
+        self.a_vec, self.b_vec = a, b = tuple(map(float, a_vec)), tuple(map(float, b_vec))
         half = a0 / 2.0
         self.c0 = c0 = b0 - a0 * a0 / 4.0
-        self._c = c = (b[0] - half * a[0], b[1] - half * a[1], b[2] - half * a[2])
+        self.c_vec = c = (b[0] - half * a[0], b[1] - half * a[1], b[2] - half * a[2])
         an2, cn2 = _dot(a, a), _dot(c, c)
         if not math.isfinite(c0 + an2 + cn2):
             raise OverflowError("reduced coefficients overflow")
-        self.d0, self._d, self.delta = math.nan, (math.nan,) * 3, math.nan
+        self.d0, self.d_vec, self.delta = math.nan, (math.nan,) * 3, math.nan
         if an2 > 0.0:
             self.d0 = d0 = _dot(a, c) / an2
-            self._d = (c[0] - d0 * a[0], c[1] - d0 * a[1], c[2] - d0 * a[2])
+            self.d_vec = (c[0] - d0 * a[0], c[1] - d0 * a[1], c[2] - d0 * a[2])
             self.delta = 0.25 + (c0 - cn2 / an2) / an2
-
-    a_vec, b_vec, c_vec, d_vec = (property(lambda self, n=n: np.array(getattr(self, n)))
-                                  for n in ("_a", "_b", "_c", "_d"))
 
     @property
     def shift(self) -> float:
         """Real shift taking reduced roots back: q = p - shift."""
         return self.a0 / 2.0
-
-    def a_quaternion(self) -> Quaternion:
-        return Quaternion(self.a0, *self._a)
-
-    def b_quaternion(self) -> Quaternion:
-        return Quaternion(self.b0, *self._b)
-
-
-class BasisCoordinates(NamedTuple):
-    """Real coordinates of a reduced root p = p0 + h.(x*u + y*v + z*(u x v)).
-
-    u is the linear-coefficient vector; v is either the orthogonal constant
-    vector itself or its component orthogonal to u, depending on the case.
-    Both are float 3-tuples.
-    """
-
-    p0: float
-    x: float
-    y: float
-    z: float
-    u: tuple
-    v: tuple
-
-    def to_quaternion(self, shift: float = 0.0) -> Quaternion:
-        """The root p - shift: the reduced root itself by default."""
-        p0, x, y, z, u, v = self
-        w = _cross(u, v)
-        return Quaternion(p0 - shift, x * u[0] + y * v[0] + z * w[0],
-                          x * u[1] + y * v[1] + z * w[1], x * u[2] + y * v[2] + z * w[2])
 
 
 @dataclass(frozen=True)
@@ -127,7 +92,6 @@ class RootSet:
     roots: tuple[Quaternion, ...] = ()
     alpha: float = 0.0           # sphere radius (imaginary norm)
     center: float = 0.0          # real part of every sphere root
-    coordinates: tuple[BasisCoordinates, ...] = ()
 
     def __post_init__(self):
         # x * 0.0 is 0.0 for a finite x and nan otherwise
@@ -154,14 +118,9 @@ class RootSet:
         return list(self.roots)
 
 
-def normalize(a0: float, a_vec, b0: float, b_vec) -> QuadraticCoeffs:
-    """Record coefficients and the reduced-equation data."""
-    return QuadraticCoeffs(a0, a_vec, b0, b_vec)
-
-
 def classify(c: QuadraticCoeffs) -> CaseTag:
     """Decide which closed-form branch applies to the reduced equation."""
-    an, cn = math.hypot(*c._a), math.hypot(*c._c)
+    an, cn = math.hypot(*c.a_vec), math.hypot(*c.c_vec)
     # the roots' scale: |a| scales like it, |c| and c0 like its square
     s = max(an, math.sqrt(cn), math.sqrt(abs(c.c0)), 1e-300)
     if an <= _CLASSIFY_EPS * s and cn <= _CLASSIFY_EPS * s * s:
@@ -170,8 +129,8 @@ def classify(c: QuadraticCoeffs) -> CaseTag:
         return CaseTag.A_ZERO
     if cn <= _CLASSIFY_EPS * s * s:
         return CaseTag.C_ZERO
-    cross = math.hypot(*_cross(c._a, c._c))
-    dot = _dot(c._a, c._c)
+    cross = math.hypot(*_cross(c.a_vec, c.c_vec))
+    dot = _dot(c.a_vec, c.c_vec)
     if cross <= _CLASSIFY_EPS * an * cn:
         return CaseTag.PARALLEL
     if abs(dot) <= _CLASSIFY_EPS * an * cn:
@@ -181,7 +140,7 @@ def classify(c: QuadraticCoeffs) -> CaseTag:
 
 def residual(c: QuadraticCoeffs, q: Quaternion) -> float:
     """|q**2 + a q + b| for the original equation, finite up to the float range."""
-    r = q * q + c.a_quaternion() * q + c.b_quaternion()
+    r = q * q + Quaternion(c.a0, *c.a_vec) * q + Quaternion(c.b0, *c.b_vec)
     return math.hypot(r.w, r.x, r.y, r.z)
 
 
@@ -194,7 +153,7 @@ def cubic_resolvent(c: QuadraticCoeffs) -> float:
     Descartes' rule the cubic has exactly one positive real root, so failing
     to find one signals a misclassified input.
     """
-    an2, dn2 = _dot(c._a, c._a), _dot(c._d, c._d)
+    an2, dn2 = _dot(c.a_vec, c.a_vec), _dot(c.d_vec, c.d_vec)
     c0, d0 = c.c0, c.d0
     # monic: w^3 + k2 w^2 + k1 w + k0
     k2 = (an2 + 2.0 * c0) / 2.0
@@ -264,27 +223,26 @@ def _order_roots(roots) -> tuple[Quaternion, ...]:
     return tuple(sorted(roots, key=_root_key, reverse=True))
 
 
-def _order_with_coords(coords, shift: float) -> tuple[tuple[Quaternion, ...], tuple]:
-    """The two roots p - shift, ordered, and their coordinates in that order."""
-    roots = [k.to_quaternion(shift) for k in coords]
-    if _root_key(roots[1]) > _root_key(roots[0]):   # as the stable _order_roots
-        roots, coords = roots[::-1], coords[::-1]
-    return tuple(roots), tuple(coords)
+def _root(p0: float, x: float, y: float, z: float, u: tuple, v: tuple,
+          shift: float) -> Quaternion:
+    """The root p - shift of the reduced root p = p0 + h.(x*u + y*v + z*(u x v))."""
+    w = _cross(u, v)
+    return Quaternion(p0 - shift, x * u[0] + y * v[0] + z * w[0],
+                      x * u[1] + y * v[1] + z * w[1], x * u[2] + y * v[2] + z * w[2])
 
 
 def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
-    an2, cn2 = _dot(c._a, c._a), _dot(c._c, c._c)
+    # coordinates on u = a_vec and v = c_vec, which is orthogonal to it
+    a, v = c.a_vec, c.c_vec
+    an2, cn2 = _dot(a, a), _dot(v, v)
     scale = 1.0 + c.c0 ** 2 + an2 ** 2 + cn2
     if abs(c.delta) <= _DELTA_EPS * scale:
-        coord = BasisCoordinates(0.0, -0.5, 0.0, 1.0 / an2, c._a, c._c)
-        root = coord.to_quaternion(c.shift)
         return RootSet(kind=RootKind.REPEATED, case=CaseTag.ORTHOGONAL,
-                       roots=(root,), coordinates=(coord,))
+                       roots=(_root(0.0, -0.5, 0.0, 1.0 / an2, a, v, c.shift),))
     if c.delta > 0.0:
         s = math.sqrt(c.delta)
-        coords = tuple(BasisCoordinates(0.0, -0.5 + sgn * s, 0.0, 1.0 / an2,
-                                        c._a, c._c)
-                       for sgn in (+1.0, -1.0))
+        roots = (_root(0.0, -0.5 + sgn * s, 0.0, 1.0 / an2, a, v, c.shift)
+                 for sgn in (+1.0, -1.0))
     else:
         rad = 2.0 * (math.sqrt(c.c0 ** 2 + cn2) - c.c0) - an2
         if rad < 0.0:
@@ -292,27 +250,22 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
             log.info("clamping negative radicand %.3e to zero", rad)
             rad = 0.0
         p0 = 0.5 * math.sqrt(rad)
-        coords = tuple(
-            BasisCoordinates(sgn * p0, -0.5,
-                             -2.0 * sgn * p0 / (4.0 * p0 * p0 + an2),
-                             1.0 / (4.0 * p0 * p0 + an2),
-                             c._a, c._c)
-            for sgn in (+1.0, -1.0))
-    roots, coords = _order_with_coords(coords, c.shift)
+        roots = (_root(sgn * p0, -0.5, -2.0 * sgn * p0 / (4.0 * p0 * p0 + an2),
+                       1.0 / (4.0 * p0 * p0 + an2), a, v, c.shift)
+                 for sgn in (+1.0, -1.0))
     return RootSet(kind=RootKind.DISTINCT, case=CaseTag.ORTHOGONAL,
-                   roots=roots, coordinates=coords)
+                   roots=_order_roots(roots))
 
 
 def _generic_roots(c: QuadraticCoeffs) -> RootSet:
-    an2 = _dot(c._a, c._a)
+    # coordinates on u = a_vec and v = d_vec, c_vec's part orthogonal to it
+    an2 = _dot(c.a_vec, c.a_vec)
     r = math.sqrt(cubic_resolvent(c))
-    coords = [BasisCoordinates(p0, -(p0 + c.d0) / (2.0 * p0),
-                               -2.0 * p0 / (4.0 * p0 * p0 + an2),
-                               1.0 / (4.0 * p0 * p0 + an2), c._a, c._d)
-              for p0 in (r, -r)]
-    roots, coords = _order_with_coords(coords, c.shift)
+    roots = (_root(p0, -(p0 + c.d0) / (2.0 * p0), -2.0 * p0 / (4.0 * p0 * p0 + an2),
+                   1.0 / (4.0 * p0 * p0 + an2), c.a_vec, c.d_vec, c.shift)
+             for p0 in (r, -r))
     return RootSet(kind=RootKind.DISTINCT, case=CaseTag.GENERIC,
-                   roots=roots, coordinates=coords)
+                   roots=_order_roots(roots))
 
 
 def solve(c: QuadraticCoeffs) -> RootSet:
@@ -337,12 +290,12 @@ def solve(c: QuadraticCoeffs) -> RootSet:
     # z^2 + i|a| z + c0 + i alpha = 0 in its complex plane, alpha = a.c / |a|
     # (alpha = |c| and unit = c / |c| at a = 0, alpha = 0 at c = 0)
     if case is CaseTag.A_ZERO:
-        alpha = math.hypot(*c._c)
-        half_a, unit = 0.0, tuple(x / alpha for x in c._c)
+        alpha = math.hypot(*c.c_vec)
+        half_a, unit = 0.0, tuple(x / alpha for x in c.c_vec)
     else:
-        an = math.hypot(*c._a)
-        half_a, unit = an / 2.0, tuple(x / an for x in c._a)
-        alpha = _dot(c._a, c._c) / an if case is CaseTag.PARALLEL else 0.0
+        an = math.hypot(*c.a_vec)
+        half_a, unit = an / 2.0, tuple(x / an for x in c.a_vec)
+        alpha = _dot(c.a_vec, c.c_vec) / an if case is CaseTag.PARALLEL else 0.0
     # the half form: -|a|^2 / 4 overflows later than -|a|^2 - 4 c0; 0.0 - alpha
     # is +0.0 at alpha = 0, so a repeated root keeps the root of the upper branch
     disc = cmath.sqrt(complex(-half_a * half_a - c.c0, 0.0 - alpha))
@@ -351,7 +304,7 @@ def solve(c: QuadraticCoeffs) -> RootSet:
 
 
 def solve_coeffs(a0: float, a_vec, b0: float, b_vec) -> RootSet:
-    return solve(normalize(a0, a_vec, b0, b_vec))
+    return solve(QuadraticCoeffs(a0, a_vec, b0, b_vec))
 
 
 def solve_quaternion(a: Quaternion, b: Quaternion) -> RootSet:

@@ -340,8 +340,8 @@ def companion_cubic_resolvent(c: QuadraticCoeffs) -> float:
     Descartes' rule the cubic has exactly one positive real root, so failing
     to find one signals a misclassified input.
     """
-    an2 = float(c.a_vec @ c.a_vec)
-    dn2 = float(c.d_vec @ c.d_vec)
+    an2 = float(np.dot(c.a_vec, c.a_vec))
+    dn2 = float(np.dot(c.d_vec, c.d_vec))
     c0, d0 = c.c0, c.d0
     coeffs = np.array([
         16.0,
@@ -751,7 +751,7 @@ def svd_right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
 
 def svd_solve_clinear(c: np.ndarray, phi0: Quaternion,
                       dphi0: Quaternion) -> tuple[CLSolution, int]:
-    """clode.solve_clinear on the counterpart c, with every basis column
+    """clode._solve_counterpart on the counterpart c, with every basis column
     from an SVD nullspace; returns the solution and the number of
     eigenvalue clusters."""
     scale = 1.0 + np.linalg.norm(c)
@@ -820,9 +820,10 @@ def matrix2h_ivp(a: Quaternion, b: Quaternion, phi0: Quaternion, dphi0: Quaterni
     basis evaluated at 0, solved by Matrix2H.solve (ValueError when its
     singularity rule holds), and the coefficients applied to the basis."""
     from quatode import hode
-    sol = hode.general_solution(a, b)
-    rows = [[f.value(0.0) for f in sol.basis], [f.derivative(0.0) for f in sol.basis]]
-    return sol.with_coefficients(*Matrix2H(rows).solve((phi0, dphi0)))
+    f1, f2 = hode.general_solution(a, b).basis
+    c1, c2 = Matrix2H([[f1.value(0.0), f2.value(0.0)],
+                       [f1.derivative(0.0), f2.derivative(0.0)]]).solve((phi0, dphi0))
+    return f1 * c1 + f2 * c2
 
 
 def _unit(rng, n: int = 3) -> np.ndarray:

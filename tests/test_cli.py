@@ -22,6 +22,23 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def usage_error(capsys, argv) -> str:
+    """main(argv) exits 2 with nothing on stdout; the last line of its stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    return err.splitlines()[-1]
+
+
+def positive_flag_error(argv) -> str:
+    """The error naming argv's last flag, --hbar or --mass: not finite, or not > 0."""
+    flag, value = argv[-1].split("=") if "=" in argv[-1] else argv[-2:]
+    if math.isfinite(float(value)):
+        return f"quatode {argv[0]}: error: {flag} must be > 0"
+    return f"quatode {argv[0]}: error: argument {flag}: not a finite number: {value!r}"
+
+
 def test_quad_sphere(capsys):
     code, out = run(capsys, "quad", "0", "0", "0", "0", "1", "0", "0", "0")
     assert code == 0
@@ -247,10 +264,8 @@ def test_long_sweep_matches_per_number_reference(capsys):
     ["sweep", "step", "--param", "E", "--start", "1", "--stop", "2",
      "--count", "3", "--V", "1", "--hbar", "inf"],
 ])
-def test_nonpositive_hbar_is_usage_error(argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+def test_nonpositive_hbar_is_usage_error(capsys, argv):
+    assert usage_error(capsys, argv) == positive_flag_error(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,10 +278,8 @@ def test_nonpositive_hbar_is_usage_error(argv):
      "--count", "3", "--V", "1", "--mass", "inf"],
     ["bound", "--V", "10", "--a", "2", "--mass", "inf"],
 ])
-def test_nonpositive_mass_is_usage_error(argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+def test_nonpositive_mass_is_usage_error(capsys, argv):
+    assert usage_error(capsys, argv) == positive_flag_error(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,17 +288,15 @@ def test_nonpositive_mass_is_usage_error(argv):
      "--count", "3", "--V", "1", "--Wabs=-0.5"],
     ["bound", "--V", "10", "--a", "2", "--Wabs=-0.5"],
 ])
-def test_negative_wabs_is_usage_error(argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+def test_negative_wabs_is_usage_error(capsys, argv):
+    assert usage_error(capsys, argv) == (f"quatode {argv[0]}: error: "
+                                         "--Wabs must be >= 0 (arg W goes in --Warg)")
 
 
-def test_negative_wabs_sweep_range_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["sweep", "barrier", "--param", "Wabs", "--start=-1", "--stop", "1",
-              "--count", "3", "--E", "1", "--V", "2", "--a", "1"])
-    assert info.value.code == 2
+def test_negative_wabs_sweep_range_is_usage_error(capsys):
+    argv = ["sweep", "barrier", "--param", "Wabs", "--start=-1", "--stop", "1",
+            "--count", "3", "--E", "1", "--V", "2", "--a", "1"]
+    assert usage_error(capsys, argv) == "quatode sweep: error: a sweep of Wabs must start at >= 0"
 
 
 def test_sweep_step_below_threshold(capsys):
@@ -377,18 +388,17 @@ def test_bound_validation():
 
 
 @pytest.mark.parametrize("grid", ["-1", "1", "2"])
-def test_bound_grid_below_three_is_usage_error(grid):
-    with pytest.raises(SystemExit) as info:
-        main(["bound", "--V", "10", "--a", "2", f"--grid={grid}"])
-    assert info.value.code == 2
+def test_bound_grid_below_three_is_usage_error(capsys, grid):
+    argv = ["bound", "--V", "10", "--a", "2", f"--grid={grid}"]
+    assert usage_error(capsys, argv) == ("quatode bound: error: "
+                                         "bound needs V > 0, a > 0 and --grid >= 3")
 
 
-def test_oracle_steps_below_sixteen_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5",
-              "--phi0", "0,0,0,0", "--dphi0", "1,0,0,0", "--points", "0,0.5",
-              "--oracle", "--oracle-steps", "8"])
-    assert info.value.code == 2
+def test_oracle_steps_below_sixteen_is_usage_error(capsys):
+    argv = ["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5",
+            "--phi0", "0,0,0,0", "--dphi0", "1,0,0,0", "--points", "0,0.5",
+            "--oracle", "--oracle-steps", "8"]
+    assert usage_error(capsys, argv) == "quatode ode: error: --oracle-steps must be >= 16"
 
 
 def test_ode_quaternionic_with_oracle(capsys):
@@ -474,11 +484,11 @@ def test_ode_complex_linear(capsys):
     assert max(abs(a - b) for a, b in zip(phi1, expected)) < 1e-11
 
 
-def test_ode_wrong_arity_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["ode", "c", "--a", "0,1,0,0", "--b", "0,0,1,0",
-              "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0", "--points", "0"])
-    assert info.value.code == 2
+def test_ode_wrong_arity_is_usage_error(capsys):
+    argv = ["ode", "c", "--a", "0,1,0,0", "--b", "0,0,1,0",
+            "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0", "--points", "0"]
+    assert usage_error(capsys, argv) == ("quatode ode: error: "
+                                         "--a/--b: kind 'c' takes 8 comma-separated reals")
 
 
 _ODE_TAIL = ("--b", "0,0,0,0", "--phi0", "1,0,0,0", "--dphi0", "0,0,0,0")
@@ -508,13 +518,8 @@ _SWEEP_ONE_TO_TWO = ("--start", "1", "--stop", "2", "--count", "3")
 def test_non_finite_number_is_usage_error(capsys, argv, name, value):
     # the parser refuses it: nothing on stdout (no CSV header), no solver
     # cause, and the error names the argument
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert info.value.code == 2
-    assert out == ""
-    assert err.splitlines()[-1] == (f"quatode {argv[0]}: error: argument {name}: "
-                                    f"not a finite number: {value!r}")
+    assert usage_error(capsys, argv) == (f"quatode {argv[0]}: error: argument {name}: "
+                                         f"not a finite number: {value!r}")
 
 
 def test_no_number_flag_takes_a_plain_float():

@@ -176,16 +176,15 @@ def test_eig_route_near_repeated_roots(delta):
             assert (sol.value(x) - exact).norm() <= 1e-12 * term_scale(sol, x)
 
 
-def test_solve_clinear_of_the_companion_matrix():
+def test_companion_counterpart_is_the_matrix_forms():
+    # the counterpart the solver reads equals that of [[0, 1], [-b, -a]],
+    # entry by entry (array_equal: a negated op may flip the sign of a zero)
     rng = np.random.default_rng(66)
-    a_op, b_op = rand_op(rng), rand_op(rng)
-    phi0, dphi0 = rand_quaternion(rng), rand_quaternion(rng)
-    m_cl = Matrix2CL([[0, 1], [RightLinearScalarOp(-b_op.A, -b_op.B),
-                               RightLinearScalarOp(-a_op.A, -a_op.B)]])
-    sol = clode.solve_clinear(m_cl, phi0, dphi0)
-    ops_sol = solve_clinear_ops(a_op, b_op, phi0, dphi0)
-    for x in (0.0, 0.6, 1.3):
-        assert (sol.value(x) - ops_sol.value(x)).norm() < 1e-14 * term_scale(ops_sol, x)
+    for _ in range(60):
+        a_op, b_op = rand_op(rng), rand_op(rng)
+        m_cl = Matrix2CL([[0, 1], [RightLinearScalarOp(-b_op.A, -b_op.B),
+                                   RightLinearScalarOp(-a_op.A, -a_op.B)]])
+        assert np.array_equal(_companion_counterpart(a_op, b_op), m_cl.counterpart())
 
 
 def test_one_eig_and_no_svd_per_generic_solve(monkeypatch):

@@ -127,7 +127,7 @@ def test_zero_coefficients_basis_is_one_and_x():
     # b1 = exp(0 x); b2 = (x + kappa) exp(0 x) with kappa = b2(0) = 0
     assert b1.terms[0].px is None and as_tuple(b1.derivative(0.0)) == (0, 0, 0, 0)
     assert b2.terms[0].px is not None and b2.value(0.0).norm() == 0.0
-    got = sol.with_coefficients(ONE, Quaternion(2))
+    got = b1 * ONE + b2 * Quaternion(2)
     assert (got.value(3.0) - Quaternion(7)).norm() < 1e-15
 
 
@@ -387,7 +387,7 @@ def test_wronskian_exponential_closed_form():
         if roots.kind is not quadsolve.RootKind.DISTINCT:
             continue
         q1, q2 = roots.roots
-        c = quadsolve.normalize(a.w, a.vector(), b.w, b.vector())
+        c = quadsolve.QuadraticCoeffs(a.w, a.vector(), b.w, b.vector())
         p1, p2 = q1 + c.shift, q2 + c.shift
         from quatode.quatcore import exp as qexp
         for x in (0.0, 0.4, 1.1):

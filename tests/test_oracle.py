@@ -143,51 +143,30 @@ def test_residual_max_detects_perturbation():
     a, b = K, J
     sol = hode.solve_ivp(a, b, I + K, ONE)
     xs = np.linspace(0.0, 1.0, 9)
-
-    def exact(x, k):
-        return (sol.value(x), sol.derivative(x), sol.second(x))[k]
-
-    assert oracle.residual_max(exact, lambda q: a * q, lambda q: b * q, xs) < 1e-10
+    assert max(hode.residual(sol, a, b, x) for x in xs) < 1e-10
     bad_b = b + Quaternion(1e-3)
-    r = oracle.residual_max(exact, lambda q: a * q, lambda q: bad_b * q, xs)
-    assert r > 1e-4
+    assert max(hode.residual(sol, a, bad_b, x) for x in xs) > 1e-4
 
 
 def test_residual_max_sphere_basis():
     alpha = 2.0
     sol = hode.solve_ivp(Quaternion(), Quaternion(alpha ** 2), ONE, Quaternion())
-
-    def exact(x, k):
-        return (sol.value(x), sol.derivative(x), sol.second(x))[k]
-
     xs = np.linspace(0.0, 2.0, 9)
-    assert oracle.residual_max(exact, lambda q: Quaternion(),
-                               lambda q: alpha ** 2 * q, xs) < 1e-12
-
-
-def test_companion_roots_simple():
-    roots = sorted(oracle.companion_roots([1, 0, 1]), key=lambda z: z.imag)
-    assert abs(roots[0] + 1j) < 1e-12 and abs(roots[1] - 1j) < 1e-12
+    assert max(hode.residual(sol, Quaternion(), Quaternion(alpha ** 2), x)
+               for x in xs) < 1e-12
 
 
 def test_companion_roots_resolvent_cubic():
-    roots = oracle.companion_roots([16, 24, -3, -1])
+    roots = np.roots([16, 24, -3, -1])
     assert min(abs(r - 0.25) for r in roots) < 1e-12
 
 
 def test_companion_roots_schrodinger_quartic():
     E, V, Wabs = 5.0, 3.0, 2.0
     m = clode.schrodinger_modes(E=E, V=V, W=Wabs)
-    roots = oracle.companion_roots([1, 0, -2 * V, 0, V * V + Wabs ** 2 - E * E])
+    roots = np.roots([1, 0, -2 * V, 0, V * V + Wabs ** 2 - E * E])
     for z in (m.z_minus, -m.z_minus, m.z_plus, -m.z_plus):
         assert min(abs(r - z) for r in roots) < 1e-12
-
-
-def test_companion_roots_validation():
-    with pytest.raises(ValueError):
-        oracle.companion_roots([0, 1, 2])
-    with pytest.raises(ValueError):
-        oracle.companion_roots([3.0])
 
 
 def test_rk4_backward_integration():

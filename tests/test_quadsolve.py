@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quatode import quadsolve
-from quatode.oracle import companion_roots
 from quatode.quadsolve import CaseTag, RootKind
 from quatode.quatcore import Quaternion
 
@@ -26,7 +25,7 @@ def residuals(coeffs, rs):
 
 def test_golden_parallel():
     # p^2 + sqrt2(i+j) p - 1 - 2 sqrt2 (i+j) = 0
-    c = quadsolve.normalize(0, [S2, S2, 0], -1, [-2 * S2, -2 * S2, 0])
+    c = quadsolve.QuadraticCoeffs(0, [S2, S2, 0], -1, [-2 * S2, -2 * S2, 0])
     rs = quadsolve.solve(c)
     assert rs.case is CaseTag.PARALLEL and rs.kind is RootKind.DISTINCT
     e1 = (S2, -(1 - S2) / S2, -(1 - S2) / S2, 0.0)
@@ -39,7 +38,7 @@ def test_golden_parallel():
 
 def test_golden_orthogonal_repeated():
     # p^2 + i p + k/2 = 0, repeated root -(i+j)/2
-    c = quadsolve.normalize(0, [1, 0, 0], 0, [0, 0, 0.5])
+    c = quadsolve.QuadraticCoeffs(0, [1, 0, 0], 0, [0, 0, 0.5])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.REPEATED
     assert max(abs(a - b) for a, b in
@@ -49,7 +48,7 @@ def test_golden_orthogonal_repeated():
 
 def test_golden_orthogonal_delta_positive():
     # p^2 + j p + 1 - k = 0 -> {-i, -(i+j)}
-    c = quadsolve.normalize(0, [0, 1, 0], 1, [0, 0, -1])
+    c = quadsolve.QuadraticCoeffs(0, [0, 1, 0], 1, [0, 0, -1])
     rs = quadsolve.solve(c)
     assert rs.case is CaseTag.ORTHOGONAL and rs.kind is RootKind.DISTINCT
     got = roots_sorted(rs)
@@ -61,7 +60,7 @@ def test_golden_orthogonal_delta_positive():
 
 def test_golden_orthogonal_delta_negative():
     # p^2 + k p + j = 0 -> (+-1 - i -+ j - k)/2
-    c = quadsolve.normalize(0, [0, 0, 1], 0, [0, 1, 0])
+    c = quadsolve.QuadraticCoeffs(0, [0, 0, 1], 0, [0, 1, 0])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.DISTINCT
     got = roots_sorted(rs)
@@ -73,7 +72,7 @@ def test_golden_orthogonal_delta_negative():
 
 def test_golden_generic():
     # p^2 + i p + 1 + i + k = 0
-    c = quadsolve.normalize(0, [1, 0, 0], 1, [1, 0, 1])
+    c = quadsolve.QuadraticCoeffs(0, [1, 0, 0], 1, [1, 0, 1])
     rs = quadsolve.solve(c)
     assert rs.case is CaseTag.GENERIC
     got = roots_sorted(rs)
@@ -84,7 +83,7 @@ def test_golden_generic():
 
 
 def test_golden_sphere():
-    c = quadsolve.normalize(0, [0, 0, 0], 1, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(0, [0, 0, 0], 1, [0, 0, 0])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.SPHERE
     assert abs(rs.alpha - 1.0) < 1e-15 and rs.center == 0.0
@@ -95,18 +94,18 @@ def test_golden_sphere():
 
 
 def test_normalize_identity_when_a0_zero():
-    c = quadsolve.normalize(0, [1, 2, 3], 4, [5, 6, 7])
+    c = quadsolve.QuadraticCoeffs(0, [1, 2, 3], 4, [5, 6, 7])
     assert c.c0 == 4 and np.array_equal(c.c_vec, [5, 6, 7])
 
 
 def test_normalize_real_shift():
-    c = quadsolve.normalize(2, [0, 0, 0], 1, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(2, [0, 0, 0], 1, [0, 0, 0])
     assert c.c0 == 0.0
 
 
 def test_normalize_ode_characteristic_pairing():
     # phi'' + (1+i) phi' + (1+2i+2k)/4 phi reduces to p^2 + i p + k/2
-    c = quadsolve.normalize(1, [1, 0, 0], 0.25, [0.5, 0, 0.5])
+    c = quadsolve.QuadraticCoeffs(1, [1, 0, 0], 0.25, [0.5, 0, 0.5])
     assert abs(c.c0) < 1e-15
     assert np.allclose(c.c_vec, [0, 0, 0.5])
     assert c.shift == 0.5
@@ -117,7 +116,7 @@ def test_derived_quantities_self_consistent():
     for _ in range(200):
         a0, b0 = rng.standard_normal(2)
         av, bv = rng.standard_normal(3), rng.standard_normal(3)
-        c = quadsolve.normalize(a0, av, b0, bv)
+        c = quadsolve.QuadraticCoeffs(a0, av, b0, bv)
         assert abs(c.c0 - (b0 - a0 ** 2 / 4)) < 1e-14
         assert np.allclose(c.c_vec, bv - a0 / 2 * av)
         an2 = av @ av
@@ -128,7 +127,7 @@ def test_derived_quantities_self_consistent():
 
 
 def test_classify_examples():
-    mk = lambda av, cv: quadsolve.normalize(0, av, 0, cv)
+    mk = lambda av, cv: quadsolve.QuadraticCoeffs(0, av, 0, cv)
     assert quadsolve.classify(mk([S2, S2, 0], [-2 * S2, -2 * S2, 0])) is CaseTag.PARALLEL
     assert quadsolve.classify(mk([1, 0, 0], [0, 0, 0.5])) is CaseTag.ORTHOGONAL
     assert quadsolve.classify(mk([1, 0, 0], [1, 0, 1])) is CaseTag.GENERIC
@@ -142,7 +141,7 @@ def test_classify_is_scale_invariant(lam):
     # q^2 + lam a q + lam^2 b: the roots scale with lam, the branch must not
     a = np.array([0.3, 1.0, 0.2, -0.5])
     b = np.array([0.7, 0.4, -1.1, 0.3])
-    c = quadsolve.normalize(lam * a[0], lam * a[1:], lam ** 2 * b[0], lam ** 2 * b[1:])
+    c = quadsolve.QuadraticCoeffs(lam * a[0], lam * a[1:], lam ** 2 * b[0], lam ** 2 * b[1:])
     assert quadsolve.classify(c) is CaseTag.GENERIC
     assert max(residuals(c, quadsolve.solve(c))) <= 1e-12 * lam ** 2
 
@@ -151,7 +150,7 @@ def test_classify_is_scale_invariant(lam):
 
 
 def test_cubic_resolvent_golden():
-    c = quadsolve.normalize(0, [1, 0, 0], 1, [1, 0, 1])
+    c = quadsolve.QuadraticCoeffs(0, [1, 0, 0], 1, [1, 0, 1])
     w = quadsolve.cubic_resolvent(c)
     assert abs(w - 0.25) < 1e-13
 
@@ -160,18 +159,18 @@ def test_cubic_resolvent_matches_companion_oracle():
     rng = np.random.default_rng(21)
     count = 0
     while count < 100:
-        c = quadsolve.normalize(rng.standard_normal(), rng.standard_normal(3),
-                                rng.standard_normal(), rng.standard_normal(3))
+        c = quadsolve.QuadraticCoeffs(rng.standard_normal(), rng.standard_normal(3),
+                                      rng.standard_normal(), rng.standard_normal(3))
         if quadsolve.classify(c) is not CaseTag.GENERIC:
             continue
         count += 1
-        an2 = c.a_vec @ c.a_vec
-        dn2 = c.d_vec @ c.d_vec
+        an2 = np.dot(c.a_vec, c.a_vec)
+        dn2 = np.dot(c.d_vec, c.d_vec)
         coeffs = [16.0,
                   8.0 * (an2 + 2.0 * c.c0),
                   4.0 * (an2 * (c.c0 - c.d0 ** 2) + an2 ** 2 / 4.0 - dn2),
                   -c.d0 ** 2 * an2 ** 2]
-        pos = [r.real for r in companion_roots(coeffs)
+        pos = [r.real for r in np.roots(coeffs)
                if abs(r.imag) < 1e-8 and r.real > 0]
         assert len(pos) == 1
         assert abs(quadsolve.cubic_resolvent(c) - pos[0]) < 1e-12 * max(1.0, pos[0])
@@ -206,15 +205,15 @@ def _resolvent_inputs(rng):
                 c_vec = cn * (math.cos(ang) * u + math.sin(ang) * w)
                 c0 = -rng.uniform(0.5, 10.0) * cn * cn
             a0 = rng.uniform(-2, 2)
-            c = quadsolve.normalize(a0, an * u, c0 + a0 * a0 / 4,
-                                    c_vec + a0 / 2 * an * u)
+            c = quadsolve.QuadraticCoeffs(a0, an * u, c0 + a0 * a0 / 4,
+                                          c_vec + a0 / 2 * an * u)
             if quadsolve.classify(c) is CaseTag.GENERIC:
                 count += 1
                 yield family, c
 
 
 def _depressed_discriminant(c):
-    an2, dn2 = c.a_vec @ c.a_vec, c.d_vec @ c.d_vec
+    an2, dn2 = np.dot(c.a_vec, c.a_vec), np.dot(c.d_vec, c.d_vec)
     k2 = (an2 + 2.0 * c.c0) / 2.0
     k1 = (an2 * (c.c0 - c.d0 ** 2) + an2 ** 2 / 4.0 - dn2) / 4.0
     k0 = -c.d0 ** 2 * an2 ** 2 / 16.0
@@ -251,11 +250,11 @@ def test_scalar_path_calls_no_numpy_vector_routines(monkeypatch):
 def test_cubic_resolvent_degenerates_with_d0():
     # shrinking the parallel component sends the real part to zero and the
     # roots to the orthogonal-case values
-    base = quadsolve.normalize(0, [0, 1, 0], 1, [0, 0, -1])   # orthogonal
+    base = quadsolve.QuadraticCoeffs(0, [0, 1, 0], 1, [0, 0, -1])   # orthogonal
     ortho = quadsolve.solve(base)
     last = math.inf
     for eps in (1e-2, 1e-4, 1e-6):
-        c = quadsolve.normalize(0, [0, 1, 0], 1, [0, eps, -1])
+        c = quadsolve.QuadraticCoeffs(0, [0, 1, 0], 1, [0, eps, -1])
         assert quadsolve.classify(c) is CaseTag.GENERIC
         w = quadsolve.cubic_resolvent(c)
         assert w < last
@@ -273,8 +272,8 @@ def test_cubic_resolvent_degenerates_with_d0():
 
 def _random_coeffs(rng, case=None):
     while True:
-        c = quadsolve.normalize(rng.standard_normal(), rng.standard_normal(3),
-                                rng.standard_normal(), rng.standard_normal(3))
+        c = quadsolve.QuadraticCoeffs(rng.standard_normal(), rng.standard_normal(3),
+                                      rng.standard_normal(), rng.standard_normal(3))
         if case is None or quadsolve.classify(c) is case:
             return c
 
@@ -287,19 +286,19 @@ def test_residuals_all_branches():
             if case is CaseTag.ORTHOGONAL:
                 av = rng.standard_normal(3)
                 cv = np.cross(av, rng.standard_normal(3))
-                c = quadsolve.normalize(0, av, rng.standard_normal(), cv)
+                c = quadsolve.QuadraticCoeffs(0, av, rng.standard_normal(), cv)
             elif case is CaseTag.PARALLEL:
                 av = rng.standard_normal(3)
-                c = quadsolve.normalize(0, av, rng.standard_normal(),
-                                        rng.standard_normal() * av)
+                c = quadsolve.QuadraticCoeffs(0, av, rng.standard_normal(),
+                                              rng.standard_normal() * av)
             elif case is CaseTag.A_ZERO:
-                c = quadsolve.normalize(0, [0, 0, 0], rng.standard_normal(),
-                                        rng.standard_normal(3))
+                c = quadsolve.QuadraticCoeffs(0, [0, 0, 0], rng.standard_normal(),
+                                              rng.standard_normal(3))
             elif case is CaseTag.C_ZERO:
                 av = rng.standard_normal(3)
                 a0 = rng.standard_normal()
-                c = quadsolve.normalize(a0, av, rng.standard_normal(),
-                                        (a0 / 2) * av)
+                c = quadsolve.QuadraticCoeffs(a0, av, rng.standard_normal(),
+                                              (a0 / 2) * av)
             else:
                 c = _random_coeffs(rng, CaseTag.GENERIC)
             rs = quadsolve.solve(c)
@@ -310,7 +309,7 @@ def test_residuals_all_branches():
 
 
 def test_sphere_samples_satisfy_equation():
-    c = quadsolve.normalize(0, [0, 0, 0], 4.0, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(0, [0, 0, 0], 4.0, [0, 0, 0])
     rs = quadsolve.solve(c)
     assert rs.alpha == 2.0
     assert len(rs.sphere_samples(16)) == 16
@@ -319,7 +318,7 @@ def test_sphere_samples_satisfy_equation():
 
 def test_sphere_with_real_shift():
     # q^2 + 2q + 2 = 0: sphere of radius 1 centered at -1
-    c = quadsolve.normalize(2, [0, 0, 0], 2, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(2, [0, 0, 0], 2, [0, 0, 0])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.SPHERE
     assert abs(rs.alpha - 1.0) < 1e-15 and abs(rs.center + 1.0) < 1e-15
@@ -327,7 +326,7 @@ def test_sphere_with_real_shift():
 
 
 def test_real_pair():
-    c = quadsolve.normalize(0, [0, 0, 0], -4.0, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(0, [0, 0, 0], -4.0, [0, 0, 0])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.REAL_PAIR
     assert [r.w for r in rs.roots] == [2.0, -2.0]
@@ -335,7 +334,7 @@ def test_real_pair():
 
 def test_repeated_from_c_zero():
     av = np.array([0.0, 3.0, 4.0])
-    c = quadsolve.normalize(0, av, -(av @ av) / 4.0, [0, 0, 0])
+    c = quadsolve.QuadraticCoeffs(0, av, -(av @ av) / 4.0, [0, 0, 0])
     rs = quadsolve.solve(c)
     assert rs.kind is RootKind.REPEATED
     expected = Quaternion.from_vector(-av / 2.0)
@@ -345,12 +344,12 @@ def test_repeated_from_c_zero():
 def test_delta_zero_continuity():
     # perturb c0 of a delta = 0 instance in both directions
     av, cv = np.array([1.0, 0, 0]), np.array([0, 0, 0.5])
-    base = quadsolve.normalize(0, av, 0.0, cv)
+    base = quadsolve.QuadraticCoeffs(0, av, 0.0, cv)
     assert abs(base.delta) < 1e-15
     target = quadsolve.solve(base).roots[0]
     for eps in (1e-6, 1e-10):
         for sign in (+1.0, -1.0):
-            c = quadsolve.normalize(0, av, sign * eps, cv)
+            c = quadsolve.QuadraticCoeffs(0, av, sign * eps, cv)
             rs = quadsolve.solve(c)
             assert rs.kind is RootKind.DISTINCT
             worst = max((g - target).norm() for g in rs.roots)
@@ -358,7 +357,7 @@ def test_delta_zero_continuity():
 
 
 def test_root_ordering_deterministic():
-    c = quadsolve.normalize(0, [0, 1, 0], 1, [0, 0, -1])
+    c = quadsolve.QuadraticCoeffs(0, [0, 1, 0], 1, [0, 0, -1])
     rs = quadsolve.solve(c)
     # descending by real part, then by imaginary norm
     assert rs.roots[0].w >= rs.roots[1].w
@@ -370,14 +369,14 @@ def test_against_newton_multistart():
     rng = np.random.default_rng(23)
     solved = 0
     while solved < 40:
-        c = quadsolve.normalize(rng.standard_normal(), rng.standard_normal(3),
-                                rng.standard_normal(), rng.standard_normal(3))
+        c = quadsolve.QuadraticCoeffs(rng.standard_normal(), rng.standard_normal(3),
+                                      rng.standard_normal(), rng.standard_normal(3))
         rs = quadsolve.solve(c)
         if rs.kind is not RootKind.DISTINCT:
             continue
         solved += 1
-        a = c.a_quaternion()
-        b = c.b_quaternion()
+        a = Quaternion(c.a0, *c.a_vec)
+        b = Quaternion(c.b0, *c.b_vec)
 
         def f(v):
             q = Quaternion.from_array(v)
@@ -407,19 +406,7 @@ def test_against_newton_multistart():
             assert best < 1e-8
 
 
-def test_basis_coordinates_reconstruction():
-    rng = np.random.default_rng(24)
-    for _ in range(50):
-        av = rng.standard_normal(3)
-        cv = np.cross(av, rng.standard_normal(3))
-        c = quadsolve.normalize(0, av, rng.standard_normal(), cv)
-        rs = quadsolve.solve(c)
-        for coord, root in zip(rs.coordinates, rs.roots):
-            rebuilt = coord.to_quaternion() - c.shift
-            assert (rebuilt - root).norm() < 1e-12
-
-
 def test_cubic_resolvent_rejects_degenerate_input():
-    c = quadsolve.normalize(0, [1, 0, 0], 1, [0, 0, 1])  # orthogonal: d0 = 0
+    c = quadsolve.QuadraticCoeffs(0, [1, 0, 0], 1, [0, 0, 1])  # orthogonal: d0 = 0
     with pytest.raises(ArithmeticError):
         quadsolve.cubic_resolvent(c)
