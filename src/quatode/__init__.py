@@ -1,85 +1,49 @@
-"""Quaternionic constant-coefficient ODEs, eigen machinery, and 1D scattering."""
+"""Quaternionic constant-coefficient ODEs, eigen machinery, and 1D scattering.
 
-from .quatcore import (
-    I,
-    J,
-    K,
-    ONE,
-    ExpSum,
-    Quaternion,
-    RightLinearScalarOp,
-    exp,
-    rebase_sphere_exponential,
-)
-from .quadsolve import (
-    CaseTag,
-    QuadraticCoeffs,
-    RootKind,
-    RootSet,
-    classify,
-    cubic_resolvent,
-    solve,
-    solve_coeffs,
-    solve_quaternion,
-)
-from .hode import (
-    DegenerateBasisError,
-    GeneralSolution,
-    general_solution,
-    solve_ivp,
-    wronskian,
-)
-from .qmat2 import (
-    DefectiveMatrixError,
-    EigenDecomposition,
-    Matrix2CL,
-    Matrix2H,
-    diagonalize,
-    dieudonne,
-    jordanize,
-    right_eigenpairs,
-    solve_ode_via_matrix,
-    spectral_decompose_antihermitian,
-)
-from .clode import (
-    CLSolution,
-    ModeNormalizationError,
-    SchrodingerModes,
-    UnsupportedStructureError,
-    schrodinger_modes,
-    solve_clinear_ops,
-    stationary_phase,
-    time_reversal_map,
-)
-from .scatter import (
-    PhysicalParams,
-    Regime,
-    ScatteringResult,
-    ScatteringRows,
-    solve_barrier,
-    solve_rows,
-    solve_step,
-)
-from .well import BoundStateSet, find_bound_states
-from . import oracle
+A name of the package imports its submodule on first use (PEP 562), so a
+caller loads only the modules it reaches.
+"""
+
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundStateSet", "CLSolution", "CaseTag",
-    "DefectiveMatrixError", "DegenerateBasisError", "EigenDecomposition",
-    "ExpSum", "GeneralSolution", "I", "J", "K", "Matrix2CL",
-    "Matrix2H", "ModeNormalizationError", "ONE", "PhysicalParams",
-    "QuadraticCoeffs", "Quaternion", "Regime", "RightLinearScalarOp",
-    "RootKind", "RootSet", "ScatteringResult", "ScatteringRows",
-    "SchrodingerModes",
-    "UnsupportedStructureError",
-    "classify", "cubic_resolvent", "diagonalize", "dieudonne", "exp",
-    "find_bound_states", "general_solution", "jordanize",
-    "oracle", "rebase_sphere_exponential",
-    "right_eigenpairs", "schrodinger_modes", "solve", "solve_barrier",
-    "solve_clinear_ops", "solve_coeffs", "solve_ivp",
-    "solve_ode_via_matrix", "solve_quaternion", "solve_rows", "solve_step",
-    "spectral_decompose_antihermitian", "stationary_phase",
-    "time_reversal_map", "wronskian",
-]
+# each submodule and the names the package takes from it; oracle is exported
+# as a module
+_EXPORTS = {
+    "quatcore": ("I", "J", "K", "ONE", "ExpSum", "Quaternion", "RightLinearScalarOp",
+                 "exp", "rebase_sphere_exponential"),
+    "quadsolve": ("CaseTag", "QuadraticCoeffs", "RootKind", "RootSet", "classify",
+                  "cubic_resolvent", "solve", "solve_coeffs", "solve_quaternion"),
+    "hode": ("DegenerateBasisError", "GeneralSolution", "general_solution", "solve_ivp",
+             "wronskian"),
+    "qmat2": ("DefectiveMatrixError", "EigenDecomposition", "Matrix2CL", "Matrix2H",
+              "diagonalize", "dieudonne", "jordanize", "right_eigenpairs",
+              "solve_ode_via_matrix", "spectral_decompose_antihermitian"),
+    "clode": ("CLSolution", "ModeNormalizationError", "SchrodingerModes",
+              "UnsupportedStructureError", "schrodinger_modes", "solve_clinear_ops",
+              "stationary_phase", "time_reversal_map"),
+    "scatter": ("PhysicalParams", "Regime", "ScatteringResult", "ScatteringRows",
+                "solve_barrier", "solve_rows", "solve_step"),
+    "well": ("BoundStateSet", "find_bound_states"),
+    "oracle": ("oracle",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    """A package name or submodule, imported on first use and then kept here."""
+    module = _ORIGIN.get(name, name if name in _EXPORTS else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    __import__(f"{__name__}.{module}")
+    owner = sys.modules[f"{__name__}.{module}"]
+    value = owner if name == module else getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

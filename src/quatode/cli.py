@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import clode, hode, oracle, qmat2, quadsolve, scatter
+# what every command needs; each command imports its own modules at its entry
 from .quatcore import Quaternion, RightLinearScalarOp
 
 _CSV_HEADER = ("E,V,Wabs,Warg,a,regime,R,T,r_re,r_im,rt_re,rt_im,"
@@ -52,6 +51,7 @@ def _quaternion_arg(text: str) -> Quaternion:
 
 
 def cmd_quad(args) -> int:
+    from . import quadsolve
     coeffs = quadsolve.QuadraticCoeffs(args.values[0], args.values[1:4],
                                        args.values[4], args.values[5:8])
     roots = quadsolve.solve(coeffs)
@@ -71,12 +71,15 @@ def cmd_quad(args) -> int:
 
 
 def cmd_ode(args) -> int:
+    import json
     xs = args.points
     if args.kind == "h":
+        from . import hode
         a, b = Quaternion(*args.a), Quaternion(*args.b)
         sol = hode.solve_ivp(a, b, args.phi0, args.dphi0)
         apply_a, apply_b = a.__mul__, b.__mul__
     else:
+        from . import clode
         a, b = (RightLinearScalarOp(Quaternion(*v[:4]), Quaternion(*v[4:]))
                 for v in (args.a, args.b))
         sol = clode.solve_clinear_ops(a, b, args.phi0, args.dphi0)
@@ -98,6 +101,7 @@ def cmd_ode(args) -> int:
         phis.append(phi)
     payload = {"kind": args.kind, "points": points}
     if args.oracle:
+        from . import oracle
         ends = [(x, phi) for x, phi in zip(xs, phis) if x != 0.0]
         worst = 0.0
         if ends:
@@ -112,6 +116,8 @@ def cmd_ode(args) -> int:
 
 
 def cmd_eig(args) -> int:
+    import json
+    from . import qmat2
     vals = args.values
     entries = [[Quaternion(*vals[0:4]), Quaternion(*vals[4:8])],
                [Quaternion(*vals[8:12]), Quaternion(*vals[12:16])]]
@@ -136,17 +142,19 @@ def _polar(wabs, warg: float):
 
 def _scatter_rows(args, E, V, wabs, a) -> bool:
     """Solve the rows in one stacked call, print their CSV lines; True if one failed."""
+    from . import scatter
     W = _polar(np.asarray(wabs, dtype=float), args.Warg)
     rows = scatter.solve_rows(args.kind, E, V, W, a, hbar=args.hbar, m=args.mass)
     print("\n".join(_csv_lines(args.kind, rows, E, V, W, a)))
     return rows.errors.count(None) < len(rows.errors)
 
 
-def _csv_lines(kind: str, rows: scatter.ScatteringRows, E, V, W, a) -> list[str]:
-    """CSV lines of solved rows, one % format each; a failed row prints as
-    regime ERROR with nan numbers, and its cause goes to stderr.  A head
-    column given as a scalar (a sweep's fixed values) is formatted once,
-    into the row formats."""
+def _csv_lines(kind: str, rows, E, V, W, a) -> list[str]:
+    """CSV lines of solved rows (a scatter.ScatteringRows), one % format each;
+    a failed row prints as regime ERROR with nan numbers, and its cause goes
+    to stderr.  A head column given as a scalar (a sweep's fixed values) is
+    formatted once, into the row formats."""
+    from . import scatter
     wabs = np.hypot(W.real, W.imag)     # bit for bit abs(complex)
     # np.angle(W), without its Python wrapper
     heads = (E, V, wabs, np.where(wabs != 0.0, np.arctan2(W.imag, W.real), 0.0), a)
@@ -193,6 +201,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    import json
+    from . import scatter
     # bound-state search scans E itself; any positive placeholder works there
     params = scatter.PhysicalParams(E=1.0, V=args.V, W=_polar(args.Wabs, args.Warg),
                                     a=args.a, hbar=args.hbar, m=args.mass)

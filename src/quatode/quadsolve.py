@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import cmath
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
 from .quatcore import Quaternion
-
-log = logging.getLogger(__name__)
 
 # relative gate deciding parallel/orthogonal against generic
 _CLASSIFY_EPS = 1e-12
@@ -247,7 +244,8 @@ def _orthogonal_roots(c: QuadraticCoeffs) -> RootSet:
         rad = 2.0 * (math.sqrt(c.c0 ** 2 + cn2) - c.c0) - an2
         if rad < 0.0:
             # provably >= 0 when delta <= 0; clamp rounding noise
-            log.info("clamping negative radicand %.3e to zero", rad)
+            import logging     # here, not at import: few runs reach this
+            logging.getLogger(__name__).info("clamping negative radicand %.3e to zero", rad)
             rad = 0.0
         p0 = 0.5 * math.sqrt(rad)
         roots = (_root(sgn * p0, -0.5, -2.0 * sgn * p0 / (4.0 * p0 * p0 + an2),

@@ -24,7 +24,6 @@ solved row is current_spread, max - min of J at three points per region.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -34,8 +33,6 @@ import numpy as np
 from .clode import schrodinger_mode_arrays
 from .clode import schrodinger_modes  # noqa: F401  re-exported: the one-row modes
 from .quatcore import ExpSum, Quaternion, exp_term
-
-log = logging.getLogger(__name__)
 
 _ONE = Quaternion(1.0)
 
@@ -253,6 +250,8 @@ def _nudge_off_threshold(E: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     if not near.any():
         return E
     near &= boundaries > 0.0
+    import logging     # here, not at import: few runs reach this
+    log = logging.getLogger(__name__)
     for count in near.sum(axis=1).tolist():
         if count:
             log.info("%d energies within 1e-12 of a regime boundary; nudging above",

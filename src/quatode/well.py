@@ -34,11 +34,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .clode import schrodinger_mode_arrays
-from .scatter import PhysicalParams, Regime
+
+if TYPE_CHECKING:   # scatter imports this module on its last line
+    from .scatter import PhysicalParams, Regime
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,7 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000) -> BoundStateSet
     res = _folded_residual(e_star, params)
     keep = res < _ACCEPT
     energies, residuals = tuple(e_star[keep].tolist()), tuple(res[keep].tolist())
+    from .scatter import Regime     # at call time: scatter imports this module
     regimes = tuple(Regime.SUBW if abs(e) < wabs else Regime.EVANESCENT
                     for e in energies)
     return BoundStateSet(energies=energies, residuals=residuals,

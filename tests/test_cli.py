@@ -657,7 +657,9 @@ def test_main_reports_usage_as_the_top_level_parser(capsys, argv, code, last):
 
 def test_repeated_main_calls_match_fresh_processes(capsys):
     # main() builds its parser once per process; later calls must not see
-    # anything left over from earlier ones, including a usage error
+    # anything left over from earlier ones, including a usage error.  Each
+    # command imports its own modules: one that misses an import fails only
+    # in a fresh process
     calls = [
         ["bound", "--V", "10", "--a", "2", "--grid", "400"],
         ["quad", "1", "2", "3"],
@@ -666,6 +668,13 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         ["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5",
          "--phi0", "0,0,0,0", "--dphi0=-0.5,-0.5,-0.5,0", "--points", "0,0.5,1",
          "--oracle", "--oracle-steps", "512"],
+        ["quad", "0", "1", "0", "0", "1", "1", "0", "1"],
+        ["eig", "0.3", "1", "0.2", "-0.5", "0.7", "0.4", "-1.1", "0.3",
+         "-0.2", "0.6", "0.9", "0.1", "1.2", "-0.3", "0.5", "0.8"],
+        ["ode", "c", "--a=2,0,0,0,0,0,0,0", "--b=1,0,0,0,0,0,0,0",
+         "--phi0=1,0,0,0", "--dphi0=0,0,0,0", "--points=0.5"],
+        ["scatter", "barrier", "--E", "1.3", "--V", "2", "--Wabs", "0.8",
+         "--Warg=-0.6", "--a", "1.1"],
     ]
     in_process = []
     for argv in calls:
@@ -680,4 +689,4 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         proc = subprocess.run([sys.executable, "-m", "quatode.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (code, out)
-    assert [code for code, _ in in_process] == [0, 2, 0, 0]
+    assert [code for code, _ in in_process] == [0, 2, 0, 0, 0, 0, 0, 0]

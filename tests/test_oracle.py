@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quatode import clode, hode, oracle
+from quatode import clode, hode, oracle, quadsolve
 from quatode.quatcore import I, J, K, ONE, Quaternion, RightLinearScalarOp
 
 from helpers import rand_quaternion, rk4_stage_loop
@@ -157,8 +157,13 @@ def test_residual_max_sphere_basis():
 
 
 def test_companion_roots_resolvent_cubic():
-    roots = np.roots([16, 24, -3, -1])
-    assert min(abs(r - 0.25) for r in roots) < 1e-12
+    # q^2 + i q + 1 + i + j = 0 is generic; its resolvent is 16w^3 + 24w^2 - 3w - 1
+    c = quadsolve.QuadraticCoeffs(0, (1, 0, 0), 1, (1, 1, 0))
+    assert quadsolve.classify(c) is quadsolve.CaseTag.GENERIC
+    w = quadsolve.cubic_resolvent(c)
+    positive = [r.real for r in np.roots([16, 24, -3, -1]) if r.real > 0]
+    assert len(positive) == 1
+    assert abs(w - 0.25) < 1e-12 and abs(w - positive[0]) < 1e-12
 
 
 def test_companion_roots_schrodinger_quartic():
