@@ -31,16 +31,26 @@ class DegenerateBasisError(ValueError):
 class GeneralSolution(ExpSum):
     """Two one-term basis sums; the terms are basis[0] c1 + basis[1] c2.
 
+    exponents are (q1, q2, u, lx) of the basis e^{q1 x}, (u + x lx) e^{q2 x}
+    (_exponents), which is built the first time basis is read.
     general_solution leaves the coefficients, and with them the terms, unset.
     """
 
-    __slots__ = ("basis", "roots")
+    __slots__ = ("roots", "_exponents", "_basis")
 
-    def __init__(self, basis: tuple[ExpSum, ExpSum],
-                 roots: Optional[quadsolve.RootSet] = None, terms=None):
+    def __init__(self, exponents: tuple, roots: Optional[quadsolve.RootSet] = None,
+                 terms=None):
         super().__init__(terms)
-        self.basis = basis
         self.roots = roots
+        self._exponents = exponents
+        self._basis = None
+
+    @property
+    def basis(self) -> tuple[ExpSum, ExpSum]:
+        if self._basis is None:
+            q1, q2, u, lx = self._exponents
+            self._basis = (ExpSum([exp_term(ONE, q1)]), ExpSum([exp_term(u, q2, Lx=lx)]))
+        return self._basis
 
 
 def _exponents(a: Quaternion, b: Quaternion):
@@ -62,8 +72,8 @@ def _exponents(a: Quaternion, b: Quaternion):
 
 def general_solution(a: Quaternion, b: Quaternion) -> GeneralSolution:
     """Basis of the equation, coefficients left unset."""
-    roots, q1, q2, u, lx = _exponents(a, b)
-    return GeneralSolution((ExpSum([exp_term(ONE, q1)]), ExpSum([exp_term(u, q2, Lx=lx)])), roots)
+    roots, *exponents = _exponents(a, b)
+    return GeneralSolution(tuple(exponents), roots)
 
 
 def solve_ivp(a: Quaternion, b: Quaternion,
@@ -81,8 +91,8 @@ def solve_ivp(a: Quaternion, b: Quaternion,
     dinv = (d.w / h / h, -d.x / h / h, -d.y / h / h, -d.z / h / h)     # conj(d) / |d|^2
     c2 = Quaternion(*_hamilton(dinv, (r.w, r.x, r.y, r.z)))
     c1 = phi0 - c2 if lx is None else phi0 - u * c2
-    basis = (ExpSum([exp_term(ONE, q1)]), ExpSum([exp_term(u, q2, Lx=lx)]))
-    return GeneralSolution(basis, roots, (exp_term(ONE, q1, c1), exp_term(u, q2, c2, Lx=lx)))
+    return GeneralSolution((q1, q2, u, lx), roots,
+                           (exp_term(ONE, q1, c1), exp_term(u, q2, c2, Lx=lx)))
 
 
 def residual(sol: GeneralSolution, a: Quaternion, b: Quaternion, x: float) -> float:

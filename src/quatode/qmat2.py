@@ -98,16 +98,17 @@ class Matrix2H:
                          [self.m[0][1].conjugate(), self.m[1][1].conjugate()]])
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(e.norm2() for row in self.m for e in row)))
+        """Frobenius norm, by math.hypot: finite for finite entries."""
+        return math.hypot(*(c for row in self.m for e in row for c in (e.w, e.x, e.y, e.z)))
 
     def counterpart(self) -> np.ndarray:
         """4x4 complex matrix in the svec coordinates, laid out as Matrix2CL's:
         the entry z1 + j z2 has the counterpart [[z1, -conj z2], [z2, conj z1]]."""
-        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = [e.symplectic() for row in self.m for e in row]
-        return np.array([[a1, b1, -a2.conjugate(), -b2.conjugate()],
-                         [c1, d1, -c2.conjugate(), -d2.conjugate()],
-                         [a2, b2, a1.conjugate(), b1.conjugate()],
-                         [c2, d2, c1.conjugate(), d1.conjugate()]])
+        (a1, a2), (b1, b2), (c1, c2), (d1, d2) = _pairs(*self.m[0], *self.m[1])
+        return np.array([a1, b1, -a2.conjugate(), -b2.conjugate(),
+                         c1, d1, -c2.conjugate(), -d2.conjugate(),
+                         a2, b2, a1.conjugate(), b1.conjugate(),
+                         c2, d2, c1.conjugate(), d1.conjugate()]).reshape(4, 4)
 
     def solve(self, rhs) -> tuple[Quaternion, Quaternion]:
         """The 2-vector c with M c = rhs, by block elimination (_eliminate).
@@ -160,6 +161,13 @@ def _companion_counterpart(a, b) -> np.ndarray:
                      [0j, 0j, 0j, 1], [-b10, -a10, -b11, -a11]], dtype=complex)
 
 
+def _matrix(m: tuple) -> Matrix2H:
+    """The Matrix2H of m, a 2x2 tuple of quaternions, without __init__'s checks."""
+    out = object.__new__(Matrix2H)
+    out.m = m
+    return out
+
+
 def _as_quaternion(e) -> Quaternion:
     if isinstance(e, Quaternion):
         return e
@@ -169,6 +177,11 @@ def _as_op(e) -> RightLinearScalarOp:
     if isinstance(e, RightLinearScalarOp):
         return e
     return RightLinearScalarOp(_as_quaternion(e), Quaternion())
+
+
+def _pairs(*qs: Quaternion) -> list[tuple[complex, complex]]:
+    """Symplectic pairs of the quaternions qs: Quaternion.symplectic inline."""
+    return [(complex(q.w, q.x), complex(q.y, -q.z)) for q in qs]
 
 
 def _pmul(a: tuple, b: tuple) -> tuple:
@@ -190,11 +203,12 @@ def _eliminate(m, rhs=()) -> tuple:
     dieudonne(s m) = |a| |S| (a unit-triangular row operation keeps the Study
     determinant), the squared column norms of s m, and the solution of
     m x = r for each r in rhs; the caller judges singularity."""
-    pairs = [e.symplectic() for row in m for e in row]
-    s = math.ldexp(1.0, -math.frexp(max(abs(z) for p in pairs for z in p))[1])
-    a, b, c, d = [(z1 * s, z2 * s) for z1, z2 in pairs]
+    (a1, a2), (b1, b2), (c1, c2), (d1, d2) = _pairs(*m[0], *m[1])
+    s = math.ldexp(1.0, -math.frexp(max(map(abs, (a1, a2, b1, b2, c1, c2, d1, d2))))[1])
+    a, b, c, d = (a1 * s, a2 * s), (b1 * s, b2 * s), (c1 * s, c2 * s), (d1 * s, d2 * s)
     na, nb, nc, nd = [abs(z1) ** 2 + abs(z2) ** 2 for z1, z2 in (a, b, c, d)]
-    if nc > na:
+    swap = nc > na
+    if swap:
         a, b, c, d = c, d, a, b
     ainv = _pinv(a, max(na, nc))
     low = _pmul(c, ainv)
@@ -204,13 +218,13 @@ def _eliminate(m, rhs=()) -> tuple:
     sinv = _pinv(schur, ns)
     xs = []
     for r in rhs:
-        r1, r2 = [q.symplectic() for q in (r[::-1] if nc > na else r)]
+        r1, r2 = _pairs(*(r[::-1] if swap else r))
         lr = _pmul(low, r1)
         y2 = _pmul(sinv, (r2[0] - lr[0], r2[1] - lr[1]))
         by = _pmul(b, y2)
         y1 = _pmul(ainv, (r1[0] - by[0], r1[1] - by[1]))
         # s m has the solution x / s
-        xs.append(lift([y1[0] * s, y2[0] * s, y1[1] * s, y2[1] * s]))
+        xs.append(lift((y1[0] * s, y2[0] * s, y1[1] * s, y2[1] * s)))
     return s, math.sqrt(max(na, nc) * ns), (na + nc, nb + nd), xs
 
 
@@ -249,29 +263,44 @@ def _nullspaces(c: np.ndarray, zs, tols) -> list[np.ndarray]:
             for sv, v, tol in zip(s, vh, tols)]
 
 
-def _unit_phase(v) -> list[complex]:
-    """The complex 4-vector v scaled to unit norm, with its largest component
-    real and positive."""
+def _unit_lift(v) -> tuple[Quaternion, Quaternion]:
+    """lift of the complex 4-vector v scaled to unit norm, with its largest
+    component real and positive."""
     mods = list(map(abs, v))
     top = max(mods)
     phase = v[mods.index(top)].conjugate() / (top * math.hypot(*mods))
-    return [z * phase for z in v]
+    return lift([z * phase for z in v])
+
+
+def _fold(z: complex, zbar: complex) -> complex:
+    """The canonical eigenvalue of the conjugate pair (z, zbar)."""
+    return complex((z.real + zbar.real) / 2.0, (abs(z.imag) + abs(zbar.imag)) / 2.0)
 
 
 def _canonical_pairs(lam: np.ndarray) -> list[tuple[complex, int]]:
-    """Fold the conjugate-closed 4-spectrum into 2 canonical eigenvalues, each
-    with the index in lam of its member of larger imaginary part."""
-    rest = list(enumerate(lam.tolist()))
-    canon = []
-    while rest:
-        imag = [z.imag for _, z in rest]
-        idx, z = rest.pop(imag.index(max(imag)))
-        dist = [abs(w - z.conjugate()) for _, w in rest]
-        zbar = rest.pop(dist.index(min(dist)))[1]
-        canon.append((complex((z.real + zbar.real) / 2.0,
-                              (abs(z.imag) + abs(zbar.imag)) / 2.0), idx))
-    canon.sort(key=lambda p: (p[0].imag, p[0].real))
-    return canon
+    """Fold the conjugate-closed 4-spectrum into 2 canonical eigenvalues,
+    sorted by (imaginary, real) part, each with the index in lam of its member
+    of larger imaginary part.  The first pair is the first value of largest
+    imaginary part and the first of the other three nearest its conjugate."""
+    lams = lam.tolist()
+    imag = [z.imag for z in lams]
+    k1 = imag.index(max(imag))
+    z = lams[k1]
+    zc = z.conjugate()
+    n0, n1, n2 = [n for n in range(4) if n != k1]
+    d0, d1, d2 = abs(lams[n0] - zc), abs(lams[n1] - zc), abs(lams[n2] - zc)
+    if d0 <= d1 and d0 <= d2:
+        zbar, k2, k3 = lams[n0], n1, n2
+    elif d1 <= d2:
+        zbar, k2, k3 = lams[n1], n0, n2
+    else:
+        zbar, k2, k3 = lams[n2], n0, n1
+    if imag[k3] > imag[k2]:
+        k2, k3 = k3, k2
+    first, second = (_fold(z, zbar), k1), (_fold(lams[k2], lams[k3]), k2)
+    if (second[0].imag, second[0].real) < (first[0].imag, first[0].real):
+        return [second, first]
+    return [first, second]
 
 
 def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
@@ -291,11 +320,12 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
         if z1.imag > merge_tol:
             # four simple counterpart eigenvalues: each eigenspace is eig's
             # column at the member of the pair with Im > 0
-            cols = [vec[:, k].tolist() for k in (k1, k2)]
+            cols = vec.T.tolist()
+            vecs = (_unit_lift(cols[k1]), _unit_lift(cols[k2]))
         else:
             # a real z pairs with itself: a two-dimensional eigenspace
-            cols = [ns[:, 0].tolist() for ns in _nullspaces(c, (z1, z2), (tol, tol))]
-        vecs = tuple(lift(_unit_phase(v)) for v in cols)
+            vecs = tuple(_unit_lift(ns[:, 0].tolist())
+                         for ns in _nullspaces(c, (z1, z2), (tol, tol)))
         return EigenDecomposition((z1, z2), vecs, form="diagonal")
     # double canonical eigenvalue; the mean is eps-accurate even though the
     # individual values are not.  A real z pairs with itself, and eig may split
@@ -305,7 +335,7 @@ def right_eigenpairs(m: Matrix2H) -> EigenDecomposition:
     z = complex(z.real, 0.0) if needed == 4 else z
     rank_tol = max(tol, 2.0 * abs(z1 - z2))
     ns, = _nullspaces(c, (z,), (rank_tol,))
-    first, *others = (lift(_unit_phase(v)) for v in ns.T.tolist())
+    first, *others = map(_unit_lift, ns.T.tolist())
     if ns.shape[1] >= needed:
         for other in others:
             if dieudonne(Matrix2H.from_columns(first, other)) > _INDEP_TOL:
@@ -354,7 +384,8 @@ def _transform_solve(m: Matrix2H, dec: EigenDecomposition, rhs=None):
         gen = lift(w)
         gauge = Quaternion.from_complex(gen[idx].symplectic()[0])
         cols = (psi, tuple(g - p * gauge for g, p in zip(gen, psi)))
-    t = Matrix2H.from_columns(*cols)
+    (c00, c10), (c01, c11) = cols
+    t = _matrix(((c00, c01), (c10, c11)))
     _, det, (n0, n1), xs = _eliminate(t.m, rhs or ((ONE, ZERO), (ZERO, ONE)))
     if det <= _INDEP_TOL * math.sqrt(n0 * n1):
         raise DefectiveMatrixError("eigenvectors quaternionically dependent")
@@ -375,7 +406,7 @@ class MatrixSolution(ExpSum):
 
 def companion_matrix(a: Quaternion, b: Quaternion) -> Matrix2H:
     """Matrix form [[0, 1], [-b, -a]] of phi'' + a phi' + b phi = 0."""
-    return Matrix2H([[ZERO, ONE], [-b, -a]])
+    return _matrix(((ZERO, ONE), (_as_quaternion(-b), _as_quaternion(-a))))
 
 
 def solve_ode_via_matrix(a: Quaternion, b: Quaternion,

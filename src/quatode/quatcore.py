@@ -78,7 +78,8 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        # hypot scales internally: a finite quaternion has a finite norm
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm2()
@@ -244,7 +245,8 @@ _AXIS_I = (1.0, -1j, 0.0, 0.0)    # 1 - I i
 
 
 def exp_term(L, q, R=ONE, Lx=None) -> Term:
-    """The term (L + x Lx) exp(q x) R; q is a quaternion or a complex a + b i.
+    """The term (L + x Lx) exp(q x) R; q is a quaternion or a complex a + b i,
+    L and Lx are quaternions, R is a quaternion or a real or complex number.
 
     With q = w + v and u = v/|v| (u = i when v = 0), u^2 = -1 gives
     exp(q x) = Re(e^{zx}) + Im(e^{zx}) u for the complex z = w + i|v|.  So
@@ -260,8 +262,9 @@ def exp_term(L, q, R=ONE, Lx=None) -> Term:
     else:
         z, axis = complex(q), _AXIS_I
     right = axis if R is ONE else _hamilton(axis, _components(R))
-    px = None if Lx is None else right if Lx is ONE else _hamilton(_components(Lx), right)
-    return Term(z, right if L is ONE else _hamilton(_components(L), right), px)
+    px = (None if Lx is None else right if Lx is ONE
+          else _hamilton((Lx.w, Lx.x, Lx.y, Lx.z), right))
+    return Term(z, right if L is ONE else _hamilton((L.w, L.x, L.y, L.z), right), px)
 
 
 class ExpSum:
@@ -295,19 +298,19 @@ class ExpSum:
         for z, p, px in self.terms:
             e = cmath.exp(z * x)
             if order == 0:
-                en, dn = e, x * e
+                en = e
             elif order == 1:
                 en = z * e
-                dn = x * en + e
             else:
                 ze = z * e
                 en = z * ze
-                dn = x * en + 2.0 * ze
             w += en * p[0]
             i += en * p[1]
             j += en * p[2]
             k += en * p[3]
             if px is not None:
+                # dn only for a term with an affine part
+                dn = x * e if order == 0 else x * en + e if order == 1 else x * en + 2.0 * ze
                 w += dn * px[0]
                 i += dn * px[1]
                 j += dn * px[2]

@@ -470,6 +470,18 @@ def test_ode_builds_the_rk4_generator_only_to_check_a_point(capsys, monkeypatch,
     assert built == ["qlinear_rhs" if kind == "h" else "clinear_rhs"]
 
 
+def test_ode_reports_a_finite_residual_of_a_huge_solution(capsys):
+    # phi ~ 1e170 leaves a residual ~ 2e155, whose square overflows
+    code, out = run(capsys, "ode", "h", "--a", "0.3,0.7,-0.2,0.5", "--b", "2.1,-0.4,0.9,0.3",
+                    "--phi0=1e170,1e170,-1e170,1e170", "--dphi0", "1e170,0,1e170,0",
+                    "--points", "0.37,1")
+    assert code == 0
+    for pt in json.loads(out)["points"]:
+        size = math.hypot(*pt["phi"])
+        assert 1e169 < size < 1e171
+        assert 0.0 < pt["residual"] <= 1e-13 * size
+
+
 def test_ode_complex_linear(capsys):
     code, out = run(capsys, "ode", "c", "--a", "0,0,0,0,0,0,0,0",
                     "--b", "0,0,0,0,0,0,-1,0", "--phi0", "0,0,1,0",

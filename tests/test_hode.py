@@ -221,6 +221,23 @@ def test_basis_wronskian_positive():
         assert w > 1e-12
 
 
+def test_ivp_builds_its_basis_on_first_read(monkeypatch):
+    # solve_ivp makes only its two terms; the first read of basis builds the
+    # sums of general_solution, bit for bit, and later reads return them
+    built = []
+    monkeypatch.setattr(hode, "exp_term", lambda *args, **kw: built.append(args) or exp_term(*args, **kw))
+    rng = np.random.default_rng(36)
+    for n in range(90):
+        a, b = branch_coefficients(rng, list(BRANCHES)[n % len(BRANCHES)])
+        built.clear()
+        sol = hode.solve_ivp(a, b, rand_quaternion(rng), rand_quaternion(rng))
+        assert len(built) == 2
+        basis = sol.basis
+        assert len(built) == 4 and sol.basis is basis
+        assert ([repr(f.terms) for f in basis]
+                == [repr(f.terms) for f in hode.general_solution(a, b).basis])
+
+
 def test_evaluate_vs_rk4():
     rng = np.random.default_rng(35)
     for _ in range(10):

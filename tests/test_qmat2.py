@@ -6,7 +6,7 @@ import pytest
 from quatode import clode, hode, qmat2
 from quatode.qmat2 import (DefectiveMatrixError, Matrix2CL, Matrix2H,
                            dieudonne, lift, svec)
-from quatode.quatcore import I, J, K, ONE, ZERO, Quaternion, RightLinearScalarOp
+from quatode.quatcore import I, J, K, ONE, ZERO, Quaternion, RightLinearScalarOp, exp_term
 
 from helpers import (counterpart_solve, per_entry_counterpart, rand_quaternion,
                      reconstruct_antihermitian, spy_eigen_calls, svd_right_eigenpairs,
@@ -148,6 +148,36 @@ def test_conjugate_pair_spectrum_property():
             used[bidx] = True
 
 
+def _pairing_loop(lam):
+    """_canonical_pairs as a loop: take the first value of largest imaginary
+    part and the first remaining value nearest its conjugate, twice; fold
+    each pair and sort stably by (imaginary, real) part."""
+    rest = list(enumerate(lam.tolist()))
+    canon = []
+    while rest:
+        imag = [z.imag for _, z in rest]
+        idx, z = rest.pop(imag.index(max(imag)))
+        dist = [abs(w - z.conjugate()) for _, w in rest]
+        zbar = rest.pop(dist.index(min(dist)))[1]
+        canon.append((complex((z.real + zbar.real) / 2.0,
+                              (abs(z.imag) + abs(zbar.imag)) / 2.0), idx))
+    canon.sort(key=lambda p: (p[0].imag, p[0].real))
+    return canon
+
+
+def test_canonical_pairs_match_the_pairing_loop():
+    # bit for bit, on counterpart spectra and on spectra with ties in the
+    # imaginary parts, in the distances and in the folded values
+    rng = np.random.default_rng(45)
+    spectra = [np.linalg.eigvals(rand_matrix(rng).counterpart()) for _ in range(300)]
+    for _ in range(300):
+        z, w = rng.choice([-1.0, 0.0, 1.0], 2) + 1j * rng.choice([-1.0, 0.0, 1.0, 2.0], 2)
+        for lam in ([z, z.conjugate(), w, w.conjugate()], [z, w, z, w.conjugate()]):
+            spectra.append(np.array(lam)[rng.permutation(4)])
+    for lam in spectra:
+        assert repr(qmat2._canonical_pairs(lam)) == repr(_pairing_loop(lam))
+
+
 # -- diagonalization ---------------------------------------------------------
 
 
@@ -272,10 +302,12 @@ def test_ode_via_matrix_jordan_example():
 
 
 def test_ode_via_matrix_cosine():
-    sol = qmat2.solve_ode_via_matrix(Quaternion(), ONE, ONE, Quaternion())
-    for x in (0.0, 0.5, 2.0):
-        assert (sol.value(x) - Quaternion(math.cos(x))).norm() < 1e-12
-        assert (sol.derivative(x) - Quaternion(-math.sin(x))).norm() < 1e-12
+    # real coefficients may be given as floats
+    for a, b in ((Quaternion(), ONE), (0.0, 1.0)):
+        sol = qmat2.solve_ode_via_matrix(a, b, ONE, Quaternion())
+        for x in (0.0, 0.5, 2.0):
+            assert (sol.value(x) - Quaternion(math.cos(x))).norm() < 1e-12
+            assert (sol.derivative(x) - Quaternion(-math.sin(x))).norm() < 1e-12
 
 
 def test_ode_via_matrix_agrees_with_hode():
@@ -467,6 +499,36 @@ def test_ivp_solvers_agree_on_every_branch():
             ("repeated", "jordan", 1, False, 2), ("repeated", "jordan", 1, True, 2)} <= seen
 
 
+def test_matrix_route_is_its_public_pieces():
+    # the terms are exp_term on the first row of T = dec.transform with the
+    # coefficients of T.solve, bit for bit; T's leading columns are the
+    # eigenvectors, diagonalize or jordanize gives the same T and T^-1, and
+    # T, the diagonal or Jordan block and T^-1 rebuild the companion matrix
+    rng = np.random.default_rng(56)
+    branches = ("generic", "real_pair", "one_real", "sphere", "real_double", "repeated")
+    seen = set()
+    for n in range(240):
+        a, b, phi0, dphi0 = _branch_ivp(rng, branches[n % len(branches)])
+        sol = qmat2.solve_ode_via_matrix(a, b, phi0, dphi0)
+        dec = sol.decomposition
+        t, (z1, z2) = dec.transform, dec.eigenvalues
+        r1, r2 = t.solve((phi0, dphi0))
+        lx = t[0, 0] if dec.defective else None
+        assert repr(sol.terms) == repr((exp_term(t[0, 0], z1, r1), exp_term(t[0, 1], z2, r2, Lx=lx)))
+        assert tuple(zip(*t.m))[:len(dec.eigenvectors)] == dec.eigenvectors
+        m = qmat2.companion_matrix(a, b)
+        full = (qmat2.jordanize if dec.defective else qmat2.diagonalize)(m)
+        assert (full.transform.m, full.transform_inv.m) == (t.m, t.inverse().m)
+        if dec.defective:
+            seen.add("jordan")
+            block = Matrix2H([[z1, 1], [0, z1]])
+        else:
+            seen.add("double" if z1 == z2 else "real" if z1.imag < 1e-9 else "complex")
+            block = Matrix2H.diagonal(z1, z2)
+        assert (t @ block @ t.inverse() - m).norm() <= 1e-12 * m.norm()
+    assert seen == {"complex", "real", "double", "jordan"}
+
+
 # -- anti-hermitian spectral decomposition -----------------------------------
 
 
@@ -511,6 +573,14 @@ def test_h_with_right_i_reproduces_eigenvalue_equation():
 def test_spectral_decomposition_rejects_non_antihermitian():
     with pytest.raises(ValueError):
         qmat2.spectral_decompose_antihermitian(Matrix2H([[1, 0], [0, 1]]))
+
+
+def test_norm_of_large_entries_is_finite():
+    # entries of 1e160: their squares overflow, the Frobenius norm does not
+    m = Matrix2H([[e * 1e160 for e in row] for row in S1.m])
+    assert m.norm() == pytest.approx(math.sqrt(20.0) * 1e160, rel=1e-15)
+    assert Matrix2H([[1e160, 0], [0, 1e160]]).norm() == pytest.approx(math.sqrt(2.0) * 1e160,
+                                                                    rel=1e-15)
 
 
 def test_inverse_roundtrip_random():

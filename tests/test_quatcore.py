@@ -44,6 +44,12 @@ def test_norm_multiplicativity_bulk():
             1.0 + p.norm() * q.norm())
 
 
+def test_norm_of_a_finite_quaternion_is_finite():
+    # the squares of 1e200 overflow; hypot's scaling does not
+    assert Quaternion(1e200, -1e200, 1e200, 1e200).norm() == pytest.approx(2e200, rel=1e-15)
+    assert Quaternion(3e-200, 0.0, -4e-200, 0.0).norm() == pytest.approx(5e-200, rel=1e-15)
+
+
 def test_mul_against_tuple_oracle():
     rng = np.random.default_rng(8)
     for _ in range(200):
