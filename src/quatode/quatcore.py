@@ -309,7 +309,6 @@ class ExpSum:
             j += en * p[2]
             k += en * p[3]
             if px is not None:
-                # dn only for a term with an affine part
                 dn = x * e if order == 0 else x * en + e if order == 1 else x * en + 2.0 * ze
                 w += dn * px[0]
                 i += dn * px[1]

@@ -225,7 +225,8 @@ def test_ivp_builds_its_basis_on_first_read(monkeypatch):
     # solve_ivp makes only its two terms; the first read of basis builds the
     # sums of general_solution, bit for bit, and later reads return them
     built = []
-    monkeypatch.setattr(hode, "exp_term", lambda *args, **kw: built.append(args) or exp_term(*args, **kw))
+    monkeypatch.setattr(hode, "exp_term",
+                        lambda *args, **kw: built.append(args) or exp_term(*args, **kw))
     rng = np.random.default_rng(36)
     for n in range(90):
         a, b = branch_coefficients(rng, list(BRANCHES)[n % len(BRANCHES)])

@@ -514,7 +514,8 @@ def test_matrix_route_is_its_public_pieces():
         t, (z1, z2) = dec.transform, dec.eigenvalues
         r1, r2 = t.solve((phi0, dphi0))
         lx = t[0, 0] if dec.defective else None
-        assert repr(sol.terms) == repr((exp_term(t[0, 0], z1, r1), exp_term(t[0, 1], z2, r2, Lx=lx)))
+        terms = (exp_term(t[0, 0], z1, r1), exp_term(t[0, 1], z2, r2, Lx=lx))
+        assert repr(sol.terms) == repr(terms)
         assert tuple(zip(*t.m))[:len(dec.eigenvectors)] == dec.eigenvectors
         m = qmat2.companion_matrix(a, b)
         full = (qmat2.jordanize if dec.defective else qmat2.diagonalize)(m)
