@@ -92,8 +92,8 @@ def cmd_ode(args) -> int:
         # hode.residual and clode.residual, in their operand order, on the
         # payload's phi and phi': one evaluation of each per point
         resid = (sol.second(x) + apply_a(dphi) + apply_b(phi)).norm()
-        point = {"x": x, "phi": list(phi.to_array()),
-                 "dphi": list(dphi.to_array()), "residual": resid}
+        point = {"x": x, "phi": [phi.w, phi.x, phi.y, phi.z],
+                 "dphi": [dphi.w, dphi.x, dphi.y, dphi.z], "residual": resid}
         # e.g. z^2 e^{zx} p with |z| near the float range and p ~ 0 is inf * 0
         if not all(map(math.isfinite, (*point["phi"], *point["dphi"], point["residual"]))):
             raise OverflowError(f"solution or residual is not finite at x = {x!r}")
@@ -108,8 +108,8 @@ def cmd_ode(args) -> int:
             rhs = (oracle.qlinear_rhs if args.kind == "h" else oracle.clinear_rhs)(a, b)
             states = oracle.rk4_endpoint(rhs, args.phi0, args.dphi0, 0.0,
                                          np.array([x for x, _ in ends]), args.oracle_steps)
-            for (_, phi), end in zip(ends, states):
-                worst = max(worst, (Quaternion.from_array(end[:4]) - phi).norm())
+            for (_, phi), end in zip(ends, states.tolist()):
+                worst = max(worst, (Quaternion(*end[:4]) - phi).norm())
         payload["oracle_max_err"] = worst
     print(json.dumps(payload))
     return 0

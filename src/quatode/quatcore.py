@@ -82,10 +82,17 @@ class Quaternion:
         return math.hypot(self.w, self.x, self.y, self.z)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm2()
-        if n2 == 0.0:
+        # conj(p) / |p|^2 for p = q 2^-e, whose largest component is in
+        # [1/2, 1), scaled by 2^-e again: the powers of two scale exactly, and
+        # |p|^2 in [1/4, 4) cannot over- or underflow where 1/q is finite
+        big = max(abs(self.w), abs(self.x), abs(self.y), abs(self.z))
+        if big == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        e = math.frexp(big)[1]
+        w, x, y, z = (math.ldexp(c, -e) for c in (self.w, self.x, self.y, self.z))
+        n2 = w * w + x * x + y * y + z * z
+        return Quaternion(math.ldexp(w / n2, -e), math.ldexp(-x / n2, -e),
+                          math.ldexp(-y / n2, -e), math.ldexp(-z / n2, -e))
 
     def __add__(self, other):
         other = _coerce(other)

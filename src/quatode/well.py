@@ -4,28 +4,43 @@ A bound state is an energy in (-sqrt(V^2 + |W|^2), 0) at which the
 homogeneous 8x8 matching system of the four decaying exterior modes and the
 four interior modes is singular: scatter's barrier system at E < 0, without
 its incident wave, at |W| (arg W is a gauge, see scatter).  The mirror
-x -> a - x splits it into an even and an odd 4x4 block, each singular where
-a 2x2 determinant vanishes (_parity_determinants).  At W = 0 both
-determinants are real and change sign once at each state of their parity.
-find_bound_states evaluates them over a grid of energies in one numpy call,
-and every sign change of the real part between two neighbouring grid
-energies, in either block, is one bracket.  One secant search per bracket
-(_secant_roots) refines it: a plain Python loop on _parity_determinant, one
-entry of the same function on Python complex, since a search needs only a
-handful of evaluations.  Each search keeps a sign bracket [blo, bhi] inside
-its scan bracket: an iterate inside it with a finite value replaces the end
-whose real part has its sign.  A secant step that would leave the scan
-bracket goes to the middle of the sign bracket, so a secant through two
-points of one sign cannot walk away from the state.  A search stops when its
-step is within xtol, when the step's zero lies far off the real axis (a near
-miss, not a root), or after _MAX_STEPS steps.  A closed-form residual
-(_folded_residual, one numpy call on the sorted energies) then certifies
-them and alone decides acceptance: the smallest singular value of the 8x8
-system after an orthonormal basis of the interior columns' span takes their
-place, so the coinciding interior modes at E = -|W| give no state.  It
-follows from the same fold and the principal angle between the exterior and
-the interior span, in elementwise numpy on unit-size columns, so thick wells
-do not overflow.  The scattering module re-exports find_bound_states and
+x -> a - x splits it into an even and an odd 4x4 block, and
+find_bound_states scans a grid of energies for the states of each block.
+
+At W = 0 the blocks are the textbook square well (H. Prüfer, Math. Ann. 95,
+499 (1926)).  With t = k a / 2 and s = kappa a / 2 for the interior and
+exterior wave numbers, the n-th even state is where the phase
+theta = t - atan2(s, t) equals n pi, and the n-th odd one where it equals
+n pi + pi / 2, n = 0, 1, ...  theta rises from -pi / 2 at E = -V with
+dtheta/dt = 1 + 1 / s, so the number of states of a parity at or below E is
+floor((theta - shift) / pi) + 1, shift 0 or pi / 2.  _phase_roots evaluates
+theta over the grid in one numpy pass, and a scan cell in which a count
+rises by j holds j states of that parity: two states of one parity in one
+cell are two states.  Each is refined inside its cell by a safeguarded
+Newton iteration on Python floats (_phase_root).
+
+At |W| != 0 each block is singular where a 2x2 determinant vanishes
+(_parity_determinants).  find_bound_states evaluates both over the grid in
+one numpy call, and every sign change of the real part between two
+neighbouring grid energies, in either block, is one bracket.  One secant
+search per bracket (_secant_roots) refines it: a plain Python loop on
+_parity_determinant, one entry of the same function on Python complex, since
+a search needs only a handful of evaluations.  Each search keeps a sign
+bracket [blo, bhi] inside its scan bracket: an iterate inside it with a
+finite value replaces the end whose real part has its sign.  A secant step
+that would leave the scan bracket goes to the middle of the sign bracket, so
+a secant through two points of one sign cannot walk away from the state.  A
+search stops when its step is within xtol, when the step's zero lies far off
+the real axis (a near miss, not a root), or after _MAX_STEPS steps.
+
+At any W a closed-form residual (_folded_residual, one numpy call on the
+sorted energies) then certifies the refined energies and alone decides
+acceptance: the smallest singular value of the 8x8 system after an
+orthonormal basis of the interior columns' span takes their place, so the
+coinciding interior modes at E = -|W| give no state.  It follows from the
+same fold and the principal angle between the exterior and the interior
+span, in elementwise numpy on unit-size columns, so thick wells do not
+overflow.  The scattering module re-exports find_bound_states and
 BoundStateSet.
 """
 
@@ -66,6 +81,21 @@ _MAX_STEPS = 12
 # a state, and lost none; without it 1925 searches reached _MAX_STEPS, and
 # the 80 benchmark spectra took 1461 evaluations instead of 1030.
 _OFF_AXIS = 1e6
+# At most this many Newton steps per W = 0 state.  On 640 W = 0 wells (150
+# seeded ones of 1-300 states at grid 50 and 450 of 1-40 states at grids 250,
+# 400 and 2000, hbar in 1e-3..1e3 and m in 0.1..10, and the 40 benchmark
+# spectra of seeds 1-10; 32,485 states) a state took at most 4.
+_PHASE_STEPS = 12
+# pi / 2 = _HALF_PI + _HALF_PI_TAIL to 4e-27: _HALF_PI has 31 significant
+# bits, so order * _HALF_PI is exact for order < 2^22, and a state's target
+# order pi / 2 is not rounded before theta's t is subtracted from it
+_HALF_PI, _HALF_PI_TAIL = 1.5707963267341256, 6.077100506506192e-11
+# A W = 0 well of more states than this is a ValueError: the certificate
+# takes about 1 kB of working memory per state (135 MB for 99,000 states),
+# and the count is known in closed form before any state is refined.
+_MAX_STATES = 100_000
+# the Prüfer phase's offset of the even and the odd states, (parity, 1)
+_SHIFTS = np.array(((0.0,), (0.5 * math.pi,)))
 # A refined energy is a state when its residual is below this.
 _ACCEPT = 1e-8
 _NAN = complex(math.nan, math.nan)
@@ -241,11 +271,79 @@ def _secant_roots(es: np.ndarray, f: np.ndarray, parity: np.ndarray, n: np.ndarr
     return np.array(out)
 
 
+def _phase_root(order: int, lo: float, hi: float, tlo: float, thi: float,
+                V: float, half: float) -> float:
+    """The energy in [lo, hi] where theta = order pi / 2, with
+    tlo = theta(lo) < order pi / 2 <= thi = theta(hi).
+
+    order is 2 n for the n-th even state and 2 n + 1 for the n-th odd one.
+
+    half = sqrt(m / 2) a / hbar, so t = half sqrt(E + V) and s = half sqrt(-E).
+    Newton in E, dtheta/dE = (1 + 1 / s) dt/dE, from the energy whose t
+    interpolates theta linearly between the cell's ends (theta - t varies
+    slowly); a step that would leave the bracket, which each iterate narrows
+    by the sign of theta - order pi / 2, goes to its middle.  Stops after a
+    step within 4 ulps of V, at |theta - order pi / 2| within 4 ulps of
+    order pi / 2 + pi (its rounding), or after _PHASE_STEPS steps.
+    """
+    target, tail = order * _HALF_PI, order * _HALF_PI_TAIL
+    xtol, gtol = 4.0 * math.ulp(V), 4.0 * math.ulp(target + math.pi)
+    rlo, rhi = math.sqrt(lo + V), math.sqrt(hi + V)
+    r = rlo + (target - tlo) / (thi - tlo) * (rhi - rlo)
+    e = min(max(r * r - V, lo), hi)
+    for _ in range(_PHASE_STEPS):
+        r, q = math.sqrt(e + V), math.sqrt(-e)
+        t = half * r
+        g = (t - target) - tail - math.atan2(half * q, t)
+        if g < 0.0:
+            lo = e
+        else:
+            hi = e
+        x = e - 2.0 * r * g / (half + 1.0 / q)
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        step, e = abs(x - e), x
+        if step <= xtol or abs(g) <= gtol:
+            break
+    return e
+
+
+def _phase_roots(es: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """The W = 0 states in the scan cells of es, one _phase_root each.
+
+    theta is evaluated over es in one numpy pass; a cell where the count of
+    a parity's states rises by j holds the j states whose targets
+    n pi + shift its ends enclose.  A well of more than _MAX_STATES states is
+    a ValueError.  See the module docstring.
+    """
+    V = params.V
+    # t at E = 0, in an order that is finite where find_bound_states'
+    # phase check passed; the well has floor(2 t0 / pi) + 1 states
+    t0 = params.a * (math.sqrt(0.5 * params.m) * math.sqrt(V)) / params.hbar
+    if 2.0 * t0 / math.pi >= _MAX_STATES:
+        raise ValueError(f"the W = 0 well has {math.floor(2.0 * t0 / math.pi) + 1:.6g}"
+                         f" states, more than {_MAX_STATES}")
+    half = t0 / math.sqrt(V)
+    t = half * np.sqrt(es + V)
+    theta = t - np.arctan2(half * np.sqrt(-es), t)
+    # (parity, n): the count of the parity's states at or below es[n], less one
+    below = np.floor((theta - _SHIFTS) / math.pi)
+    parity, n = np.nonzero(below[:, :-1] != below[:, 1:])
+    cells = np.array((es[n], es[n + 1], theta[n], theta[n + 1],
+                      below[parity, n], below[parity, n + 1])).T.tolist()
+    roots = []
+    for odd, (lo, hi, tlo, thi, klo, khi) in zip(parity.tolist(), cells):
+        roots += [_phase_root(2 * k + odd, lo, hi, tlo, thi, V, half)
+                  for k in range(int(klo) + 1, int(khi) + 1)]
+    return np.array(roots)
+
+
 def find_bound_states(params: PhysicalParams, grid: int = 2000) -> BoundStateSet:
     """Scan E in (-sqrt(V^2+|W|^2), 0) for singular matching systems.
 
-    Each sign change of a parity determinant's real part on the grid is
-    refined by _secant_roots; energies whose residual (_folded_residual) is
+    At W = 0 the states come from the Prüfer phase (_phase_roots); otherwise
+    each sign change of a parity determinant's real part on the grid is
+    refined by _secant_roots.  Energies whose residual (_folded_residual) is
     below _ACCEPT are returned in ascending order.
     """
     with np.errstate(over="ignore"):     # abs(W) bit for bit, or inf where it overflows
@@ -262,10 +360,14 @@ def find_bound_states(params: PhysicalParams, grid: int = 2000) -> BoundStateSet
         raise ValueError("well phase 2 a sqrt(m sqrt(V^2 + |W|^2)) / hbar overflows")
     margin = 1e-6 * vmax
     es = np.linspace(-vmax + margin, -margin, grid)
-    f = _parity_determinants(es, params)
-    sign = np.signbit(f.real)
-    parity, n = np.nonzero(sign[:, :-1] != sign[:, 1:])
-    e_star = np.sort(_secant_roots(es, f, parity, n, 1e-12 * max(1.0, vmax), params))
+    if wabs:
+        f = _parity_determinants(es, params)
+        sign = np.signbit(f.real)
+        parity, n = np.nonzero(sign[:, :-1] != sign[:, 1:])
+        e_star = _secant_roots(es, f, parity, n, 1e-12 * max(1.0, vmax), params)
+    else:
+        e_star = _phase_roots(es, params)
+    e_star = np.sort(e_star)
     res = _folded_residual(e_star, params)
     keep = res < _ACCEPT
     energies, residuals = tuple(e_star[keep].tolist()), tuple(res[keep].tolist())

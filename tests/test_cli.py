@@ -470,6 +470,30 @@ def test_ode_builds_the_rk4_generator_only_to_check_a_point(capsys, monkeypatch,
     assert built == ["qlinear_rhs" if kind == "h" else "clinear_rhs"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ode", "h", "--a", "0,1,0,0", "--b", "0.25,0.5,0,0.5", "--phi0", "0,0,0,0",
+     "--dphi0=-0.5,-0.5,-0.5,0", "--points", "0,0.5,1", "--oracle", "--oracle-steps", "512"],
+    ["ode", "c", "--a=0.3,-0.7,0.2,0.5,0.4,0.1,-0.6,0.9", "--b=-0.8,0.6,1.1,-0.2,0.3,-0.5,0.7,0.2",
+     "--phi0=0.5,-0.1,0.8,0.3", "--dphi0=-0.4,0.9,0.2,-0.7", "--points=0,0.25,0.75,1",
+     "--oracle", "--oracle-steps=256"]], ids=["h", "c"])
+def test_ode_payload_holds_python_floats(capsys, monkeypatch, argv):
+    # every number of the payload is a float, not a numpy.float64, and the
+    # printed line is the one that lists of numpy.float64 print
+    payloads = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload, = payloads
+    points = payload["points"]
+    numbers = [payload["oracle_max_err"], *(pt[key] for pt in points for key in ("x", "residual")),
+               *(v for pt in points for key in ("phi", "dphi") for v in pt[key])]
+    assert {type(v) for v in numbers} == {float}
+    numpy_points = [{**pt, "phi": list(np.array(pt["phi"])), "dphi": list(np.array(pt["dphi"]))}
+                    for pt in points]
+    assert out == dumps({**payload, "points": numpy_points}) + "\n"
+
+
 def test_ode_reports_a_finite_residual_of_a_huge_solution(capsys):
     # phi ~ 1e170 leaves a residual ~ 2e155, whose square overflows
     code, out = run(capsys, "ode", "h", "--a", "0.3,0.7,-0.2,0.5", "--b", "2.1,-0.4,0.9,0.3",

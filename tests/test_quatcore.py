@@ -35,6 +35,16 @@ def test_inverse_matches_conjugate_formula():
     assert (inv * q - ONE).norm() < 1e-15
 
 
+def test_inverse_of_huge_and_tiny_quaternions():
+    # the squared norm of these over- or underflows; the inverse does not
+    q = Quaternion(1e160, 1e160)
+    assert (q * q.inverse() - ONE).norm() < 1e-15
+    assert (q.inverse() * q - ONE).norm() < 1e-15
+    assert as_tuple(Quaternion(1e-170).inverse()) == (1e170, 0.0, 0.0, 0.0)
+    with pytest.raises(ZeroDivisionError):
+        Quaternion().inverse()
+
+
 def test_norm_multiplicativity_bulk():
     rng = np.random.default_rng(7)
     for _ in range(10_000):

@@ -482,13 +482,45 @@ def test_bound_states_ten_state_well_at_coarse_grid():
 def test_bound_states_of_a_thick_well():
     # exp(g a) reaches 1e194 across this well, and the squared norms of the
     # unfolded 8x8 system's columns overflow; the kernel's unit-size columns
-    # do not.  The grid limits how many of its 143 states are found: 141.
-    got = find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=100.0), grid=2000)
+    # do not.  Its 143 states are about three to a scan cell at grid 50.
     expected = well_bound_energies(10.0, 100.0)
-    assert got.energies
-    for e in got.energies:
-        assert min(abs(e - w) for w in expected) <= 1e-9
-    assert all(r < 1e-8 for r in got.residuals)
+    assert len(expected) == 143
+    for grid in (50, 400, 2000):
+        got = find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=100.0), grid=grid)
+        assert len(got.energies) == 143, grid
+        assert max(abs(g - e) for g, e in zip(got.energies, expected)) <= 1e-9
+        assert all(r < 1e-8 for r in got.residuals)
+
+
+def test_bound_states_of_a_well_too_dense_to_list():
+    # 142,353 states at W = 0, counted in closed form before any state is
+    # refined or certified; in the second well sqrt(m / 2) a overflows,
+    # but the phase a sqrt(m V / 2) / hbar = 7e99 does not
+    with pytest.raises(ValueError, match="142353 states"):
+        find_bound_states(PhysicalParams(E=1.0, V=10.0, W=0.0, a=1e5), grid=400)
+    with pytest.raises(ValueError, match=r"has 4\.50158e\+99 states"):
+        find_bound_states(PhysicalParams(E=1.0, V=1e-300, W=0.0, a=1e200, hbar=1e100, m=1e300))
+    # here t0 = 7e-51: the well's one state lies above the scanned range
+    params = PhysicalParams(E=1.0, V=1e-300, W=0.0, a=1e200, hbar=1e250, m=1e300)
+    assert find_bound_states(params, grid=50).energies == ()
+
+
+def test_bound_state_count_of_seeded_wells_at_grid_50():
+    # 300 seeded W = 0 wells of 1-300 states, against the closed-form count:
+    # with t0 = a sqrt(2 m V) / (2 hbar), floor(t0 / pi) + 1 even states and,
+    # when t0 >= pi / 2, floor(t0 / pi - 1 / 2) + 1 odd ones
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        k, V = int(rng.integers(1, 301)), rng.uniform(0.5, 80.0)
+        a = math.pi * (k - 1 + rng.uniform(0.2, 0.9)) / math.sqrt(2.0 * V)
+        t0 = a * math.sqrt(2.0 * V) / 2.0
+        count = math.floor(t0 / math.pi) + 1
+        if t0 >= 0.5 * math.pi:
+            count += math.floor(t0 / math.pi - 0.5) + 1
+        got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=50)
+        expected = well_bound_energies(V, a)
+        assert len(got.energies) == len(expected) == count, (V, a)
+        assert max(abs(g - e) for g, e in zip(got.energies, expected)) <= 1e-9, (V, a)
 
 
 def seeded_well(rng, wabs, states=10, depth=50.0):
@@ -591,14 +623,16 @@ def test_bound_states_that_naive_secants_lose(V, W, a, hbar, m, grid, state):
 @pytest.mark.parametrize("V, W, a", [(36.76473671903387, 0.0, 3.5392552744385),
                                      (10.0, 0.4, 2.0), (20.0, 1.5, 1.0)])
 def test_bound_refinement_call_count(monkeypatch, V, W, a):
-    # grid 400: one array call of the parity determinants scans the grid,
-    # each bracket's search takes at most _MAX_STEPS - 1 scalar evaluations
-    # on Python floats (its last iterate is not evaluated), and the
-    # closed-form residual certifies the sorted refined energies in one
-    # call; no numpy.linalg routine runs at all
-    scans, scalars, certified, roots, linalg = [], [], [], [], []
-    objective, scan, scalar, refine = (well._folded_residual, well._parity_determinants,
-                                       well._parity_determinant, well._secant_roots)
+    # grid 400.  At |W| != 0 one array call of the parity determinants scans
+    # the grid and each bracket's search takes at most _MAX_STEPS - 1 scalar
+    # evaluations on Python floats (its last iterate is not evaluated); at
+    # W = 0 one call of the Prüfer phase finds the states and no determinant
+    # is evaluated.  The closed-form residual certifies the sorted refined
+    # energies in one call; no numpy.linalg routine runs at all
+    scans, scalars, certified, roots, phases, linalg = [], [], [], [], [], []
+    objective, scan, scalar, refine, phase = (
+        well._folded_residual, well._parity_determinants, well._parity_determinant,
+        well._secant_roots, well._phase_roots)
 
     def counted(es, params):
         certified.append(es.copy())
@@ -620,6 +654,11 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
             assert len(scalars) - before <= well._MAX_STEPS - 1
         return np.array(roots)
 
+    def counted_phase(es, params):
+        phases.append(es.copy())
+        roots.extend(phase(es, params).tolist())
+        return np.array(roots)
+
     def counted_linalg(name, fn):
         def wrapper(*args, **kwargs):
             linalg.append(name)
@@ -630,16 +669,23 @@ def test_bound_refinement_call_count(monkeypatch, V, W, a):
     monkeypatch.setattr(well, "_parity_determinants", counted_scan)
     monkeypatch.setattr(well, "_parity_determinant", counted_scalar)
     monkeypatch.setattr(well, "_secant_roots", counted_roots)
+    monkeypatch.setattr(well, "_phase_roots", counted_phase)
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted_linalg(name, fn))
     params = PhysicalParams(E=1.0, V=V, W=W, a=a)
     vmax = params.threshold
-    find_bound_states(params, grid=400)
-    assert len(scans) == 1
-    assert np.array_equal(scans[0], np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400))
-    assert roots and set(scalars) <= {(float, complex)}
+    got = find_bound_states(params, grid=400)
+    grid = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 400)
+    assert roots
+    if W:
+        assert len(scans) == 1 and np.array_equal(scans[0], grid) and phases == []
+        assert set(scalars) <= {(float, complex)}
+    else:
+        assert len(phases) == 1 and np.array_equal(phases[0], grid)
+        assert scans == [] and scalars == []
+        assert len(got.energies) == len(roots) == 10
     assert len(certified) == 1 and np.array_equal(certified[0], np.sort(roots))
     assert linalg == []
 
@@ -714,17 +760,24 @@ def test_bound_search_ignores_non_finite_values(monkeypatch):
 
 
 def test_bound_states_where_a_secant_leaves_the_sign_change():
-    # W = 0 and 39 states at grid 250: the ground state's search evaluates a
-    # first iterate of the sign of the bracket's upper end, and the secant
-    # through two points of one sign leaves the scan bracket; it bisects the
-    # sign bracket instead of walking toward the upper end
+    # the determinant search on the scan of a W = 0 well with 39 states at
+    # grid 250 (find_bound_states takes the Prüfer phase there): the ground
+    # state's search evaluates a first iterate of the sign of the bracket's
+    # upper end, and the secant through two points of one sign leaves the
+    # scan bracket; it bisects the sign bracket instead of walking toward
+    # the upper end
     V, a = 16.467135098975135, 21.073241599084962
     expected = well_bound_energies(V, a)
     assert len(expected) == 39
-    got = find_bound_states(PhysicalParams(E=1.0, V=V, W=0.0, a=a), grid=250)
-    assert len(got.energies) == 39
-    for g, e in zip(got.energies, expected):
-        assert abs(g - e) < 1e-9
+    params = PhysicalParams(E=1.0, V=V, W=0.0, a=a)
+    vmax = params.threshold
+    es = np.linspace(-vmax + 1e-6 * vmax, -1e-6 * vmax, 250)
+    f = well._parity_determinants(es, params)
+    sign = np.signbit(f.real)
+    parity, n = np.nonzero(sign[:, :-1] != sign[:, 1:])
+    got = np.sort(well._secant_roots(es, f, parity, n, 1e-12 * vmax, params))
+    assert got.size == 39
+    assert np.max(np.abs(got - expected)) < 1e-9
 
 
 def test_bound_state_count_of_dense_wells_at_a_coarse_grid():
